@@ -9,6 +9,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skipcast.cli import main
@@ -19,7 +20,11 @@ from skipcast.config import (
     parse_kv_text,
     parse_solutions,
 )
+from skipcast.datamodel import parse_session_log, parse_track_features, split_session
+from skipcast.ensemble import SOLUTION_IDS, combine
 from skipcast.errors import ConfigError
+from skipcast.features import assemble_session_examples
+from skipcast.modelbank import ModelBank
 
 SMALL_CONF = """\
 # small corpus so the whole pipeline stays fast
@@ -118,6 +123,54 @@ class TestRunAll:
         assert (pipeline / "tracks.csv").read_bytes() != (
             other / "tracks.csv"
         ).read_bytes()
+
+
+ORACLE_CONF = """\
+n_tracks = 40
+n_sessions = 60
+num_boost_round = 3
+max_depth = 3
+solutions = all
+"""
+
+
+class TestPredictOracle:
+    """Predict-stage output against rows built and scored one session at a time."""
+
+    def test_scores_match_per_session_scoring(self, tmp_path):
+        conf = write_conf(tmp_path, ORACLE_CONF)
+        workdir = tmp_path / "w"
+        for stage in ("synth", "extract", "train", "predict"):
+            assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
+        cfg = load_config(conf, {})
+        with open(workdir / "tracks.csv", encoding="utf-8") as fh:
+            track_map = parse_track_features(fh)
+        with open(workdir / "sessions.csv", encoding="utf-8") as fh:
+            sessions = parse_session_log(fh, track_map)
+        bank = ModelBank.load(workdir / "bank")
+        priors = []
+        matrices = []
+        for s in sessions:
+            examples = assemble_session_examples(s, track_map)
+            matrices.append(bank.predict_matrix(np.stack([e.features for e in examples])))
+            priors.append(float(split_session(s).history[-1].skip_2))
+        assert set(priors) == {0.0, 1.0}  # both last actions are exercised
+        for solution in SOLUTION_IDS:
+            score_lines = ["session_id,target_position,score,decision"]
+            submission_lines = []
+            for s, m, s0 in zip(sessions, matrices, priors):
+                scores = combine(solution, m, s0, cfg.weights)
+                score_lines += [
+                    f"{s.session_id},{i},{repr(float(score))},{int(score >= 0.5)}"
+                    for i, score in enumerate(scores, start=1)
+                ]
+                bits = "".join("1" if score >= 0.5 else "0" for score in scores)
+                submission_lines.append(f"{s.session_id} {bits}")
+            name = f"{solution:02d}"
+            got = (workdir / f"scores_solution_{name}.csv").read_text().splitlines()
+            assert got == score_lines, solution
+            got = (workdir / f"submission_solution_{name}.txt").read_text().splitlines()
+            assert got == submission_lines, solution
 
 
 class TestStages:
