@@ -26,6 +26,7 @@ from .config import RunConfig, load_config
 from .datamodel import (
     parse_session_log,
     parse_track_features,
+    split_session,
     write_session_csv,
     write_track_csv,
 )
@@ -38,7 +39,6 @@ from .modelbank import (
     ModelBank,
     grid_search,
     sample_sessions,
-    session_score_matrix,
     train_bank,
 )
 from .synthetic import corpus_summary, generate_synthetic_dataset
@@ -114,14 +114,7 @@ def cmd_train(cfg: RunConfig) -> None:
     if grid_path.exists():
         with open(grid_path, encoding="utf-8") as fh:
             grid = GridReport.read_csv(fh)
-        best = grid.best_params
-        params = replace(
-            params,
-            eta=best["eta"],
-            max_depth=best["max_depth"],
-            colsample=best["colsample"],
-            subsample=best["subsample"],
-        )
+        params = replace(params, **grid.best_params)
         print(f"train: applying tuned parameters from {grid_path.name}")
     bank = train_bank(table, params, cfg.seed)
     bank.save(cfg.workdir / "bank")
@@ -135,13 +128,19 @@ def cmd_predict(cfg: RunConfig) -> None:
     _require(cfg.workdir / "bank" / "manifest.json", "train")
     bank = ModelBank.load(cfg.workdir / "bank")
     track_map, sessions = _load_corpus(cfg)
-    scored = [
-        (s.session_id, *session_score_matrix(bank, s, track_map)) for s in sessions
-    ]
+    # assemble_corpus emits each session's target rows contiguously, in order
+    matrix = bank.predict_matrix(assemble_corpus(sessions, track_map).x)
+    scored, start = [], 0
+    for s in sessions:
+        split = split_session(s)
+        stop = start + len(split.targets)
+        s0 = float(split.history[-1].skip_2)
+        scored.append((s.session_id, matrix[start:stop], s0))
+        start = stop
     for solution in cfg.solutions:
         predictions = [
-            predict_session(sid, matrix, float(s0_skipped), solution, cfg.weights)
-            for sid, matrix, _labels, s0_skipped in scored
+            predict_session(sid, rows, s0, solution, cfg.weights)
+            for sid, rows, s0 in scored
         ]
         with open(cfg.workdir / _submission_name(solution), "w", encoding="utf-8") as fh:
             write_submission(predictions, fh)

@@ -21,6 +21,7 @@ afterwards, so they are safe to share across threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
@@ -87,16 +88,18 @@ SESSION_LOG_COLUMNS = (
 class TrackMetadata:
     """Per-track scalar features plus a dense acoustic vector.
 
-    ``scalars`` holds the 16 values in :data:`SCALAR_FEATURE_NAMES` order;
-    ``popularity`` duplicates ``scalars[0]`` for convenient access.
+    ``scalars`` holds the 16 values in :data:`SCALAR_FEATURE_NAMES` order.
     """
 
     track_id: str
     duration_s: float
     release_year: int
-    popularity: float
     scalars: np.ndarray
     acoustic_vector: np.ndarray
+
+    @property
+    def popularity(self) -> float:
+        return float(self.scalars[0])
 
 
 @dataclass(frozen=True)
@@ -230,12 +233,17 @@ def _infer_acoustic_dim(fieldnames: Iterable[str]) -> int:
 
 def _float_cell(value: str, column: str, line_num: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise RowParseError(
             f"line {line_num}: cannot parse {column}={value!r} as a number",
             line_num,
         )
+    if not math.isfinite(number):
+        raise RowParseError(
+            f"line {line_num}: {column}={value!r} is not a finite number", line_num
+        )
+    return number
 
 
 def _int_cell(value: str, column: str, line_num: int) -> int:
@@ -291,10 +299,9 @@ def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
             [_float_cell(record[c], c, line) for c in SCALAR_FEATURE_NAMES],
             dtype=np.float64,
         )
-        popularity = float(scalars[0])
-        if not 0.0 <= popularity <= 100.0:
+        if not 0.0 <= scalars[0] <= 100.0:
             raise IntegrityError(
-                f"line {line}: popularity {popularity} outside [0, 100]"
+                f"line {line}: popularity {scalars[0]} outside [0, 100]"
             )
         vector = np.array(
             [_float_cell(record[c], c, line) for c in vector_cols],
@@ -304,7 +311,6 @@ def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
             track_id=track_id,
             duration_s=duration,
             release_year=year,
-            popularity=popularity,
             scalars=scalars,
             acoustic_vector=vector,
         )

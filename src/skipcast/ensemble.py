@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import MAX_TARGET_POSITIONS, SessionRow
+from .datamodel import MAX_TARGET_POSITIONS
 from .errors import DimensionError, DomainError
 
 SOLUTION_IDS = tuple(range(1, 13))
@@ -40,26 +40,9 @@ DEFAULT_WEIGHTS = EnsembleWeights()
 @dataclass(eq=False)
 class SessionPrediction:
     session_id: str
-    model_matrix: np.ndarray  # (n, 10)
     s0: float
     scores: np.ndarray
     decisions: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.model_matrix.shape[0]
-
-
-def last_action(history: Sequence[SessionRow], variant: str = "hard") -> float:
-    """S(t_0): 1/0 from the last history row's skip_2, or 0.6/0.4 softened."""
-    if not history:
-        raise ValueError("history must be nonempty")
-    skipped = history[-1].skip_2
-    if variant == "hard":
-        return 1.0 if skipped else 0.0
-    if variant == "soft":
-        return 0.6 if skipped else 0.4
-    raise DomainError(f"unknown last-action variant {variant!r}")
 
 
 def soften(s0_hard: float) -> float:
@@ -169,7 +152,6 @@ def predict_session(
     scores = combine(solution, matrix, s0_hard, weights)
     return SessionPrediction(
         session_id=session_id,
-        model_matrix=np.asarray(matrix, dtype=np.float64),
         s0=float(s0_hard),
         scores=scores,
         decisions=binarize(scores),

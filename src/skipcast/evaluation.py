@@ -12,6 +12,7 @@ Sessions aggregate by unweighted mean (MAA); first-prediction accuracy
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
@@ -21,13 +22,6 @@ from .datamodel import Session, split_session
 from .errors import DimensionError
 
 Predictor = Callable[[Session, int], np.ndarray]
-
-
-@dataclass(frozen=True)
-class SessionScore:
-    session_id: str
-    aa: float
-    first_correct: bool
 
 
 @dataclass(frozen=True)
@@ -60,16 +54,6 @@ def first_prediction_correct(
     decisions: Sequence[bool], truth: Sequence[bool]
 ) -> bool:
     return bool(np.asarray(decisions, dtype=bool)[0] == np.asarray(truth, dtype=bool)[0])
-
-
-def session_score(
-    session_id: str, decisions: Sequence[bool], truth: Sequence[bool]
-) -> SessionScore:
-    return SessionScore(
-        session_id=session_id,
-        aa=average_accuracy(decisions, truth),
-        first_correct=first_prediction_correct(decisions, truth),
-    )
 
 
 def corpus_scores(
@@ -118,7 +102,10 @@ def solutions_report(
     predictor: Predictor,
     solutions: Sequence[int],
 ) -> list[SolutionRow]:
-    """Score every requested solution; rows come back sorted by MAA ascending.
+    """Score every requested solution; rows come back ranked worst first.
+
+    The order is `compare` ascending: MAA, then FPA on an exact MAA tie;
+    full ties keep the requested order.
 
     `predictor(session, solution)` returns that solution's boolean decisions
     for the session's target tracks; injecting a different predictor (for
@@ -133,7 +120,7 @@ def solutions_report(
         ]
         corpus = corpus_scores(pairs)
         rows.append(SolutionRow(solution=solution, maa=corpus.maa, fpa=corpus.fpa))
-    rows.sort(key=lambda r: r.maa)
+    rows.sort(key=functools.cmp_to_key(compare))
     return rows
 
 

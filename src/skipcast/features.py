@@ -39,7 +39,7 @@ from .datamodel import (
     lookup_track,
     split_session,
 )
-from .errors import DimensionError, IntegrityError, SchemaError
+from .errors import DimensionError, IntegrityError, RowParseError, SchemaError
 
 N_TRACK_FEATURES = 16
 N_HISTORY_FEATURES = 39
@@ -251,10 +251,20 @@ class FeatureTable:
             )
         rows, labels, positions, sids = [], [], [], []
         for cells in reader:
-            rows.append([float(c) for c in cells[:FEATURE_COUNT]])
-            labels.append(int(cells[FEATURE_COUNT]))
+            line = reader.line_num
+            if len(cells) != len(MATRIX_COLUMNS):
+                raise RowParseError(
+                    f"feature matrix line {line}: expected {len(MATRIX_COLUMNS)} "
+                    f"cells, got {len(cells)}",
+                    line,
+                )
+            try:
+                rows.append([float(c) for c in cells[:FEATURE_COUNT]])
+                labels.append(int(cells[FEATURE_COUNT]))
+                positions.append(int(cells[FEATURE_COUNT + 2]))
+            except ValueError as exc:
+                raise RowParseError(f"feature matrix line {line}: {exc}", line)
             sids.append(cells[FEATURE_COUNT + 1])
-            positions.append(int(cells[FEATURE_COUNT + 2]))
         n = len(rows)
         x = np.array(rows, dtype=np.float64) if n else np.empty((0, FEATURE_COUNT))
         return cls(

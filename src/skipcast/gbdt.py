@@ -30,6 +30,7 @@ from .errors import (
     DegenerateLabelsError,
     DimensionError,
     IntegrityError,
+    SchemaError,
     UndefinedMetricError,
 )
 
@@ -316,7 +317,10 @@ class GBDTModel:
 
     @classmethod
     def load(cls, path: Path | str) -> "GBDTModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise SchemaError(f"corrupt model file {path}: {exc!r}") from exc
 
 
 def train(

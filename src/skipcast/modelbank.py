@@ -1,9 +1,9 @@
 """A bank of ten boosted-tree models, one per target position.
 
 Targets sit 1..10 positions past the observed history. Each position gets
-its own classifier trained on the rows whose target landed there; scoring a
-session produces an (n_targets, 10) matrix with every model's probability
-for every target row, which the combination strategies consume.
+its own classifier trained on the rows whose target landed there; scoring
+produces an (n_rows, 10) matrix with every model's probability for every
+target row, which the combination strategies consume session by session.
 
 Positions whose training rows are missing or single-class get a constant
 fallback model (zero trees, smoothed-prevalence base score) and a warning;
@@ -15,15 +15,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
-from .datamodel import MAX_TARGET_POSITIONS, Session, TrackMetadata, split_session
+from .datamodel import MAX_TARGET_POSITIONS
 from .errors import ConfigError, DegenerateSampleError, IntegrityError, SchemaError
-from .features import FeatureTable, assemble_example, feature_schema_hash
+from .features import FeatureTable, feature_schema_hash
 from .gbdt import GBDTModel, TrainParams, auc, train
 
 MANIFEST_NAME = "manifest.json"
@@ -78,14 +78,6 @@ class ModelBank:
         x = np.asarray(x, dtype=np.float64)
         return np.column_stack([m.predict_proba(x) for m in self.models])
 
-    def predict_positions(self, table: FeatureTable) -> np.ndarray:
-        """Each row scored by the model owning its target position."""
-        out = np.empty(len(table), dtype=np.float64)
-        for j, rows in enumerate(partition_by_position(table.positions)):
-            if rows.size:
-                out[rows] = self.models[j].predict_proba(table.x[rows])
-        return out
-
     def save(self, bank_dir: Path | str) -> None:
         bank_dir = Path(bank_dir)
         bank_dir.mkdir(parents=True, exist_ok=True)
@@ -98,16 +90,7 @@ class ModelBank:
             "format": "skipcast-bank",
             "version": 1,
             "feature_schema_hash": feature_schema_hash(),
-            "params": {
-                "num_boost_round": self.params.num_boost_round,
-                "eta": self.params.eta,
-                "max_depth": self.params.max_depth,
-                "min_child_weight": self.params.min_child_weight,
-                "lambda_": self.params.lambda_,
-                "gamma": self.params.gamma,
-                "subsample": self.params.subsample,
-                "colsample": self.params.colsample,
-            },
+            "params": asdict(self.params),
             "seed": self.seed,
             "models": names,
             "fallback_positions": list(self.fallback_positions),
@@ -122,20 +105,23 @@ class ModelBank:
         manifest_path = bank_dir / MANIFEST_NAME
         if not manifest_path.exists():
             raise SchemaError(f"no bank manifest at {manifest_path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("format") != "skipcast-bank":
-            raise SchemaError(f"{manifest_path} is not a model bank manifest")
-        if manifest["feature_schema_hash"] != feature_schema_hash():
-            raise SchemaError(
-                "bank was trained with a different feature schema; re-train it"
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            if manifest.get("format") != "skipcast-bank":
+                raise SchemaError(f"{manifest_path} is not a model bank manifest")
+            if manifest["feature_schema_hash"] != feature_schema_hash():
+                raise SchemaError(
+                    "bank was trained with a different feature schema; re-train it"
+                )
+            models = [GBDTModel.load(bank_dir / name) for name in manifest["models"]]
+            return cls(
+                models=models,
+                params=TrainParams(**manifest["params"]),
+                seed=int(manifest["seed"]),
+                fallback_positions=tuple(manifest["fallback_positions"]),
             )
-        models = [GBDTModel.load(bank_dir / name) for name in manifest["models"]]
-        return cls(
-            models=models,
-            params=TrainParams(**manifest["params"]),
-            seed=int(manifest["seed"]),
-            fallback_positions=tuple(manifest["fallback_positions"]),
-        )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise SchemaError(f"corrupt bank manifest {manifest_path}: {exc!r}") from exc
 
 
 def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank:
@@ -170,24 +156,6 @@ def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank
     )
 
 
-def session_score_matrix(
-    bank: ModelBank,
-    session: Session,
-    track_map: Mapping[str, TrackMetadata],
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Score one session's targets with all ten models.
-
-    Returns (matrix, labels, last_history_skipped): the (n_targets, 10)
-    probability matrix, the true skip_2 labels of the targets, and whether
-    the final history track was skipped (the prior the strategies seed on).
-    """
-    split = split_session(session)
-    examples = [assemble_example(row, split.history, track_map) for row in split.targets]
-    x = np.stack([e.features for e in examples])
-    labels = np.array([int(e.label) for e in examples], dtype=np.int64)
-    return bank.predict_matrix(x), labels, split.history[-1].skip_2
-
-
 @dataclass(frozen=True)
 class GridRow:
     eta: float
@@ -195,6 +163,9 @@ class GridRow:
     colsample: float
     subsample: float
     val_auc: float
+
+
+GRID_REPORT_HEADER = "eta,max_depth,colsample,subsample,val_auc,best"
 
 
 @dataclass(eq=False)
@@ -213,7 +184,7 @@ class GridReport:
         }
 
     def write_csv(self, stream: IO[str]) -> None:
-        stream.write("eta,max_depth,colsample,subsample,val_auc,best\n")
+        stream.write(GRID_REPORT_HEADER + "\n")
         for i, row in enumerate(self.rows):
             stream.write(
                 ",".join(
@@ -232,7 +203,7 @@ class GridReport:
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "GridReport":
         lines = stream.read().splitlines()
-        if not lines or lines[0] != "eta,max_depth,colsample,subsample,val_auc,best":
+        if not lines or lines[0] != GRID_REPORT_HEADER:
             raise SchemaError("not a grid report file")
         rows, best = [], 0
         for line in lines[1:]:

@@ -110,7 +110,6 @@ def _generate_tracks(
             track_id=tid,
             duration_s=float(duration[i]),
             release_year=int(year[i]),
-            popularity=float(scalars[i, 0]),
             scalars=scalars[i].copy(),
             acoustic_vector=vectors[i].copy(),
         )

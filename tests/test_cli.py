@@ -282,6 +282,27 @@ class TestDataErrors:
         assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "run the train stage first" in capsys.readouterr().err
 
+    def test_predict_with_truncated_model(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "bank" / "model_03.json"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        conf = write_conf(tmp_path)
+        assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert "model_03.json" in capsys.readouterr().err
+
+    def test_train_with_unparsable_feature_cell(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "features.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = "abc" + lines[4][lines[4].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert "line 5" in capsys.readouterr().err
+
     def test_evaluate_before_predict(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)

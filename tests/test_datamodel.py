@@ -36,7 +36,6 @@ def make_track(track_id="t0", popularity=50.0, dim=3):
         track_id=track_id,
         duration_s=200.0,
         release_year=2005,
-        popularity=popularity,
         scalars=scalars,
         acoustic_vector=np.arange(dim, dtype=np.float64) / 10.0,
     )
@@ -127,6 +126,20 @@ class TestTrackCsv:
         with pytest.raises(RowParseError) as exc_info:
             parse_track_features(io.StringIO(text))
         assert exc_info.value.line_num == 2
+
+    @pytest.mark.parametrize(
+        "column,value", [("energy", "nan"), ("acoustic_vector_1", "inf")]
+    )
+    def test_non_finite_number_reports_line(self, column, value):
+        buf = io.StringIO()
+        write_track_csv({"t0": make_track("t0"), "t1": make_track("t1")}, buf)
+        lines = buf.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[2] = ",".join(cells)
+        with pytest.raises(RowParseError, match=column) as exc_info:
+            parse_track_features(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 3
 
     def test_nonpositive_duration_rejected(self):
         buf = io.StringIO()

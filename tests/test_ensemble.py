@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from skipcast.datamodel import SessionRow
 from skipcast.ensemble import (
     DEFAULT_WEIGHTS,
     SOLUTION_IDS,
@@ -18,7 +17,6 @@ from skipcast.ensemble import (
     binarize,
     combine,
     exponential_weights,
-    last_action,
     linear_weights,
     predict_session,
     soften,
@@ -271,44 +269,7 @@ class TestValidation:
             combine(1, np.full((11, 10), 0.5), 0.0)
 
 
-def history_row(skip_2):
-    return SessionRow(
-        session_id="s",
-        position=1,
-        session_length=2,
-        track_id="t",
-        skip_1=False,
-        skip_2=skip_2,
-        skip_3=skip_2,
-        premium=True,
-        shuffle=False,
-        hour=12,
-        day=1,
-        month=1,
-    )
-
-
 class TestLastAction:
-    def test_hard_variant(self):
-        assert last_action([history_row(True)]) == 1.0
-        assert last_action([history_row(False)]) == 0.0
-
-    def test_soft_variant(self):
-        assert last_action([history_row(True)], "soft") == 0.6
-        assert last_action([history_row(False)], "soft") == 0.4
-
-    def test_reads_the_final_row(self):
-        rows = [history_row(False), history_row(True)]
-        assert last_action(rows) == 1.0
-
-    def test_empty_history(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            last_action([])
-
-    def test_unknown_variant(self):
-        with pytest.raises(DomainError, match="variant"):
-            last_action([history_row(True)], "fuzzy")
-
     def test_soften(self):
         assert soften(1.0) == 0.6
         assert soften(0.0) == 0.4
@@ -331,7 +292,7 @@ class TestPredictAndSerialize:
         m[0, 0], m[1, 1] = 0.2, 0.8
         pred = predict_session("s42", m, 0.0, solution=1)
         assert pred.session_id == "s42"
-        assert pred.n == 2
+        assert pred.scores.shape == (2,)
         assert pred.s0 == 0.0
         np.testing.assert_allclose(pred.scores, [0.2, 0.8], atol=1e-15)
         assert pred.decisions.tolist() == [False, True]

@@ -16,7 +16,6 @@ from skipcast.evaluation import (
     CorpusScore,
     first_prediction_correct,
     format_report_text,
-    session_score,
     session_truth,
     solutions_report,
     write_report_csv,
@@ -96,12 +95,6 @@ class TestFirstPrediction:
     def test_reads_only_the_first_slot(self):
         assert first_prediction_correct([True, False], [True, True])
         assert not first_prediction_correct([False, True], [True, True])
-
-    def test_session_score_bundles_both(self):
-        score = session_score("s1", [True, False, True], [True, True, True])
-        assert score.session_id == "s1"
-        assert score.aa == pytest.approx(5.0 / 9.0, abs=1e-12)
-        assert score.first_correct
 
 
 class TestCorpusScores:
@@ -219,6 +212,25 @@ class TestSolutionsReport:
         assert [r.solution for r in rows] == [1, 3, 2]
         maas = [r.maa for r in rows]
         assert maas == sorted(maas)
+
+    def test_exact_maa_tie_ranks_by_fpa(self):
+        def predictor(session, solution):
+            truth = session_truth(session)
+            if solution == 1:  # AA 1.0 on s1, 0.0 on s2: MAA 0.5, FPA 0.5
+                return truth if session.session_id == "s1" else ~truth
+            flipped = truth.copy()  # AA 0.5 on both: MAA 0.5, FPA 1.0
+            flipped[1] = ~flipped[1]
+            return flipped
+
+        sessions = [
+            make_session("s1", [True, False, True, False]),
+            make_session("s2", [False, True, False, True]),
+        ]
+        rows = solutions_report(sessions, predictor, solutions=[2, 1])
+        assert [(r.solution, r.maa, r.fpa) for r in rows] == [
+            (1, 0.5, 0.5),
+            (2, 0.5, 1.0),
+        ]
 
     def test_equal_scores_keep_request_order(self):
         rows = solutions_report(

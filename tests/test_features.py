@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skipcast.datamodel import SCALAR_FEATURE_NAMES, Session, SessionRow, TrackMetadata
-from skipcast.errors import IntegrityError, SchemaError
+from skipcast.errors import IntegrityError, RowParseError, SchemaError
 from skipcast.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
@@ -31,7 +31,6 @@ def track(tid, duration, year, scalars, vector):
         track_id=tid,
         duration_s=float(duration),
         release_year=year,
-        popularity=float(scalars[0]),
         scalars=scalars,
         acoustic_vector=np.asarray(vector, dtype=np.float64),
     )
@@ -316,6 +315,15 @@ class TestCorpusAssembly:
         np.testing.assert_array_equal(back.labels, table.labels)
         np.testing.assert_array_equal(back.positions, table.positions)
         assert back.session_ids == table.session_ids
+
+    def test_csv_short_row_reports_line(self):
+        buf = io.StringIO()
+        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        with pytest.raises(RowParseError, match="line 3") as exc_info:
+            FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 3
 
     def test_csv_header_is_checked(self):
         with pytest.raises(SchemaError):

@@ -14,13 +14,7 @@ from skipcast.errors import (
     IntegrityError,
     SchemaError,
 )
-from skipcast.datamodel import split_session
-from skipcast.features import (
-    FeatureTable,
-    assemble_corpus,
-    assemble_session_examples,
-    feature_schema_hash,
-)
+from skipcast.features import FeatureTable, feature_schema_hash
 from skipcast.gbdt import TrainParams
 from skipcast.modelbank import (
     COLSAMPLE_GRID,
@@ -33,13 +27,11 @@ from skipcast.modelbank import (
     grid_search,
     partition_by_position,
     sample_sessions,
-    session_score_matrix,
     train_bank,
 )
-from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 
 
-def make_table(n_per_position=40, n_features=4, seed=0, check=True):
+def make_table(n_per_position=40, n_features=4, seed=0):
     """A learnable table covering all ten positions with both classes each."""
     rng = np.random.default_rng(seed)
     n = n_per_position * 10
@@ -48,10 +40,9 @@ def make_table(n_per_position=40, n_features=4, seed=0, check=True):
     positions = np.tile(np.arange(1, 11, dtype=np.int64), n_per_position)
     # one synthetic session id per consecutive pair of rows
     sids = tuple(f"s{i // 2:04d}" for i in range(n))
-    if check:
-        for j in range(1, 11):
-            y = labels[positions == j]
-            assert 0 < y.sum() < y.size  # fixture sanity: both classes everywhere
+    for j in range(1, 11):
+        y = labels[positions == j]
+        assert 0 < y.sum() < y.size  # fixture sanity: both classes everywhere
     return FeatureTable(x=x, labels=labels, positions=positions, session_ids=sids)
 
 
@@ -180,14 +171,6 @@ class TestPredict:
         for j, model in enumerate(bank.models):
             np.testing.assert_array_equal(matrix[:, j], model.predict_proba(x))
 
-    def test_predict_positions_uses_owning_model(self, bank):
-        table = make_table(n_per_position=3, seed=42, check=False)
-        scored = bank.predict_positions(table)
-        for i in range(len(table)):
-            j = int(table.positions[i]) - 1
-            expected = bank.models[j].predict_proba(table.x[i : i + 1])[0]
-            assert scored[i] == expected
-
 
 class TestSaveLoad:
     def test_round_trip(self, bank, tmp_path):
@@ -215,6 +198,15 @@ class TestSaveLoad:
         with pytest.raises(SchemaError, match="feature schema"):
             ModelBank.load(tmp_path / "bank")
 
+    def test_manifest_missing_key_rejected(self, bank, tmp_path):
+        bank.save(tmp_path / "bank")
+        path = tmp_path / "bank" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["models"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="manifest.json"):
+            ModelBank.load(tmp_path / "bank")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SchemaError, match="manifest"):
             ModelBank.load(tmp_path)
@@ -231,36 +223,6 @@ class TestSaveLoad:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    config = SynthConfig(n_tracks=40, n_sessions=40)
-    track_map, sessions = generate_synthetic_dataset(config, seed=11)
-    table = assemble_corpus(sessions, track_map)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        trained = train_bank(table, SMALL_PARAMS, seed=5)
-    return track_map, sessions, trained
-
-
-class TestSessionScoreMatrix:
-    def test_shapes_labels_and_prior(self, corpus):
-        track_map, sessions, bank = corpus
-        for session in sessions[:10]:
-            matrix, labels, s0 = session_score_matrix(bank, session, track_map)
-            split = split_session(session)
-            assert matrix.shape == (len(split.targets), 10)
-            assert labels.tolist() == [int(r.skip_2) for r in split.targets]
-            assert s0 == split.history[-1].skip_2
-
-    def test_matches_manual_assembly(self, corpus):
-        track_map, sessions, bank = corpus
-        session = sessions[0]
-        matrix, _, _ = session_score_matrix(bank, session, track_map)
-        examples = assemble_session_examples(session, track_map)
-        x = np.stack([e.features for e in examples])
-        np.testing.assert_array_equal(matrix, bank.predict_matrix(x))
 
 
 class TestSampleSessions:
