@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from skipcast.datamodel import SCALAR_FEATURE_NAMES, Session, SessionRow, TrackMetadata
+from skipcast.datamodel import (
+    SCALAR_FEATURE_NAMES,
+    Session,
+    SessionRow,
+    TrackMetadata,
+    split_session,
+)
 from skipcast.errors import IntegrityError, RowParseError, SchemaError
 from skipcast.features import (
     FEATURE_COUNT,
@@ -332,3 +338,30 @@ class TestCorpusAssembly:
     def test_schema_hash_is_stable(self):
         assert feature_schema_hash() == feature_schema_hash()
         assert len(feature_schema_hash()) == 64
+
+
+class TestCorpusOracle:
+    """Every assembled row against the loop-based oracle and the session split."""
+
+    def test_rows_labels_and_positions(self):
+        config = SynthConfig(n_tracks=60, n_sessions=200)
+        track_map, sessions = generate_synthetic_dataset(config, seed=11)
+        table = assemble_corpus(sessions, track_map)
+        i = 0
+        empty_skipped = empty_listened = 0
+        for session in sessions:
+            split = split_session(session)
+            n_skipped = sum(r.skip_2 for r in split.history)
+            empty_skipped += n_skipped == 0
+            empty_listened += n_skipped == len(split.history)
+            for target in split.targets:
+                expected = naive_vector(
+                    track_map[target.track_id], split.history, track_map
+                )
+                np.testing.assert_allclose(table.x[i], expected, rtol=0, atol=1e-12)
+                assert table.labels[i] == int(target.skip_2)
+                assert table.positions[i] == target.position - len(split.history)
+                assert table.session_ids[i] == session.session_id
+                i += 1
+        assert i == len(table)
+        assert empty_skipped > 0 and empty_listened > 0
