@@ -31,7 +31,13 @@ from .datamodel import (
     write_track_csv,
 )
 from .ensemble import predict_session, write_scores, write_submission
-from .errors import ConfigError, IntegrityError, SkipcastError, StageError
+from .errors import (
+    ConfigError,
+    DegenerateSampleError,
+    IntegrityError,
+    SkipcastError,
+    StageError,
+)
 from .evaluation import format_report_text, solutions_report, write_report_csv
 from .features import FeatureTable, assemble_corpus
 from .modelbank import (
@@ -57,6 +63,8 @@ def _load_corpus(cfg: RunConfig):
         track_map = parse_track_features(fh)
     with open(sessions_path, encoding="utf-8") as fh:
         sessions = parse_session_log(fh, track_map)
+    if not sessions:
+        raise DegenerateSampleError(f"session log {sessions_path} holds no sessions")
     return track_map, sessions
 
 

@@ -25,15 +25,6 @@ from .synthetic import SynthConfig
 _SYNTH_KEYS = set(SynthConfig.field_names())
 _PARAM_KEYS = {f.name for f in fields(TrainParams)}
 _WEIGHT_KEYS = {f.name for f in fields(EnsembleWeights)}
-_TOP_KEYS = {
-    "seed",
-    "workdir",
-    "solutions",
-    "sample",
-    "tune_rounds",
-    "tracks_csv",
-    "sessions_csv",
-}
 
 
 @dataclass(eq=False)
@@ -109,6 +100,18 @@ def _to_float(key: str, raw: str) -> float:
         raise ConfigError(f"{key} must be a number, got {raw!r}")
 
 
+#: RunConfig's own keys, each with its converter from (key, raw string).
+_TOP_KEYS = {
+    "workdir": lambda _key, raw: Path(raw),
+    "seed": _to_int,
+    "solutions": lambda _key, raw: parse_solutions(raw),
+    "sample": _to_float,
+    "tune_rounds": _to_int,
+    "tracks_csv": lambda _key, raw: Path(raw),
+    "sessions_csv": lambda _key, raw: Path(raw),
+}
+
+
 def _convert(key: str, raw: str, current):
     if isinstance(current, bool):
         if raw.lower() in ("true", "1", "yes"):
@@ -132,20 +135,7 @@ def build_config(values: Mapping[str, str]) -> RunConfig:
     for key, raw in values.items():
         name = "lambda_" if key == "lambda" else key
         if name in _TOP_KEYS:
-            if name == "workdir":
-                cfg.workdir = Path(raw)
-            elif name == "seed":
-                cfg.seed = _to_int(name, raw)
-            elif name == "solutions":
-                cfg.solutions = parse_solutions(raw)
-            elif name == "sample":
-                cfg.sample = _to_float(name, raw)
-            elif name == "tune_rounds":
-                cfg.tune_rounds = _to_int(name, raw)
-            elif name == "tracks_csv":
-                cfg.tracks_csv = Path(raw)
-            elif name == "sessions_csv":
-                cfg.sessions_csv = Path(raw)
+            setattr(cfg, name, _TOP_KEYS[name](name, raw))
         elif name in _SYNTH_KEYS:
             synth_kwargs[name] = _convert(name, raw, getattr(cfg.synth, name))
         elif name in _PARAM_KEYS:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .datamodel import (
     MAX_TARGET_POSITIONS,
     SCALAR_FEATURE_NAMES,
     Session,
-    SessionRow,
     TrackMetadata,
     lookup_track,
     split_session,
@@ -42,8 +41,6 @@ from .datamodel import (
 from .errors import DimensionError, IntegrityError, RowParseError, SchemaError
 
 N_TRACK_FEATURES = 16
-N_HISTORY_FEATURES = 39
-N_SESSION_TRACK_FEATURES = 8
 FEATURE_COUNT = 63
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -73,147 +70,72 @@ def feature_schema_hash() -> str:
     return hashlib.sha256(",".join(FEATURE_NAMES).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True, eq=False)
-class TrainingExample:
-    """One labeled target row: 63 features, skip_2 label, target position."""
-
-    features: np.ndarray
-    label: bool
-    target_position: int
-    session_id: str
-
-
-def track_features(meta: TrackMetadata) -> np.ndarray:
-    """The 16 scalar features of one track, in canonical order."""
+def _checked_track(
+    track_map: Mapping[str, TrackMetadata], track_id: str
+) -> TrackMetadata:
+    meta = lookup_track(track_map, track_id)
     if meta.scalars.shape != (N_TRACK_FEATURES,):
         raise DimensionError(
             f"track {meta.track_id!r}: expected {N_TRACK_FEATURES} scalar "
             f"features, got shape {meta.scalars.shape}"
         )
-    return meta.scalars.astype(np.float64, copy=True)
+    return meta
 
 
-def _group_rows(
-    history: Sequence[SessionRow],
-) -> tuple[list[SessionRow], list[SessionRow]]:
-    skipped = [r for r in history if r.skip_2]
-    listened = [r for r in history if not r.skip_2]
-    return skipped, listened
-
-
-def session_history_features(
-    history: Sequence[SessionRow],
-    track_map: Mapping[str, TrackMetadata],
+def session_features(
+    session: Session, track_map: Mapping[str, TrackMetadata]
 ) -> np.ndarray:
-    """The 39 history features: group means, last-row context, skip ratios."""
-    if not history:
-        raise ValueError("history must be nonempty")
-    skipped, listened = _group_rows(history)
+    """The (n_targets, 63) feature block of one session's target rows.
 
-    def group_mean(rows: list[SessionRow]) -> np.ndarray:
-        if not rows:
-            return np.zeros(N_TRACK_FEATURES)
-        stack = np.stack([track_features(lookup_track(track_map, r.track_id)) for r in rows])
-        return stack.mean(axis=0)
-
-    last = history[-1]
-    context = np.array(
-        [
-            1.0 if last.premium else 0.0,
-            1.0 if last.shuffle else 0.0,
-            float(last.hour),
-            float(last.day),
-            float(last.month),
-        ]
+    The 39 history features are computed once and broadcast to every row.
+    Differences and dot products are averaged along the C-contiguous rows
+    of an (n_targets, group size) array, and each dot product is a 1-D
+    ``@``, so every sum runs in the order it would for one target alone.
+    A 3-D reduction or a ``T @ G.T`` product changes the last bits.
+    """
+    split = split_session(session)
+    out = np.zeros((len(split.targets), FEATURE_COUNT))
+    if not split.targets:
+        return out
+    h = split.h
+    for row in split.targets:
+        if not 1 <= row.position - h <= MAX_TARGET_POSITIONS:
+            raise IntegrityError(
+                f"target position {row.position - h} outside "
+                f"[1, {MAX_TARGET_POSITIONS}]; target row position "
+                f"{row.position} with history length {h}"
+            )
+    targets = [_checked_track(track_map, r.track_id) for r in split.targets]
+    groups = (
+        [_checked_track(track_map, r.track_id) for r in split.history if r.skip_2],
+        [_checked_track(track_map, r.track_id) for r in split.history if not r.skip_2],
     )
-    n = len(history)
-    ratios = np.array(
-        [
-            sum(1 for r in history if r.skip_1) / n,
-            sum(1 for r in history if r.skip_2) / n,
-        ]
-    )
-    return np.concatenate([group_mean(skipped), group_mean(listened), context, ratios])
-
-
-def session_track_features(
-    target_meta: TrackMetadata,
-    history: Sequence[SessionRow],
-    track_map: Mapping[str, TrackMetadata],
-) -> np.ndarray:
-    """Differences and acoustic dot products between target and history groups."""
-    if not history:
-        raise ValueError("history must be nonempty")
-    skipped, listened = _group_rows(history)
-
-    def diffs_and_dot(rows: list[SessionRow]) -> tuple[np.ndarray, float]:
-        if not rows:
-            return np.zeros(3), 0.0
-        metas = [lookup_track(track_map, r.track_id) for r in rows]
-        for m in metas:
-            if m.acoustic_vector.shape != target_meta.acoustic_vector.shape:
+    for t in targets:
+        for m in groups[0] + groups[1]:
+            if m.acoustic_vector.shape != t.acoustic_vector.shape:
                 raise IntegrityError(
                     f"acoustic vector dimension mismatch: track "
                     f"{m.track_id!r} has {m.acoustic_vector.shape[0]}, target "
-                    f"{target_meta.track_id!r} has "
-                    f"{target_meta.acoustic_vector.shape[0]}"
+                    f"{t.track_id!r} has {t.acoustic_vector.shape[0]}"
                 )
-        diffs = np.array(
-            [
-                float(np.mean([target_meta.duration_s - m.duration_s for m in metas])),
-                float(np.mean([target_meta.release_year - m.release_year for m in metas])),
-                float(np.mean([target_meta.popularity - m.popularity for m in metas])),
-            ]
-        )
-        dot = float(
-            np.mean([target_meta.acoustic_vector @ m.acoustic_vector for m in metas])
-        )
-        return diffs, dot
 
-    skipped_diffs, skipped_dot = diffs_and_dot(skipped)
-    listened_diffs, listened_dot = diffs_and_dot(listened)
-    return np.concatenate(
-        [skipped_diffs, listened_diffs, [skipped_dot, listened_dot]]
-    )
-
-
-def assemble_example(
-    target_row: SessionRow,
-    history: Sequence[SessionRow],
-    track_map: Mapping[str, TrackMetadata],
-) -> TrainingExample:
-    """Build the full 63-feature example for one target row."""
-    h = len(history)
-    target_position = target_row.position - h
-    if not 1 <= target_position <= MAX_TARGET_POSITIONS:
-        raise IntegrityError(
-            f"target position {target_position} outside "
-            f"[1, {MAX_TARGET_POSITIONS}]; target row position "
-            f"{target_row.position} with history length {h}"
-        )
-    meta = lookup_track(track_map, target_row.track_id)
-    vector = np.concatenate(
-        [
-            track_features(meta),
-            session_history_features(history, track_map),
-            session_track_features(meta, history, track_map),
-        ]
-    )
-    return TrainingExample(
-        features=vector,
-        label=target_row.skip_2,
-        target_position=target_position,
-        session_id=target_row.session_id,
-    )
-
-
-def assemble_session_examples(
-    session: Session, track_map: Mapping[str, TrackMetadata]
-) -> list[TrainingExample]:
-    split = split_session(session)
-    return [
-        assemble_example(row, split.history, track_map) for row in split.targets
-    ]
+    out[:, :16] = np.stack([t.scalars for t in targets])
+    last = split.history[-1]
+    out[:, 48:53] = [last.premium, last.shuffle, last.hour, last.day, last.month]
+    out[:, 53] = sum(1 for r in split.history if r.skip_1) / h
+    out[:, 54] = sum(1 for r in split.history if r.skip_2) / h
+    for g, group in enumerate(groups):
+        if not group:
+            continue  # an empty group contributes zeros
+        scalars = np.array([m.scalars for m in group], dtype=np.float64)
+        out[:, 16 + 16 * g : 32 + 16 * g] = scalars.mean(axis=0)
+        for k, attr in enumerate(("duration_s", "release_year", "popularity")):
+            t_vals = np.array([float(getattr(t, attr)) for t in targets])
+            m_vals = np.array([float(getattr(m, attr)) for m in group])
+            out[:, 55 + 3 * g + k] = (t_vals[:, None] - m_vals[None, :]).mean(axis=1)
+        dots = [[t.acoustic_vector @ m.acoustic_vector for m in group] for t in targets]
+        out[:, 61 + g] = np.array(dots).mean(axis=1)
+    return out
 
 
 @dataclass(eq=False)
@@ -278,17 +200,21 @@ class FeatureTable:
 def assemble_corpus(
     sessions: Iterable[Session], track_map: Mapping[str, TrackMetadata]
 ) -> FeatureTable:
-    """Extract training examples from every session's target half."""
-    examples: list[TrainingExample] = []
+    """Extract the feature rows of every session's target half, in session order."""
+    blocks = [np.empty((0, FEATURE_COUNT))]
+    labels: list[int] = []
+    positions: list[int] = []
+    sids: list[str] = []
     for session in sessions:
-        examples.extend(assemble_session_examples(session, track_map))
-    if examples:
-        x = np.stack([e.features for e in examples])
-    else:
-        x = np.empty((0, FEATURE_COUNT))
+        blocks.append(session_features(session, track_map))
+        split = split_session(session)
+        for row in split.targets:
+            labels.append(int(row.skip_2))
+            positions.append(row.position - split.h)
+            sids.append(row.session_id)
     return FeatureTable(
-        x=x,
-        labels=np.array([int(e.label) for e in examples], dtype=np.int64),
-        positions=np.array([e.target_position for e in examples], dtype=np.int64),
-        session_ids=tuple(e.session_id for e in examples),
+        x=np.concatenate(blocks),
+        labels=np.array(labels, dtype=np.int64),
+        positions=np.array(positions, dtype=np.int64),
+        session_ids=tuple(sids),
     )

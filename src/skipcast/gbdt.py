@@ -102,15 +102,27 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "TreeNode":
+    def from_dict(cls, payload: dict, n_features: int) -> "TreeNode":
         if "value" in payload:
-            return cls(value=float(payload["value"]))
+            return cls(value=_finite(payload["value"], "leaf value"))
+        feature = int(payload["feature"])
+        if not 0 <= feature < n_features:
+            raise SchemaError(
+                f"split on feature {feature} outside [0, {n_features})"
+            )
         return cls(
-            feature=int(payload["feature"]),
-            threshold=float(payload["threshold"]),
-            left=cls.from_dict(payload["left"]),
-            right=cls.from_dict(payload["right"]),
+            feature=feature,
+            threshold=_finite(payload["threshold"], "split threshold"),
+            left=cls.from_dict(payload["left"], n_features),
+            right=cls.from_dict(payload["right"], n_features),
         )
+
+
+def _finite(raw, what: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise SchemaError(f"{what} {value} is not finite")
+    return value
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -300,13 +312,16 @@ class GBDTModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "GBDTModel":
         if payload.get("format") != "skipcast-gbdt":
-            raise ConfigError("not a serialized gradient-boosted tree model")
+            raise SchemaError("not a serialized gradient-boosted tree model")
+        if payload.get("version") != 1:
+            raise SchemaError(f"unsupported model version {payload.get('version')!r}")
+        n_features = int(payload["n_features"])
         return cls(
             params=TrainParams(**payload["params"]),
-            base_score=float(payload["base_score"]),
-            n_features=int(payload["n_features"]),
+            base_score=_finite(payload["base_score"], "base score"),
+            n_features=n_features,
             seed=int(payload["seed"]),
-            trees=[TreeNode.from_dict(t) for t in payload["trees"]],
+            trees=[TreeNode.from_dict(t, n_features) for t in payload["trees"]],
         )
 
     def save(self, path: Path | str) -> None:
@@ -319,7 +334,7 @@ class GBDTModel:
     def load(cls, path: Path | str) -> "GBDTModel":
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (SchemaError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"corrupt model file {path}: {exc!r}") from exc
 
 

@@ -22,7 +22,13 @@ from typing import IO
 import numpy as np
 
 from .datamodel import MAX_TARGET_POSITIONS
-from .errors import ConfigError, DegenerateSampleError, IntegrityError, SchemaError
+from .errors import (
+    ConfigError,
+    DegenerateSampleError,
+    IntegrityError,
+    RowParseError,
+    SchemaError,
+)
 from .features import FeatureTable, feature_schema_hash
 from .gbdt import GBDTModel, TrainParams, auc, train
 
@@ -205,20 +211,31 @@ class GridReport:
         lines = stream.read().splitlines()
         if not lines or lines[0] != GRID_REPORT_HEADER:
             raise SchemaError("not a grid report file")
+        n_cells = len(GRID_REPORT_HEADER.split(","))
         rows, best = [], 0
-        for line in lines[1:]:
+        for line_num, line in enumerate(lines[1:], start=2):
             cells = line.split(",")
-            rows.append(
-                GridRow(
-                    eta=float(cells[0]),
-                    max_depth=int(cells[1]),
-                    colsample=float(cells[2]),
-                    subsample=float(cells[3]),
-                    val_auc=float(cells[4]),
+            try:
+                if len(cells) != n_cells or cells[5] not in ("0", "1"):
+                    raise ValueError(
+                        f"expected {n_cells} cells ending in a 0/1 best marker, "
+                        f"got {line!r}"
+                    )
+                rows.append(
+                    GridRow(
+                        eta=float(cells[0]),
+                        max_depth=int(cells[1]),
+                        colsample=float(cells[2]),
+                        subsample=float(cells[3]),
+                        val_auc=float(cells[4]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise RowParseError(f"grid report line {line_num}: {exc}", line_num)
             if cells[5] == "1":
                 best = len(rows) - 1
+        if not rows:
+            raise SchemaError("grid report has no rows")
         return cls(rows=rows, best_index=best)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from skipcast.cli import main
-from skipcast.datamodel import parse_session_log, parse_track_features
+from skipcast.datamodel import parse_session_log, parse_track_features, split_session
 from skipcast.ensemble import (
     combine,
     exponential_weights,
@@ -31,7 +31,7 @@ from skipcast.evaluation import (
     corpus_scores,
     session_truth,
 )
-from skipcast.features import FEATURE_COUNT, assemble_session_examples
+from skipcast.features import FEATURE_COUNT, session_features
 from skipcast.gbdt import (
     TrainParams,
     auc,
@@ -387,16 +387,13 @@ def test_criterion_08_reruns_are_byte_identical(announce, tmp_path):
 def test_criterion_09_every_feature_vector_is_63_wide(announce):
     config = SynthConfig(n_tracks=100, n_sessions=400)
     track_map, sessions = generate_synthetic_dataset(config, seed=9)
-    checked = 0
-    widths = set()
-    for session in sessions:
-        for example in assemble_session_examples(session, track_map):
-            widths.add(example.features.shape)
-            checked += 1
-    passed = widths == {(FEATURE_COUNT,)} and FEATURE_COUNT == 63 and checked > 0
-    announce(9, passed, f"vectors={checked} widths={sorted(widths)}")
+    shapes = [session_features(s, track_map).shape for s in sessions]
+    expected = [(len(split_session(s).targets), 63) for s in sessions]
+    checked = sum(n for n, _width in shapes)
+    passed = shapes == expected and FEATURE_COUNT == 63 and checked > 0
+    announce(9, passed, f"vectors={checked} blocks={len(shapes)}")
     assert FEATURE_COUNT == 63
-    assert widths == {(63,)}
+    assert shapes == expected
 
 
 # --- criterion 10: ranking prefers MAA, then first-prediction accuracy ---

@@ -5,6 +5,7 @@ directories, with a corpus small enough to keep the whole file fast.
 """
 
 import csv
+import json
 import re
 import shutil
 from pathlib import Path
@@ -23,7 +24,7 @@ from skipcast.config import (
 from skipcast.datamodel import parse_session_log, parse_track_features, split_session
 from skipcast.ensemble import SOLUTION_IDS, combine
 from skipcast.errors import ConfigError
-from skipcast.features import assemble_session_examples
+from skipcast.features import session_features
 from skipcast.modelbank import ModelBank
 
 SMALL_CONF = """\
@@ -151,8 +152,7 @@ class TestPredictOracle:
         priors = []
         matrices = []
         for s in sessions:
-            examples = assemble_session_examples(s, track_map)
-            matrices.append(bank.predict_matrix(np.stack([e.features for e in examples])))
+            matrices.append(bank.predict_matrix(session_features(s, track_map)))
             priors.append(float(split_session(s).history[-1].skip_2))
         assert set(priors) == {0.0, 1.0}  # both last actions are exercised
         for solution in SOLUTION_IDS:
@@ -291,6 +291,48 @@ class TestDataErrors:
         conf = write_conf(tmp_path)
         assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "model_03.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", ["format", "feature 99", "feature -1"])
+    def test_predict_with_corrupt_model_content(
+        self, pipeline, tmp_path, capsys, corrupt
+    ):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "bank" / "model_03.json"
+        payload = json.loads(path.read_text())
+        if corrupt == "format":
+            payload["format"] = "something-else"
+        else:
+            feature = int(corrupt.split()[1])
+            leaf = {"value": 0.0}
+            payload["trees"] = [
+                {"feature": feature, "threshold": 0.5, "left": leaf, "right": leaf}
+            ]
+        path.write_text(json.dumps(payload))
+        conf = write_conf(tmp_path)
+        assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert "model_03.json" in capsys.readouterr().err
+
+    def test_train_with_cut_grid_report_row(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "grid_report.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3][:12]
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_evaluate_with_empty_session_log(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "sessions.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert "sessions.csv" in err and "no sessions" in err
 
     def test_train_with_unparsable_feature_cell(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"

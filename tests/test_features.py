@@ -13,18 +13,20 @@ from skipcast.datamodel import (
     TrackMetadata,
     split_session,
 )
-from skipcast.errors import IntegrityError, RowParseError, SchemaError
+from skipcast.errors import (
+    DimensionError,
+    IntegrityError,
+    RowParseError,
+    SchemaError,
+    UnknownTrackError,
+)
 from skipcast.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
     FeatureTable,
     assemble_corpus,
-    assemble_example,
-    assemble_session_examples,
     feature_schema_hash,
-    session_history_features,
-    session_track_features,
-    track_features,
+    session_features,
 )
 from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 
@@ -80,6 +82,14 @@ HISTORY = (
     row("td", 3, skip_2=True, premium=False, shuffle=True, hour=23, day=31, month=12),
 )
 TARGET = row("ta", 4, skip_2=True)
+OTHER_TARGET = row("tb", 5, skip_2=False)
+
+
+def block(history, *targets, tracks=TRACKS):
+    """session_features of the session made of `history` then `targets`."""
+    rows = tuple(history) + targets
+    assert (len(rows) + 1) // 2 == len(history)  # the split keeps this history
+    return session_features(Session(session_id="s0", rows=rows), tracks)
 
 
 def naive_vector(target_meta, history, tracks):
@@ -126,8 +136,10 @@ def naive_vector(target_meta, history, tracks):
 
 
 class TestTrackFeatures:
+    """Columns 0-15: the target track's own scalars."""
+
     def test_canonical_order(self):
-        out = track_features(TA)
+        out = block((row("tb", 1, skip_2=False),), row("ta", 2, skip_2=True))[0]
         assert out[0] == TA.popularity
         assert out[15] == TA.scalars[15]
         assert FEATURE_NAMES[0] == "track_popularity"
@@ -135,20 +147,33 @@ class TestTrackFeatures:
 
     def test_zeros_pass_through(self):
         zero = track("z", 100.0, 2000, [0.0] * 16, [0.0])
-        np.testing.assert_array_equal(track_features(zero), np.zeros(16))
+        out = block((row("z", 1, skip_2=False),), row("z", 2, skip_2=True),
+                    tracks={"z": zero})
+        np.testing.assert_array_equal(out[0, :16], np.zeros(16))
 
     def test_pure(self):
-        first = track_features(TA)
-        second = track_features(TA)
+        first = block(HISTORY, TARGET, OTHER_TARGET)
+        second = block(HISTORY, TARGET, OTHER_TARGET)
         np.testing.assert_array_equal(first, second)
-        first[0] = -1.0  # returned arrays are copies
+        first[0, 0] = -1.0  # the block does not share memory with the tracks
         assert TA.scalars[0] == TA.popularity
+
+    def test_wrong_scalar_count(self):
+        narrow = track("n", 100.0, 2000, [0.0] * 15, [0.0])
+        with pytest.raises(DimensionError, match="scalar"):
+            block((row("n", 1, skip_2=False),), row("n", 2, skip_2=True),
+                  tracks={"n": narrow})
+
+    def test_unknown_track(self):
+        with pytest.raises(UnknownTrackError, match="missing"):
+            block((row("ta", 1, skip_2=False),), row("missing", 2, skip_2=True))
 
 
 class TestHistoryFeatures:
+    """Columns 16-54: group means, last-row context and skip ratios."""
+
     def test_single_listened_row(self):
-        history = (row("tc", 1, skip_2=False),)
-        out = session_history_features(history, TRACKS)
+        out = block((row("tc", 1, skip_2=False),), row("ta", 2, skip_2=True))[0, 16:55]
         np.testing.assert_array_equal(out[:16], np.zeros(16))
         np.testing.assert_array_equal(out[16:32], TC.scalars)
         assert out[37] == 0.0 and out[38] == 0.0  # both skip ratios
@@ -160,11 +185,12 @@ class TestHistoryFeatures:
             row("tb", 3, skip_2=True),
             row("td", 4, skip_2=False),
         )
-        out = session_history_features(history, TRACKS)
+        targets = [row("ta", p, skip_2=False) for p in (5, 6, 7)]
+        out = block(history, *targets)[0, 16:55]
         assert out[38] == 0.5
 
     def test_skipped_mean_energy(self):
-        metas = {}
+        metas = {"t": track("t", 100.0, 2000, [0.0] * 16, [0.0])}
         hist = []
         for i, energy in enumerate((0.2, 0.4, 0.6)):
             scalars = [0.0] * 16
@@ -172,22 +198,20 @@ class TestHistoryFeatures:
             tid = f"e{i}"
             metas[tid] = track(tid, 100.0, 2000, scalars, [0.0])
             hist.append(row(tid, i + 1, skip_2=True))
-        out = session_history_features(tuple(hist), metas)
+        targets = [row("t", p, skip_2=False) for p in (4, 5)]
+        out = block(hist, *targets, tracks=metas)[0, 16:55]
         assert abs(out[ENERGY] - 0.4) < 1e-15
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            session_history_features((), TRACKS)
-
     def test_context_from_last_row(self):
-        out = session_history_features(HISTORY, TRACKS)
+        out = block(HISTORY, TARGET, OTHER_TARGET)[0, 16:55]
         np.testing.assert_array_equal(out[32:37], [0.0, 1.0, 23.0, 31.0, 12.0])
 
 
 class TestSessionTrackFeatures:
+    """Columns 55-62: target-vs-group differences and dot products."""
+
     def test_self_difference_zero(self):
-        history = (row("ta", 1, skip_2=True),)
-        out = session_track_features(TA, history, TRACKS)
+        out = block((row("ta", 1, skip_2=True),), row("ta", 2, skip_2=True))[0, 55:]
         np.testing.assert_array_equal(out[:3], np.zeros(3))
         # dot with itself is the squared norm (1 + 0 + 4)
         assert out[6] == 5.0
@@ -197,7 +221,8 @@ class TestSessionTrackFeatures:
     def test_orthogonal_vectors(self):
         x = track("x", 100.0, 2000, spread(1.0), [1.0, 0.0])
         y = track("y", 100.0, 2000, spread(2.0), [0.0, 3.0])
-        out = session_track_features(x, (row("y", 1, skip_2=True),), {"y": y})
+        out = block((row("y", 1, skip_2=True),), row("x", 2, skip_2=True),
+                    tracks={"x": x, "y": y})[0, 55:]
         assert out[6] == 0.0
 
     def test_mean_duration_diff_cancels(self):
@@ -205,26 +230,32 @@ class TestSessionTrackFeatures:
         b = track("b", 220.0, 2000, spread(2.0), [1.0])
         target = track("t", 200.0, 2000, spread(3.0), [1.0])
         history = (row("a", 1, skip_2=True), row("b", 2, skip_2=True))
-        out = session_track_features(target, history, {"a": a, "b": b})
+        out = block(history, row("t", 3, skip_2=True),
+                    tracks={"a": a, "b": b, "t": target})[0, 55:]
         assert out[0] == 0.0
 
     def test_dimension_mismatch(self):
         short = track("short", 100.0, 2000, spread(1.0), [1.0, 2.0])
         with pytest.raises(IntegrityError, match="dimension"):
-            session_track_features(TA, (row("short", 1, skip_2=True),), {"short": short})
+            block((row("short", 1, skip_2=True),), row("ta", 2, skip_2=True),
+                  tracks={"short": short, "ta": TA})
 
 
-class TestAssembleExample:
+class TestSessionFeatures:
     def test_full_fixture_oracle(self):
-        example = assemble_example(TARGET, HISTORY, TRACKS)
-        expected = naive_vector(TA, HISTORY, TRACKS)
-        assert example.features.shape == (FEATURE_COUNT,)
-        np.testing.assert_allclose(example.features, expected, rtol=0, atol=1e-12)
-        assert example.label is True
-        assert example.target_position == 1
+        out = block(HISTORY, TARGET, OTHER_TARGET)
+        assert out.shape == (2, FEATURE_COUNT)
+        np.testing.assert_allclose(out[0], naive_vector(TA, HISTORY, TRACKS),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[1], naive_vector(TB, HISTORY, TRACKS),
+                                   rtol=0, atol=1e-12)
+        session = Session(session_id="s0", rows=HISTORY + (TARGET, OTHER_TARGET))
+        table = assemble_corpus([session], TRACKS)
+        assert table.labels.tolist() == [1, 0]
+        assert table.positions.tolist() == [1, 2]
 
     def test_hand_values_spot_checks(self):
-        vec = assemble_example(TARGET, HISTORY, TRACKS).features
+        vec = block(HISTORY, TARGET, OTHER_TARGET)[0]
         assert vec[53] == pytest.approx(1 / 3)  # skip_1 ratio
         assert vec[54] == pytest.approx(2 / 3)  # skip_2 ratio
         assert vec[55] == -40.0  # duration vs skipped group (180, 300)
@@ -235,22 +266,24 @@ class TestAssembleExample:
         assert vec[62] == 2.0
 
     def test_shared_history_block(self):
-        other_target = row("tb", 5, skip_2=False)
-        first = assemble_example(TARGET, HISTORY, TRACKS).features
-        second = assemble_example(other_target, HISTORY, TRACKS).features
+        first, second = block(HISTORY, TARGET, OTHER_TARGET)
         np.testing.assert_array_equal(first[16:55], second[16:55])
         assert not np.array_equal(first[:16], second[:16])
 
     def test_position_bounds(self):
         too_far = row("ta", 14, skip_2=True)
         with pytest.raises(IntegrityError, match="position"):
-            assemble_example(too_far, HISTORY, TRACKS)
+            block(HISTORY, too_far, OTHER_TARGET)
         not_past_history = row("ta", 3, skip_2=True)
         with pytest.raises(IntegrityError, match="position"):
-            assemble_example(not_past_history, HISTORY, TRACKS)
+            block(HISTORY, not_past_history, OTHER_TARGET)
+
+    def test_no_targets_gives_empty_block(self):
+        session = Session(session_id="s0", rows=(row("ta", 1, skip_2=False),))
+        assert session_features(session, TRACKS).shape == (0, FEATURE_COUNT)
 
     def test_group_permutation_invariance(self):
-        base = assemble_example(TARGET, HISTORY, TRACKS).features
+        base = block(HISTORY, TARGET, OTHER_TARGET)[0]
         swapped = (HISTORY[2], HISTORY[1], HISTORY[0])
         # fix up positions so only the order of group members changes
         swapped = tuple(
@@ -267,7 +300,7 @@ class TestAssembleExample:
             )
             for i, r in enumerate(swapped)
         )
-        other = assemble_example(TARGET, swapped, TRACKS).features
+        other = block(swapped, TARGET, OTHER_TARGET)[0]
         np.testing.assert_allclose(other[16:32], base[16:32], atol=1e-12)
         np.testing.assert_allclose(other[53:], base[53:], atol=1e-12)
 
@@ -278,8 +311,10 @@ def test_skip1_ratio_never_exceeds_skip2_ratio(flags):
     history = tuple(
         row("ta", i + 1, skip_2=f >= 1, skip_1=f == 2) for i, f in enumerate(flags)
     )
-    out = session_history_features(history, TRACKS)
-    assert out[37] <= out[38] + 1e-15
+    h = len(history)
+    targets = [row("ta", h + i + 1, skip_2=False) for i in range(h)]
+    out = block(history, *targets)[0]
+    assert out[53] <= out[54] + 1e-15
 
 
 class TestCorpusAssembly:
@@ -294,8 +329,8 @@ class TestCorpusAssembly:
 
     def test_every_vector_is_63_wide(self):
         for session in self.sessions:
-            for example in assemble_session_examples(session, self.track_map):
-                assert example.features.shape == (FEATURE_COUNT,)
+            out = session_features(session, self.track_map)
+            assert out.shape == (len(split_session(session).targets), FEATURE_COUNT)
 
     def test_weighted_mean_consistency(self):
         # skipped-count * skipped-mean + listened-count * listened-mean
@@ -303,7 +338,7 @@ class TestCorpusAssembly:
         for session in self.sessions[:10]:
             h = (session.length + 1) // 2
             history = session.rows[:h]
-            out = session_history_features(history, self.track_map)
+            out = session_features(session, self.track_map)[0, 16:55]
             n_skip = sum(r.skip_2 for r in history)
             n_listen = len(history) - n_skip
             total = np.zeros(16)

@@ -9,6 +9,7 @@ from skipcast.errors import (
     DegenerateLabelsError,
     DimensionError,
     IntegrityError,
+    SchemaError,
     UndefinedMetricError,
 )
 from skipcast.gbdt import (
@@ -378,8 +379,33 @@ class TestSerialization:
         assert a.read_bytes() == b.read_bytes()
 
     def test_rejects_foreign_payload(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(SchemaError):
             GBDTModel.from_dict({"format": "something-else"})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("version", 2, "version"),
+            ("feature", 5, "feature 5"),
+            ("feature", -1, "feature -1"),
+            ("threshold", float("inf"), "threshold"),
+            ("leaf", float("nan"), "leaf"),
+            ("base_score", float("nan"), "base score"),
+        ],
+    )
+    def test_rejects_corrupt_content(self, field, value, match):
+        x, y = separable_data(60, seed=2)
+        model = train(x, y, TrainParams(num_boost_round=1, max_depth=1), seed=1)
+        payload = model.to_dict()
+        assert payload["n_features"] == 5 and "feature" in payload["trees"][0]
+        if field in ("feature", "threshold"):
+            payload["trees"][0][field] = value
+        elif field == "leaf":
+            payload["trees"][0]["left"]["value"] = value
+        else:
+            payload[field] = value
+        with pytest.raises(SchemaError, match=match):
+            GBDTModel.from_dict(payload)
 
 
 def naive_auc(scores, labels):

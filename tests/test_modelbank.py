@@ -12,6 +12,7 @@ from skipcast.errors import (
     ConfigError,
     DegenerateSampleError,
     IntegrityError,
+    RowParseError,
     SchemaError,
 )
 from skipcast.features import FeatureTable, feature_schema_hash
@@ -19,6 +20,7 @@ from skipcast.gbdt import TrainParams
 from skipcast.modelbank import (
     COLSAMPLE_GRID,
     ETA_GRID,
+    GRID_REPORT_HEADER,
     MAX_DEPTH_GRID,
     SUBSAMPLE_GRID,
     GridReport,
@@ -333,6 +335,25 @@ class TestGridReport:
     def test_rejects_wrong_header(self):
         with pytest.raises(SchemaError, match="grid report"):
             GridReport.read_csv(io.StringIO("nope,nope\n"))
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "0.1,6,1.0,1",
+            "0.1,6,1.0,1.0,0.6,0,7",
+            "abc,6,1.0,1.0,0.6,0",
+            "0.1,6,1.0,1.0,0.6,x",
+        ],
+    )
+    def test_bad_row_reports_line(self, bad_line):
+        text = f"{GRID_REPORT_HEADER}\n0.1,6,1.0,1.0,0.6,1\n{bad_line}\n"
+        with pytest.raises(RowParseError, match="line 3") as exc_info:
+            GridReport.read_csv(io.StringIO(text))
+        assert exc_info.value.line_num == 3
+
+    def test_rejects_report_without_rows(self):
+        with pytest.raises(SchemaError, match="no rows"):
+            GridReport.read_csv(io.StringIO(GRID_REPORT_HEADER + "\n"))
 
     def test_exactly_one_best_marker(self):
         report = GridReport(
