@@ -10,7 +10,6 @@ import re
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from skipcast.cli import main
