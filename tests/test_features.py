@@ -241,7 +241,9 @@ class TestSessionTrackFeatures:
                   tracks={"short": short, "ta": TA})
 
 
-class TestSessionFeatures:
+class TestAssembleExample:
+    """Each target's full 63-column example row, assembled per session."""
+
     def test_full_fixture_oracle(self):
         out = block(HISTORY, TARGET, OTHER_TARGET)
         assert out.shape == (2, FEATURE_COUNT)
