@@ -1,7 +1,10 @@
 """Boosted-tree learner against finite-difference and brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from skipcast.errors import (
@@ -14,6 +17,7 @@ from skipcast.errors import (
 )
 from skipcast.gbdt import (
     GBDTModel,
+    Split,
     TrainParams,
     TreeNode,
     auc,
@@ -194,6 +198,126 @@ class TestBestSplit:
         )
         mine = best_split(x, g, h, params)
         assert_agrees_with_brute_force(mine, brute_force_candidates(x, g, h, params))
+
+
+def reference_best_split(x, g, h, params, feature_indices=None):
+    """best_split's arithmetic one feature at a time: sort, prefix sums,
+    masked argmax, and a strict '>' across features in the order given."""
+    x = np.asarray(x, dtype=np.float64)
+    n, d = x.shape
+    feats = range(d) if feature_indices is None else feature_indices
+    lam = params.lambda_
+    total_g = float(g.sum())
+    total_h = float(h.sum())
+    parent_score = total_g * total_g / (total_h + lam)
+    best = None
+    for f in feats:
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        cg = np.cumsum(g[order])
+        ch = np.cumsum(h[order])
+        boundary = np.nonzero(sv[:-1] < sv[1:])[0]
+        if boundary.size == 0:
+            continue
+        thresholds = (sv[boundary] + sv[boundary + 1]) / 2.0
+        gl = cg[boundary]
+        hl = ch[boundary]
+        gr = total_g - gl
+        hr = total_h - hl
+        gains = 0.5 * (
+            gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score
+        ) - params.gamma
+        valid = (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+        valid &= sv[boundary] < thresholds
+        if not valid.any():
+            continue
+        gains = np.where(valid, gains, -np.inf)
+        k = int(np.argmax(gains))
+        if best is None or gains[k] > best.gain:
+            best = Split(int(f), float(thresholds[k]), float(gains[k]))
+    if best is None or best.gain <= 0.0:
+        return None
+    return best
+
+
+def split_outcome(search, problem):
+    """The Split (or None) a search returns, or the type of what it raises."""
+    try:
+        return search(*problem)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def same_split(a, b):
+    if not isinstance(a, Split) or not isinstance(b, Split):
+        return a == b
+    same_gain = a.gain == b.gain or (math.isnan(a.gain) and math.isnan(b.gain))
+    return a.feature == b.feature and a.threshold == b.threshold and same_gain
+
+
+def split_problem(x, margins, labels, lambda_=1.0, min_child_weight=0.0,
+                  gamma=0.0, features=None):
+    g, h = logistic_grad_hess(np.asarray(margins, float), np.asarray(labels, float))
+    params = TrainParams(
+        lambda_=lambda_, min_child_weight=min_child_weight, gamma=gamma
+    )
+    return np.asarray(x, float), g, h, params, features
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 4))
+    cell = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0)
+    x = draw(st.lists(cell, min_size=n * d, max_size=n * d))
+    margin = st.sampled_from([-40.0, 40.0]) | st.floats(-5.0, 5.0)
+    margins = draw(st.lists(margin, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    features = draw(
+        st.none() | st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True)
+    )
+    return split_problem(
+        np.reshape(x, (n, d)),
+        margins,
+        labels,
+        lambda_=draw(st.sampled_from([0.0, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.5])),
+        gamma=draw(st.sampled_from([0.0, 0.1])),
+        features=features,
+    )
+
+
+DUPLICATED = [[0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [1.0, 3.0], [1.0, 1.0], [2.0, 2.0]]
+PLUS_MINUS_40 = [40.0, 40.0, -40.0, 0.3, -40.0, 40.0]
+NAN_AFTER_FINITE = [[2.0, 0.0], [0.0, 1.0], [1.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(problem=split_problems())
+@example(problem=split_problem(np.empty((0, 3)), [], []))
+@example(problem=split_problem(np.empty((0, 3)), [], [], lambda_=0.0))
+@example(problem=split_problem([[1.0, 2.0]], [0.4], [1]))
+@example(problem=split_problem([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]], [0.1, -0.2, 0.3], [0, 1, 1]))
+@example(problem=split_problem(DUPLICATED, [0.2, -0.1, 0.5, 0.0, -0.3, 0.1], [0, 0, 1, 1, 1, 0]))
+@example(problem=split_problem(
+    np.column_stack([DUPLICATED, DUPLICATED]), [0.2, -0.1, 0.5, 0.0, -0.3, 0.1],
+    [1, 0, 1, 1, 0, 0], features=[3, 0, 2]))
+@example(problem=split_problem(
+    DUPLICATED, PLUS_MINUS_40, [0, 1, 1, 0, 0, 1], lambda_=0.0, min_child_weight=0.0))
+# feature 1's zero-hessian prefix gives a NaN gain: it loses when searched
+# after feature 0's finite gain, and wins when searched first
+@example(problem=split_problem(
+    NAN_AFTER_FINITE, [40.0, 0.3, -0.5, 1.0, -1.0], [1, 0, 1, 1, 0],
+    lambda_=0.0, min_child_weight=0.0))
+@example(problem=split_problem(
+    NAN_AFTER_FINITE, [40.0, 0.3, -0.5, 1.0, -1.0], [1, 0, 1, 1, 0],
+    lambda_=0.0, min_child_weight=0.0, features=[1, 0]))
+def test_best_split_matches_per_feature_reference(problem):
+    want = split_outcome(reference_best_split, problem)
+    got = split_outcome(best_split, problem)
+    assert same_split(got, want), (got, want)
 
 
 class TestTrainParams:
