@@ -168,7 +168,7 @@ def best_split(
 
     Returns the split with the highest gain, or None when no candidate has
     strictly positive gain while satisfying min_child_weight on both sides.
-    Ties go to the lowest feature index, then the lowest threshold. Rows
+    Ties go to the feature listed first, then the lowest threshold. Rows
     with value < threshold fall left.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -183,39 +183,36 @@ def best_split(
         )
     if feature_indices is None:
         feature_indices = range(n_features)
+    cols = np.asarray(feature_indices, dtype=np.intp)
 
     lam = params.lambda_
-    total_g = float(g.sum())
-    total_h = float(h.sum())
+    total_g, total_h = float(g.sum()), float(h.sum())
     parent_score = total_g * total_g / (total_h + lam)
+    if n < 2:
+        return None
 
+    # one row per candidate feature keeps each sort and prefix sum contiguous
+    xt = x.T[cols]
+    order = np.argsort(xt, axis=1, kind="stable")
+    sv = np.take_along_axis(xt, order, axis=1)
+    lo, hi = sv[:, :-1], sv[:, 1:]
+    thresholds = (lo + hi) / 2.0
+    gl = np.cumsum(g[order], axis=1)[:, :-1]
+    hl = np.cumsum(h[order], axis=1)[:, :-1]
+    gr, hr = total_g - gl, total_h - hl
+    gains = 0.5 * (
+        gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score
+    ) - params.gamma
+    # a midpoint that rounds down to the left value would misroute rows
+    valid = (lo < hi) & (lo < thresholds)
+    valid &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
+    gains = np.where(valid, gains, -np.inf)
+    k = np.argmax(gains, axis=1)
+    # a strict '>' keeps ties and NaN gains (lambda_ = 0) with the first feature
     best: Optional[Split] = None
-    for f in feature_indices:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        cg = np.cumsum(g[order])
-        ch = np.cumsum(h[order])
-        boundary = np.nonzero(sv[:-1] < sv[1:])[0]
-        if boundary.size == 0:
-            continue
-        thresholds = (sv[boundary] + sv[boundary + 1]) / 2.0
-        gl = cg[boundary]
-        hl = ch[boundary]
-        gr = total_g - gl
-        hr = total_h - hl
-        gains = 0.5 * (
-            gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score
-        ) - params.gamma
-        # a midpoint that rounds down to the left value would misroute rows
-        valid = (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
-        valid &= sv[boundary] < thresholds
-        if not valid.any():
-            continue
-        gains = np.where(valid, gains, -np.inf)
-        k = int(np.argmax(gains))
-        if best is None or gains[k] > best.gain:
-            best = Split(feature=int(f), threshold=float(thresholds[k]), gain=float(gains[k]))
+    for i in np.flatnonzero(valid.any(axis=1)).tolist():
+        if best is None or gains[i, k[i]] > best.gain:
+            best = Split(int(cols[i]), float(thresholds[i, k[i]]), float(gains[i, k[i]]))
     if best is None or best.gain <= 0.0:
         return None
     return best
