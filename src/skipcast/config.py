@@ -113,17 +113,7 @@ _TOP_KEYS = {
 
 
 def _convert(key: str, raw: str, current):
-    if isinstance(current, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
-    if isinstance(current, int):
-        return _to_int(key, raw)
-    if isinstance(current, float):
-        return _to_float(key, raw)
-    return raw
+    return _to_int(key, raw) if isinstance(current, int) else _to_float(key, raw)
 
 
 def build_config(values: Mapping[str, str]) -> RunConfig:
