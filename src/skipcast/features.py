@@ -186,6 +186,10 @@ class FeatureTable:
                 positions.append(int(cells[FEATURE_COUNT + 2]))
             except ValueError as exc:
                 raise RowParseError(f"feature matrix line {line}: {exc}", line)
+            if labels[-1] not in (0, 1):
+                raise RowParseError(
+                    f"feature matrix line {line}: label {labels[-1]} is not 0 or 1", line
+                )
             sids.append(cells[FEATURE_COUNT + 1])
         n = len(rows)
         x = np.array(rows, dtype=np.float64) if n else np.empty((0, FEATURE_COUNT))

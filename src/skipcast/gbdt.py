@@ -31,6 +31,7 @@ from .errors import (
     DimensionError,
     IntegrityError,
     SchemaError,
+    SkipcastError,
     UndefinedMetricError,
 )
 
@@ -47,6 +48,9 @@ class TrainParams:
     gamma: float = 0.0
     subsample: float = 1.0
     colsample: float = 1.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.num_boost_round < 1:
@@ -331,7 +335,7 @@ class GBDTModel:
     def load(cls, path: Path | str) -> "GBDTModel":
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (SchemaError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (SkipcastError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"corrupt model file {path}: {exc!r}") from exc
 
 
@@ -342,7 +346,6 @@ def train(
     seed: int = 0,
 ) -> GBDTModel:
     """Fit a boosted-tree classifier. Requires both label classes present."""
-    params.validate()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2:

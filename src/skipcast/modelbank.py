@@ -126,13 +126,12 @@ class ModelBank:
                 seed=int(manifest["seed"]),
                 fallback_positions=tuple(manifest["fallback_positions"]),
             )
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SchemaError(f"corrupt bank manifest {manifest_path}: {exc!r}") from exc
 
 
 def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank:
     """Train the 10 position models; starved positions fall back to constants."""
-    params.validate()
     if len(table) == 0:
         raise DegenerateSampleError("cannot train a bank on an empty table")
     n_features = table.x.shape[1]

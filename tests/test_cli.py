@@ -23,7 +23,7 @@ from skipcast.config import (
 from skipcast.datamodel import parse_session_log, parse_track_features, split_session
 from skipcast.ensemble import SOLUTION_IDS, combine
 from skipcast.errors import ConfigError
-from skipcast.features import session_features
+from skipcast.features import FEATURE_COUNT, session_features
 from skipcast.modelbank import ModelBank
 
 SMALL_CONF = """\
@@ -291,7 +291,7 @@ class TestDataErrors:
         assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "model_03.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", ["format", "feature 99", "feature -1"])
+    @pytest.mark.parametrize("corrupt", ["format", "feature 99", "feature -1", "eta nan"])
     def test_predict_with_corrupt_model_content(
         self, pipeline, tmp_path, capsys, corrupt
     ):
@@ -301,6 +301,8 @@ class TestDataErrors:
         payload = json.loads(path.read_text())
         if corrupt == "format":
             payload["format"] = "something-else"
+        elif corrupt == "eta nan":
+            payload["params"]["eta"] = float("nan")
         else:
             feature = int(corrupt.split()[1])
             leaf = {"value": 0.0}
@@ -339,6 +341,19 @@ class TestDataErrors:
         path = workdir / "features.csv"
         lines = path.read_text().splitlines()
         lines[4] = "abc" + lines[4][lines[4].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert "line 5" in capsys.readouterr().err
+
+    def test_train_with_label_outside_0_1(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "features.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[FEATURE_COUNT] = "7"
+        lines[4] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2

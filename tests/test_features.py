@@ -368,6 +368,17 @@ class TestCorpusAssembly:
             FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
         assert exc_info.value.line_num == 3
 
+    def test_csv_label_outside_0_1_reports_line(self):
+        buf = io.StringIO()
+        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[FEATURE_COUNT] = "7"
+        lines[2] = ",".join(cells)
+        with pytest.raises(RowParseError, match="line 3") as exc_info:
+            FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 3
+
     def test_csv_header_is_checked(self):
         with pytest.raises(SchemaError):
             FeatureTable.read_csv(io.StringIO("a,b,c\n1,2,3\n"))

@@ -209,6 +209,15 @@ class TestSaveLoad:
         with pytest.raises(SchemaError, match="manifest.json"):
             ModelBank.load(tmp_path / "bank")
 
+    def test_manifest_invalid_params_rejected(self, bank, tmp_path):
+        bank.save(tmp_path / "bank")
+        path = tmp_path / "bank" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"]["eta"] = float("nan")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="manifest.json"):
+            ModelBank.load(tmp_path / "bank")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SchemaError, match="manifest"):
             ModelBank.load(tmp_path)
