@@ -59,13 +59,13 @@ class TrainParams:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
         if self.max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_child_weight < 0.0:
+        if not self.min_child_weight >= 0.0:
             raise ConfigError(
                 f"min_child_weight must be >= 0, got {self.min_child_weight}"
             )
-        if self.lambda_ < 0.0:
+        if not self.lambda_ >= 0.0:
             raise ConfigError(f"lambda_ must be >= 0, got {self.lambda_}")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError(f"subsample must be in (0, 1], got {self.subsample}")

@@ -291,7 +291,11 @@ class TestDataErrors:
         assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "model_03.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", ["format", "feature 99", "feature -1", "eta nan"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["format", "feature 99", "feature -1", "eta nan", "lambda_ nan",
+         "gamma nan", "min_child_weight nan"],
+    )
     def test_predict_with_corrupt_model_content(
         self, pipeline, tmp_path, capsys, corrupt
     ):
@@ -301,8 +305,8 @@ class TestDataErrors:
         payload = json.loads(path.read_text())
         if corrupt == "format":
             payload["format"] = "something-else"
-        elif corrupt == "eta nan":
-            payload["params"]["eta"] = float("nan")
+        elif corrupt.endswith(" nan"):
+            payload["params"][corrupt.split()[0]] = float("nan")
         else:
             feature = int(corrupt.split()[1])
             leaf = {"value": 0.0}

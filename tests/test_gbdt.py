@@ -334,6 +334,9 @@ class TestTrainParams:
             {"subsample": 0.0},
             {"subsample": 1.2},
             {"colsample": 0.0},
+            {"min_child_weight": float("nan")},
+            {"lambda_": float("nan")},
+            {"gamma": float("nan")},
         ],
     )
     def test_bounds(self, kwargs):
