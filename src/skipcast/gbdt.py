@@ -196,34 +196,39 @@ def best_split(
         return None
 
     # one row per candidate feature keeps each sort and prefix sum contiguous
-    xt = x.T[cols]
-    order = np.argsort(xt, axis=1, kind="stable")
-    sv = np.take_along_axis(xt, order, axis=1)
-    lo, hi = sv[:, :-1], sv[:, 1:]
-    thresholds = (lo + hi) / 2.0
-    gl = np.cumsum(g[order], axis=1)[:, :-1]
-    hl = np.cumsum(h[order], axis=1)[:, :-1]
-    gr, hr = total_g - gl, total_h - hl
-    gains = 0.5 * (
-        gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score
-    ) - params.gamma
+    sv = x.T[cols]
+    order = np.argsort(sv, axis=1, kind="stable")
+    sv = np.take_along_axis(sv, order, axis=1)
+    gl, hl = np.cumsum(g[order], axis=1), np.cumsum(h[order], axis=1)
+    del order
+    lo, hi, gl, hl = sv[:, :-1], sv[:, 1:], gl[:, :-1], hl[:, :-1]
     # a midpoint that rounds down to the left value would misroute rows
-    valid = (lo < hi) & (lo < thresholds)
-    valid &= (hl >= params.min_child_weight) & (hr >= params.min_child_weight)
-    gains = np.where(valid, gains, -np.inf)
+    mid = (lo + hi) / 2.0
+    valid = (lo < hi) & (lo < mid) & (hl >= params.min_child_weight)
+    hr, gr = np.subtract(total_h, hl, out=mid), total_g - gl
+    valid &= hr >= params.min_child_weight
+    # the gain in place, so a node holds about five (features, n) float arrays
+    hl += lam
+    hr += lam
+    gl *= gl
+    gr *= gr
+    gl /= hl
+    gr /= hr
+    gains = np.add(gl, gr, out=gr)
+    gains -= parent_score
+    gains *= 0.5
+    gains -= params.gamma
+    gains[~valid] = -np.inf
     k = np.argmax(gains, axis=1)
     # a strict '>' keeps ties and NaN gains (lambda_ = 0) with the first feature
     best: Optional[Split] = None
     for i in np.flatnonzero(valid.any(axis=1)).tolist():
-        if best is None or gains[i, k[i]] > best.gain:
-            best = Split(int(cols[i]), float(thresholds[i, k[i]]), float(gains[i, k[i]]))
+        j = k[i]
+        if best is None or gains[i, j] > best.gain:
+            best = Split(int(cols[i]), float((sv[i, j] + sv[i, j + 1]) / 2.0), float(gains[i, j]))
     if best is None or best.gain <= 0.0:
         return None
     return best
-
-
-def _leaf_value(g_sum: float, h_sum: float, lam: float) -> float:
-    return -g_sum / (h_sum + lam)
 
 
 def _build_tree(
@@ -235,19 +240,17 @@ def _build_tree(
     params: TrainParams,
     feature_indices: np.ndarray,
 ) -> TreeNode:
-    g_sum = float(g[rows].sum())
-    h_sum = float(h[rows].sum())
-    if depth >= params.max_depth or rows.size < 2:
-        return TreeNode(value=_leaf_value(g_sum, h_sum, params.lambda_))
-    split = best_split(x[rows], g[rows], h[rows], params, feature_indices)
-    if split is None:
-        return TreeNode(value=_leaf_value(g_sum, h_sum, params.lambda_))
-    mask = x[rows, split.feature] < split.threshold
-    left = _build_tree(x, g, h, rows[mask], depth + 1, params, feature_indices)
-    right = _build_tree(x, g, h, rows[~mask], depth + 1, params, feature_indices)
-    return TreeNode(
-        feature=split.feature, threshold=split.threshold, left=left, right=right
-    )
+    if depth < params.max_depth and rows.size >= 2:
+        split = best_split(x[rows], g[rows], h[rows], params, feature_indices)
+        if split is not None:
+            mask = x[rows, split.feature] < split.threshold
+            return TreeNode(
+                feature=split.feature,
+                threshold=split.threshold,
+                left=_build_tree(x, g, h, rows[mask], depth + 1, params, feature_indices),
+                right=_build_tree(x, g, h, rows[~mask], depth + 1, params, feature_indices),
+            )
+    return TreeNode(value=-float(g[rows].sum()) / (float(h[rows].sum()) + params.lambda_))
 
 
 def _tree_predict(node: TreeNode, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
