@@ -291,6 +291,7 @@ def split_problems(draw):
 DUPLICATED = [[0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [1.0, 3.0], [1.0, 1.0], [2.0, 2.0]]
 PLUS_MINUS_40 = [40.0, 40.0, -40.0, 0.3, -40.0, 40.0]
 NAN_AFTER_FINITE = [[2.0, 0.0], [0.0, 1.0], [1.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
+ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -314,6 +315,10 @@ NAN_AFTER_FINITE = [[2.0, 0.0], [0.0, 1.0], [1.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
 @example(problem=split_problem(
     NAN_AFTER_FINITE, [40.0, 0.3, -0.5, 1.0, -1.0], [1, 0, 1, 1, 0],
     lambda_=0.0, min_child_weight=0.0, features=[1, 0]))
+# the midpoint of two adjacent doubles rounds down to the left one, so
+# there is no threshold between them
+@example(problem=split_problem(
+    [[1.0, 0.0], [1.0, 0.0], [ABOVE_ONE, 0.0], [ABOVE_ONE, 0.0]], [0.0] * 4, [0, 0, 1, 1]))
 def test_best_split_matches_per_feature_reference(problem):
     want = split_outcome(reference_best_split, problem)
     got = split_outcome(best_split, problem)
