@@ -1,6 +1,8 @@
 """Boosted-tree learner against finite-difference and brute-force oracles."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -538,6 +540,79 @@ class TestSerialization:
             payload[field] = value
         with pytest.raises(SchemaError, match=match):
             GBDTModel.from_dict(payload)
+
+
+def walk_payload(tree, row):
+    """One row down a model-file tree: x[feature] < threshold goes left."""
+    while "value" not in tree:
+        tree = tree["left"] if row[tree["feature"]] < tree["threshold"] else tree["right"]
+    return tree["value"]
+
+
+CELLS = (
+    st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-3, 3)
+)
+
+
+def tree_payloads(n_features, depth):
+    leaf = st.builds(lambda value: {"value": value}, CELLS)
+    if depth == 0:
+        return leaf
+    child = tree_payloads(n_features, depth - 1)
+    split = st.fixed_dictionaries({
+        "feature": st.integers(0, n_features - 1),
+        "threshold": CELLS,
+        "left": child,
+        "right": child,
+    })
+    return leaf | split
+
+
+@st.composite
+def model_payloads(draw):
+    n_features = draw(st.integers(1, 4))
+    eta = draw(st.sampled_from([0.1, 0.3, 1.0]) | st.floats(0.01, 1.0))
+    return {
+        "format": "skipcast-gbdt",
+        "version": 1,
+        "params": asdict(TrainParams(num_boost_round=4, eta=eta)),
+        "base_score": draw(CELLS),
+        "n_features": n_features,
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "trees": draw(st.lists(tree_payloads(n_features, 6), max_size=4)),
+    }
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(payload=model_payloads(), data=st.data())
+def test_model_file_round_trip(payload, data, model_dir):
+    model = GBDTModel.from_dict(payload)
+    n = payload["n_features"]
+    row = st.lists(CELLS, min_size=n, max_size=n)
+    x = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=np.float64)
+    want = []
+    for cells in x.tolist():
+        margin = payload["base_score"]
+        for tree in payload["trees"]:
+            margin += payload["params"]["eta"] * walk_payload(tree, cells)
+        want.append(margin)
+    np.testing.assert_array_equal(model.predict_margin(x), want)
+
+    saved, resaved, reloaded = (model_dir / name for name in ("a", "b", "c"))
+    model.save(saved)
+    GBDTModel.from_dict(model.to_dict()).save(resaved)
+    GBDTModel.load(saved).save(reloaded)
+    assert json.loads(saved.read_text()) == payload
+    assert resaved.read_bytes() == saved.read_bytes()
+    assert reloaded.read_bytes() == saved.read_bytes()
 
 
 def naive_auc(scores, labels):
