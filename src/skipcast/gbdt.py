@@ -9,6 +9,10 @@ with the standard regularized gain
 and leaf values -G/(H+lambda). The learning rate is applied when a tree's
 output is accumulated into the margin, not baked into the leaves.
 
+A tree is the nested dict the model file stores: a leaf is {"value": v},
+a split is {"feature", "threshold", "left", "right"}, and rows with
+x[feature] < threshold go left.
+
 Determinism: row and column subsampling draw from one np.random.default_rng
 seeded at train() time, rows before columns each round, and both index sets
 are sorted before use. Training twice with the same inputs and seed yields
@@ -80,53 +84,26 @@ class Split:
     gain: float
 
 
-@dataclass(eq=False)
-class TreeNode:
-    """Internal node when left/right are set, leaf otherwise."""
-
-    value: float = 0.0
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        assert self.left is not None and self.right is not None
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, n_features: int) -> "TreeNode":
-        if "value" in payload:
-            return cls(value=_finite(payload["value"], "leaf value"))
-        feature = int(payload["feature"])
-        if not 0 <= feature < n_features:
-            raise SchemaError(
-                f"split on feature {feature} outside [0, {n_features})"
-            )
-        return cls(
-            feature=feature,
-            threshold=_finite(payload["threshold"], "split threshold"),
-            left=cls.from_dict(payload["left"], n_features),
-            right=cls.from_dict(payload["right"], n_features),
-        )
-
-
 def _finite(raw, what: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise SchemaError(f"{what} {value} is not finite")
     return value
+
+
+def _checked_tree(node: dict, n_features: int) -> dict:
+    """A model-file tree rebuilt with int/float cells, every cell checked."""
+    if "value" in node:
+        return {"value": _finite(node["value"], "leaf value")}
+    feature = int(node["feature"])
+    if not 0 <= feature < n_features:
+        raise SchemaError(f"split on feature {feature} outside [0, {n_features})")
+    return {
+        "feature": feature,
+        "threshold": _finite(node["threshold"], "split threshold"),
+        "left": _checked_tree(node["left"], n_features),
+        "right": _checked_tree(node["right"], n_features),
+    }
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -239,31 +216,30 @@ def _build_tree(
     depth: int,
     params: TrainParams,
     feature_indices: np.ndarray,
-) -> TreeNode:
+) -> dict:
     if depth < params.max_depth and rows.size >= 2:
         split = best_split(x[rows], g[rows], h[rows], params, feature_indices)
         if split is not None:
             mask = x[rows, split.feature] < split.threshold
-            return TreeNode(
-                feature=split.feature,
-                threshold=split.threshold,
-                left=_build_tree(x, g, h, rows[mask], depth + 1, params, feature_indices),
-                right=_build_tree(x, g, h, rows[~mask], depth + 1, params, feature_indices),
-            )
-    return TreeNode(value=-float(g[rows].sum()) / (float(h[rows].sum()) + params.lambda_))
+            return {
+                "feature": split.feature,
+                "threshold": split.threshold,
+                "left": _build_tree(x, g, h, rows[mask], depth + 1, params, feature_indices),
+                "right": _build_tree(x, g, h, rows[~mask], depth + 1, params, feature_indices),
+            }
+    return {"value": -float(g[rows].sum()) / (float(h[rows].sum()) + params.lambda_)}
 
 
-def _tree_predict(node: TreeNode, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[rows] = node.value
+def _tree_predict(node: dict, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    if "value" in node:
+        out[rows] = node["value"]
         return
-    assert node.left is not None and node.right is not None
-    mask = x[rows, node.feature] < node.threshold
-    _tree_predict(node.left, x, rows[mask], out)
-    _tree_predict(node.right, x, rows[~mask], out)
+    mask = x[rows, node["feature"]] < node["threshold"]
+    _tree_predict(node["left"], x, rows[mask], out)
+    _tree_predict(node["right"], x, rows[~mask], out)
 
 
-def tree_values(node: TreeNode, x: np.ndarray) -> np.ndarray:
+def tree_values(node: dict, x: np.ndarray) -> np.ndarray:
     out = np.empty(x.shape[0], dtype=np.float64)
     _tree_predict(node, x, np.arange(x.shape[0]), out)
     return out
@@ -275,7 +251,7 @@ class GBDTModel:
     base_score: float
     n_features: int
     seed: int
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[dict] = field(default_factory=list)
 
     def _check_features(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -310,7 +286,7 @@ class GBDTModel:
             "base_score": self.base_score,
             "n_features": self.n_features,
             "seed": self.seed,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees,
         }
 
     @classmethod
@@ -325,7 +301,7 @@ class GBDTModel:
             base_score=_finite(payload["base_score"], "base score"),
             n_features=n_features,
             seed=int(payload["seed"]),
-            trees=[TreeNode.from_dict(t, n_features) for t in payload["trees"]],
+            trees=[_checked_tree(t, n_features) for t in payload["trees"]],
         )
 
     def save(self, path: Path | str) -> None:

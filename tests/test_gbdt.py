@@ -21,7 +21,6 @@ from skipcast.gbdt import (
     GBDTModel,
     Split,
     TrainParams,
-    TreeNode,
     auc,
     best_split,
     logistic_grad_hess,
@@ -417,23 +416,23 @@ class TestTrain:
 
 class TestPredict:
     def make_fixture_model(self):
-        tree1 = TreeNode(
-            feature=0,
-            threshold=0.5,
-            left=TreeNode(value=-0.4),
-            right=TreeNode(value=0.6),
-        )
-        tree2 = TreeNode(
-            feature=1,
-            threshold=1.0,
-            left=TreeNode(value=0.25),
-            right=TreeNode(
-                feature=0,
-                threshold=2.0,
-                left=TreeNode(value=-0.1),
-                right=TreeNode(value=0.3),
-            ),
-        )
+        tree1 = {
+            "feature": 0,
+            "threshold": 0.5,
+            "left": {"value": -0.4},
+            "right": {"value": 0.6},
+        }
+        tree2 = {
+            "feature": 1,
+            "threshold": 1.0,
+            "left": {"value": 0.25},
+            "right": {
+                "feature": 0,
+                "threshold": 2.0,
+                "left": {"value": -0.1},
+                "right": {"value": 0.3},
+            },
+        }
         return GBDTModel(
             params=TrainParams(eta=0.3),
             base_score=0.2,
@@ -469,7 +468,7 @@ class TestPredict:
         model = self.make_fixture_model()
         vec = np.array([[1.5, 0.0, 9.9]])
         before = model.predict_proba(vec)[0]
-        model.trees.append(TreeNode(value=1.0))
+        model.trees.append({"value": 1.0})
         after = model.predict_proba(vec)[0]
         assert after > before
 
