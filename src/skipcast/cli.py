@@ -79,7 +79,6 @@ def _submission_name(solution: int) -> str:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
-    cfg.synth.validate()
     track_map, sessions = generate_synthetic_dataset(cfg.synth, cfg.seed)
     with open(cfg.tracks_path(), "w", encoding="utf-8") as fh:
         write_track_csv(track_map, fh)

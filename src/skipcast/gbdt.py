@@ -54,9 +54,6 @@ class TrainParams:
     colsample: float = 1.0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.num_boost_round < 1:
             raise ConfigError(f"num_boost_round must be >= 1, got {self.num_boost_round}")
         if not 0.0 < self.eta <= 1.0:
@@ -314,7 +311,9 @@ class GBDTModel:
     def load(cls, path: Path | str) -> "GBDTModel":
         try:
             return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (SkipcastError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (
+            SkipcastError, ValueError, KeyError, TypeError, AttributeError, RecursionError
+        ) as exc:
             raise SchemaError(f"corrupt model file {path}: {exc!r}") from exc
 
 

@@ -126,7 +126,9 @@ class ModelBank:
                 seed=int(manifest["seed"]),
                 fallback_positions=tuple(manifest["fallback_positions"]),
             )
-        except (ConfigError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (
+            ConfigError, ValueError, KeyError, TypeError, AttributeError, RecursionError
+        ) as exc:
             raise SchemaError(f"corrupt bank manifest {manifest_path}: {exc!r}") from exc
 
 
@@ -169,6 +171,15 @@ class GridRow:
     subsample: float
     val_auc: float
 
+    @property
+    def params(self) -> dict:
+        return {
+            "eta": self.eta,
+            "max_depth": self.max_depth,
+            "colsample": self.colsample,
+            "subsample": self.subsample,
+        }
+
 
 GRID_REPORT_HEADER = "eta,max_depth,colsample,subsample,val_auc,best"
 
@@ -180,13 +191,7 @@ class GridReport:
 
     @property
     def best_params(self) -> dict:
-        row = self.rows[self.best_index]
-        return {
-            "eta": row.eta,
-            "max_depth": row.max_depth,
-            "colsample": row.colsample,
-            "subsample": row.subsample,
-        }
+        return self.rows[self.best_index].params
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write(GRID_REPORT_HEADER + "\n")
@@ -229,7 +234,8 @@ class GridReport:
                         val_auc=float(cells[4]),
                     )
                 )
-            except ValueError as exc:
+                TrainParams(**rows[-1].params)
+            except (ValueError, ConfigError) as exc:
                 raise RowParseError(f"grid report line {line_num}: {exc}", line_num)
             if cells[5] == "1":
                 best = len(rows) - 1

@@ -294,7 +294,7 @@ class TestDataErrors:
     @pytest.mark.parametrize(
         "corrupt",
         ["format", "feature 99", "feature -1", "eta nan", "lambda_ nan",
-         "gamma nan", "min_child_weight nan"],
+         "gamma nan", "min_child_weight nan", "nested 5000"],
     )
     def test_predict_with_corrupt_model_content(
         self, pipeline, tmp_path, capsys, corrupt
@@ -307,23 +307,34 @@ class TestDataErrors:
             payload["format"] = "something-else"
         elif corrupt.endswith(" nan"):
             payload["params"][corrupt.split()[0]] = float("nan")
-        else:
+        elif corrupt.startswith("feature "):
             feature = int(corrupt.split()[1])
             leaf = {"value": 0.0}
             payload["trees"] = [
                 {"feature": feature, "threshold": 0.5, "left": leaf, "right": leaf}
             ]
-        path.write_text(json.dumps(payload))
+        text = json.dumps(payload)
+        if corrupt == "nested 5000":
+            # too deep for json.dumps, so the first tree goes in as text
+            split = '{"feature": 0, "threshold": 0.5, "left": '
+            nested = split * 5000 + '{"value": 0.0}' + ', "right": {"value": 0.0}}' * 5000
+            text = text.replace('"trees": [', '"trees": [' + nested + ", ", 1)
+        path.write_text(text)
         conf = write_conf(tmp_path)
         assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "model_03.json" in capsys.readouterr().err
 
-    def test_train_with_cut_grid_report_row(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("corrupt", ["cut", "best eta 5.0"])
+    def test_train_with_cut_grid_report_row(self, pipeline, tmp_path, capsys, corrupt):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
         path = workdir / "grid_report.csv"
         lines = path.read_text().splitlines()
-        lines[3] = lines[3][:12]
+        if corrupt == "cut":
+            lines[3] = lines[3][:12]
+        else:
+            lines[1:] = [line[:-1] + "0" for line in lines[1:]]
+            lines[3] = "5.0" + lines[3][lines[3].index(","):-1] + "1"
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2

@@ -347,7 +347,7 @@ class TestTrainParams:
     )
     def test_bounds(self, kwargs):
         with pytest.raises(ConfigError):
-            TrainParams(**kwargs).validate()
+            TrainParams(**kwargs)
 
 
 def separable_data(n=200, seed=0):

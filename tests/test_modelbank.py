@@ -352,6 +352,8 @@ class TestGridReport:
             "0.1,6,1.0,1.0,0.6,0,7",
             "abc,6,1.0,1.0,0.6,0",
             "0.1,6,1.0,1.0,0.6,x",
+            "5.0,6,1.0,1.0,0.6,0",
+            "0.1,6,1.0,0.0,0.6,0",
         ],
     )
     def test_bad_row_reports_line(self, bad_line):
