@@ -8,6 +8,7 @@ import csv
 import json
 import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,12 @@ from skipcast.config import (
     parse_solutions,
 )
 from skipcast.datamodel import parse_session_log, parse_track_features, split_session
-from skipcast.ensemble import SOLUTION_IDS, combine
+from skipcast.ensemble import SOLUTION_IDS, EnsembleWeights, combine
 from skipcast.errors import ConfigError
 from skipcast.features import FEATURE_COUNT, session_features
+from skipcast.gbdt import TrainParams
 from skipcast.modelbank import ModelBank
+from skipcast.synthetic import SynthConfig
 
 SMALL_CONF = """\
 # small corpus so the whole pipeline stays fast
@@ -259,6 +262,26 @@ class TestUsageErrors:
         assert main(["synth", "--config", conf]) == 1
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, reason",
+        [
+            ("n_tracks = 0\n", "n_tracks must be >= 1"),
+            ("session_length_min = 1\n", "2 <= min <= max <= 20, got [1, 20]"),
+            ("session_length_max = 21\n", "2 <= min <= max <= 20, got [2, 21]"),
+            (
+                "session_length_min = 9\nsession_length_max = 8\n",
+                "2 <= min <= max <= 20, got [9, 8]",
+            ),
+            ("acoustic_dim = 0\n", "acoustic_dim must be >= 1"),
+        ],
+        ids=["n_tracks 0", "min 1", "max 21", "min > max", "acoustic_dim 0"],
+    )
+    def test_synth_config_out_of_bounds(self, tmp_path, capsys, body, reason):
+        conf = write_conf(tmp_path, body)
+        workdir = str(tmp_path / "w")
+        assert main(["synth", "--config", conf, "--workdir", workdir]) == 1
+        assert reason in capsys.readouterr().err
+
 
 class TestDataErrors:
     def test_extract_before_synth(self, tmp_path, capsys):
@@ -423,6 +446,38 @@ class TestFlagPrecedence:
         assert not (tmp_path / "from_config").exists()
 
 
+ROUTED_SECTIONS = {
+    "synth": SynthConfig,
+    "params": TrainParams,
+    "weights": EnsembleWeights,
+}
+
+# a valid non-default value for every field of the three config sections
+ROUTED_VALUES = {
+    "n_tracks": 40,
+    "n_sessions": 30,
+    "session_length_min": 3,
+    "session_length_max": 19,
+    "acoustic_dim": 5,
+    "skip_bias": -0.5,
+    "skip_energy_weight": 1.5,
+    "skip_tempo_weight": 0.25,
+    "skip_prev_weight": 2.0,
+    "num_boost_round": 7,
+    "eta": 0.25,
+    "max_depth": 4,
+    "min_child_weight": 2.0,
+    "lambda_": 2.5,
+    "gamma": 0.5,
+    "subsample": 0.75,
+    "colsample": 0.5,
+    "linear_offset": 9.0,
+    "alpha_scale": 0.25,
+    "fixed_prior": 0.3,
+    "exp_base": 3.0,
+}
+
+
 class TestConfigParsing:
     def test_parse_solutions_all(self):
         assert parse_solutions("all") == tuple(range(1, 13))
@@ -463,6 +518,31 @@ class TestConfigParsing:
         assert cfg.weights.fixed_prior == 0.3
         assert cfg.seed == 11
         assert cfg.workdir == Path("elsewhere")
+
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            (section, f.name)
+            for section, cls in ROUTED_SECTIONS.items()
+            for f in fields(cls)
+        ],
+    )
+    def test_build_config_routes_each_field(self, section, name):
+        value = ROUTED_VALUES[name]
+        key = "lambda" if name == "lambda_" else name
+        cfg, default = build_config({key: str(value)}), RunConfig()
+        for f in fields(RunConfig):
+            if f.name not in ROUTED_SECTIONS:
+                assert getattr(cfg, f.name) == getattr(default, f.name)
+        for sec in ROUTED_SECTIONS:
+            for f in fields(getattr(default, sec)):
+                got = getattr(getattr(cfg, sec), f.name)
+                want = getattr(getattr(default, sec), f.name)
+                assert type(got) is type(want), f"{sec}.{f.name}"
+                if (sec, f.name) == (section, name):
+                    assert want != value and got == value
+                else:
+                    assert got == want, f"{sec}.{f.name}"
 
     def test_build_config_type_errors(self):
         with pytest.raises(ConfigError, match="integer"):

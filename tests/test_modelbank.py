@@ -376,5 +376,7 @@ class TestGridReport:
         )
         buf = io.StringIO()
         report.write_csv(buf)
-        lines = buf.getvalue().splitlines()[1:]
-        assert [line.rsplit(",", 1)[1] for line in lines] == ["0", "1"]
+        assert buf.getvalue().splitlines()[1:] == [
+            "0.1,6,1.0,1.0,0.6,0",
+            "0.2,6,1.0,1.0,0.7,1",
+        ]
