@@ -88,11 +88,17 @@ def _finite(raw, what: str) -> float:
     return value
 
 
+def _integer(raw, what: str) -> int:
+    if type(raw) is not int:  # a JSON integer: not 6.7, "6" or true
+        raise SchemaError(f"{what} {raw!r} is not an integer")
+    return raw
+
+
 def _checked_tree(node: dict, n_features: int) -> dict:
     """A model-file tree rebuilt with int/float cells, every cell checked."""
     if "value" in node:
         return {"value": _finite(node["value"], "leaf value")}
-    feature = int(node["feature"])
+    feature = _integer(node["feature"], "split feature")
     if not 0 <= feature < n_features:
         raise SchemaError(f"split on feature {feature} outside [0, {n_features})")
     return {
@@ -292,12 +298,12 @@ class GBDTModel:
             raise SchemaError("not a serialized gradient-boosted tree model")
         if payload.get("version") != 1:
             raise SchemaError(f"unsupported model version {payload.get('version')!r}")
-        n_features = int(payload["n_features"])
+        n_features = _integer(payload["n_features"], "n_features")
         return cls(
             params=TrainParams(**payload["params"]),
             base_score=_finite(payload["base_score"], "base score"),
             n_features=n_features,
-            seed=int(payload["seed"]),
+            seed=_integer(payload["seed"], "seed"),
             trees=[_checked_tree(t, n_features) for t in payload["trees"]],
         )
 

@@ -29,7 +29,7 @@ from .errors import (
     RowParseError,
     SchemaError,
 )
-from .features import FeatureTable, feature_schema_hash
+from .features import FEATURE_COUNT, FeatureTable, feature_schema_hash
 from .gbdt import GBDTModel, TrainParams, auc, train
 
 MANIFEST_NAME = "manifest.json"
@@ -120,6 +120,12 @@ class ModelBank:
                     "bank was trained with a different feature schema; re-train it"
                 )
             models = [GBDTModel.load(bank_dir / name) for name in manifest["models"]]
+            for name, model in zip(manifest["models"], models):
+                if model.n_features != FEATURE_COUNT:
+                    raise SchemaError(
+                        f"model file {bank_dir / name} expects {model.n_features} "
+                        f"features; the bank's feature schema has {FEATURE_COUNT}"
+                    )
             return cls(
                 models=models,
                 params=TrainParams(**manifest["params"]),

@@ -316,8 +316,8 @@ class TestDataErrors:
 
     @pytest.mark.parametrize(
         "corrupt",
-        ["format", "feature 99", "feature -1", "eta nan", "lambda_ nan",
-         "gamma nan", "min_child_weight nan", "nested 5000"],
+        ["format", "feature 99", "feature -1", "feature 6.7", "n_features 64",
+         "eta nan", "lambda_ nan", "gamma nan", "min_child_weight nan", "nested 5000"],
     )
     def test_predict_with_corrupt_model_content(
         self, pipeline, tmp_path, capsys, corrupt
@@ -330,8 +330,10 @@ class TestDataErrors:
             payload["format"] = "something-else"
         elif corrupt.endswith(" nan"):
             payload["params"][corrupt.split()[0]] = float("nan")
+        elif corrupt == "n_features 64":
+            payload["n_features"] = 64
         elif corrupt.startswith("feature "):
-            feature = int(corrupt.split()[1])
+            feature = json.loads(corrupt.split()[1])
             leaf = {"value": 0.0}
             payload["trees"] = [
                 {"feature": feature, "threshold": 0.5, "left": leaf, "right": leaf}

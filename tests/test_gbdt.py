@@ -524,6 +524,11 @@ class TestSerialization:
             ("threshold", float("inf"), "threshold"),
             ("leaf", float("nan"), "leaf"),
             ("base_score", float("nan"), "base score"),
+            ("feature", 2.7, "feature 2.7 is not an integer"),
+            ("feature", "2", "feature '2' is not an integer"),
+            ("feature", True, "feature True is not an integer"),
+            ("n_features", 5.5, "n_features 5.5 is not an integer"),
+            ("seed", "1", "seed '1' is not an integer"),
         ],
     )
     def test_rejects_corrupt_content(self, field, value, match):

@@ -15,7 +15,7 @@ from skipcast.errors import (
     RowParseError,
     SchemaError,
 )
-from skipcast.features import FeatureTable, feature_schema_hash
+from skipcast.features import FEATURE_COUNT, FeatureTable, feature_schema_hash
 from skipcast.gbdt import TrainParams
 from skipcast.modelbank import (
     COLSAMPLE_GRID,
@@ -157,18 +157,19 @@ class TestTrainBank:
 
 @pytest.fixture(scope="module")
 def bank():
-    return train_bank(make_table(), SMALL_PARAMS, seed=5)
+    # as wide as the feature schema, so ModelBank.load accepts the saved bank
+    return train_bank(make_table(n_features=FEATURE_COUNT), SMALL_PARAMS, seed=5)
 
 
 class TestPredict:
     def test_matrix_shape_and_range(self, bank):
-        x = np.random.default_rng(1).random((17, 4))
+        x = np.random.default_rng(1).random((17, FEATURE_COUNT))
         matrix = bank.predict_matrix(x)
         assert matrix.shape == (17, 10)
         assert np.all(matrix > 0.0) and np.all(matrix < 1.0)
 
     def test_matrix_columns_are_per_model(self, bank):
-        x = np.random.default_rng(2).random((6, 4))
+        x = np.random.default_rng(2).random((6, FEATURE_COUNT))
         matrix = bank.predict_matrix(x)
         for j, model in enumerate(bank.models):
             np.testing.assert_array_equal(matrix[:, j], model.predict_proba(x))
