@@ -41,6 +41,7 @@ from .errors import (
 from .evaluation import format_report_text, solutions_report, write_report_csv
 from .features import FeatureTable, assemble_corpus
 from .modelbank import (
+    MANIFEST_NAME,
     GridReport,
     ModelBank,
     grid_search,
@@ -107,11 +108,8 @@ def cmd_tune(cfg: RunConfig) -> None:
     with open(cfg.workdir / "grid_report.csv", "w", encoding="utf-8") as fh:
         report.write_csv(fh)
     best = report.rows[report.best_index]
-    print(
-        f"tune: best eta={best.eta} max_depth={best.max_depth} "
-        f"colsample={best.colsample} subsample={best.subsample} "
-        f"val_auc={best.val_auc:.4f}"
-    )
+    tuned = " ".join(f"{name}={value}" for name, value in best.params.items())
+    print(f"tune: best {tuned} val_auc={best.val_auc:.4f}")
 
 
 def cmd_train(cfg: RunConfig) -> None:
@@ -132,7 +130,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def cmd_predict(cfg: RunConfig) -> None:
-    _require(cfg.workdir / "bank" / "manifest.json", "train")
+    _require(cfg.workdir / "bank" / MANIFEST_NAME, "train")
     bank = ModelBank.load(cfg.workdir / "bank")
     track_map, sessions = _load_corpus(cfg)
     # assemble_corpus emits each session's target rows contiguously, in order

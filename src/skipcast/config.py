@@ -22,9 +22,12 @@ from .errors import ConfigError
 from .gbdt import TrainParams
 from .synthetic import SynthConfig
 
-_SYNTH_KEYS = set(SynthConfig.field_names())
-_PARAM_KEYS = {f.name for f in fields(TrainParams)}
-_WEIGHT_KEYS = {f.name for f in fields(EnsembleWeights)}
+#: RunConfig's nested dataclass sections, each with its field names.
+_SECTIONS = {
+    "synth": {f.name for f in fields(SynthConfig)},
+    "params": {f.name for f in fields(TrainParams)},
+    "weights": {f.name for f in fields(EnsembleWeights)},
+}
 
 
 @dataclass(eq=False)
@@ -119,27 +122,19 @@ def _convert(key: str, raw: str, current):
 def build_config(values: Mapping[str, str]) -> RunConfig:
     """Construct a validated RunConfig from raw string key/value pairs."""
     cfg = RunConfig()
-    synth_kwargs: dict = {}
-    param_kwargs: dict = {}
-    weight_kwargs: dict = {}
+    changes: dict[str, dict] = {}
     for key, raw in values.items():
         name = "lambda_" if key == "lambda" else key
+        section = next((s for s, names in _SECTIONS.items() if name in names), None)
         if name in _TOP_KEYS:
             setattr(cfg, name, _TOP_KEYS[name](name, raw))
-        elif name in _SYNTH_KEYS:
-            synth_kwargs[name] = _convert(name, raw, getattr(cfg.synth, name))
-        elif name in _PARAM_KEYS:
-            param_kwargs[name] = _convert(name, raw, getattr(cfg.params, name))
-        elif name in _WEIGHT_KEYS:
-            weight_kwargs[name] = _convert(name, raw, getattr(cfg.weights, name))
-        else:
+        elif section is None:
             raise ConfigError(f"unknown config key {key!r}")
-    if synth_kwargs:
-        cfg.synth = replace(cfg.synth, **synth_kwargs)
-    if param_kwargs:
-        cfg.params = replace(cfg.params, **param_kwargs)
-    if weight_kwargs:
-        cfg.weights = replace(cfg.weights, **weight_kwargs)
+        else:
+            current = getattr(getattr(cfg, section), name)
+            changes.setdefault(section, {})[name] = _convert(name, raw, current)
+    for section, kwargs in changes.items():
+        setattr(cfg, section, replace(getattr(cfg, section), **kwargs))
     if not 0.0 < cfg.sample <= 1.0:
         raise ConfigError(f"sample must be in (0, 1], got {cfg.sample}")
     if cfg.tune_rounds < 1:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .datamodel import (
     MAX_TARGET_POSITIONS,
+    N_SCALAR_FEATURES,
     SCALAR_FEATURE_NAMES,
     Session,
     TrackMetadata,
@@ -39,9 +40,6 @@ from .datamodel import (
     split_session,
 )
 from .errors import DimensionError, IntegrityError, RowParseError, SchemaError
-
-N_TRACK_FEATURES = 16
-FEATURE_COUNT = 63
 
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"track_{name}" for name in SCALAR_FEATURE_NAMES)
@@ -60,7 +58,7 @@ FEATURE_NAMES: tuple[str, ...] = (
     + ("dot_skipped_mean", "dot_listened_mean")
 )
 
-assert len(FEATURE_NAMES) == FEATURE_COUNT
+FEATURE_COUNT = len(FEATURE_NAMES)
 
 MATRIX_COLUMNS = FEATURE_NAMES + ("label", "session_id", "target_position")
 
@@ -74,9 +72,9 @@ def _checked_track(
     track_map: Mapping[str, TrackMetadata], track_id: str
 ) -> TrackMetadata:
     meta = lookup_track(track_map, track_id)
-    if meta.scalars.shape != (N_TRACK_FEATURES,):
+    if meta.scalars.shape != (N_SCALAR_FEATURES,):
         raise DimensionError(
-            f"track {meta.track_id!r}: expected {N_TRACK_FEATURES} scalar "
+            f"track {meta.track_id!r}: expected {N_SCALAR_FEATURES} scalar "
             f"features, got shape {meta.scalars.shape}"
         )
     return meta

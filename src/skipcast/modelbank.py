@@ -12,6 +12,7 @@ bank training never aborts because one position is starved.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -34,10 +35,13 @@ from .gbdt import GBDTModel, TrainParams, auc, train
 
 MANIFEST_NAME = "manifest.json"
 
-ETA_GRID = (0.1, 0.2, 0.3)
-MAX_DEPTH_GRID = (6, 10, 15)
-COLSAMPLE_GRID = (0.8, 1.0)
-SUBSAMPLE_GRID = (0.8, 0.9, 1.0)
+#: The tuned TrainParams fields and their values, slowest-varying first.
+GRID = {
+    "eta": (0.1, 0.2, 0.3),
+    "max_depth": (6, 10, 15),
+    "colsample": (0.8, 1.0),
+    "subsample": (0.8, 0.9, 1.0),
+}
 
 
 def partition_by_position(positions: np.ndarray) -> list[np.ndarray]:
@@ -171,23 +175,11 @@ def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank
 
 @dataclass(frozen=True)
 class GridRow:
-    eta: float
-    max_depth: int
-    colsample: float
-    subsample: float
+    params: dict  # one value per GRID key, in GRID order
     val_auc: float
 
-    @property
-    def params(self) -> dict:
-        return {
-            "eta": self.eta,
-            "max_depth": self.max_depth,
-            "colsample": self.colsample,
-            "subsample": self.subsample,
-        }
 
-
-GRID_REPORT_HEADER = "eta,max_depth,colsample,subsample,val_auc,best"
+GRID_REPORT_HEADER = ",".join([*GRID, "val_auc", "best"])
 
 
 @dataclass(eq=False)
@@ -202,19 +194,9 @@ class GridReport:
     def write_csv(self, stream: IO[str]) -> None:
         stream.write(GRID_REPORT_HEADER + "\n")
         for i, row in enumerate(self.rows):
-            stream.write(
-                ",".join(
-                    [
-                        repr(float(row.eta)),
-                        str(row.max_depth),
-                        repr(float(row.colsample)),
-                        repr(float(row.subsample)),
-                        repr(float(row.val_auc)),
-                        "1" if i == self.best_index else "0",
-                    ]
-                )
-                + "\n"
-            )
+            cells = [repr(v) for v in row.params.values()]
+            cells += [repr(float(row.val_auc)), "1" if i == self.best_index else "0"]
+            stream.write(",".join(cells) + "\n")
 
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "GridReport":
@@ -226,24 +208,18 @@ class GridReport:
         for line_num, line in enumerate(lines[1:], start=2):
             cells = line.split(",")
             try:
-                if len(cells) != n_cells or cells[5] not in ("0", "1"):
+                if len(cells) != n_cells or cells[-1] not in ("0", "1"):
                     raise ValueError(
                         f"expected {n_cells} cells ending in a 0/1 best marker, "
                         f"got {line!r}"
                     )
-                rows.append(
-                    GridRow(
-                        eta=float(cells[0]),
-                        max_depth=int(cells[1]),
-                        colsample=float(cells[2]),
-                        subsample=float(cells[3]),
-                        val_auc=float(cells[4]),
-                    )
-                )
-                TrainParams(**rows[-1].params)
+                # each cell takes the type of its key's grid values
+                point = {k: type(v[0])(c) for (k, v), c in zip(GRID.items(), cells)}
+                TrainParams(**point)
+                rows.append(GridRow(point, float(cells[-2])))
             except (ValueError, ConfigError) as exc:
                 raise RowParseError(f"grid report line {line_num}: {exc}", line_num)
-            if cells[5] == "1":
+            if cells[-1] == "1":
                 best = len(rows) - 1
         if not rows:
             raise SchemaError("grid report has no rows")
@@ -276,11 +252,11 @@ def sample_sessions(table: FeatureTable, fraction: float, seed: int) -> FeatureT
 def grid_search(
     table: FeatureTable, seed: int, num_boost_round: int = 20
 ) -> GridReport:
-    """Sweep the 54-point hyperparameter grid on a pooled 80/20 session split.
+    """Sweep every point of GRID on a pooled 80/20 session split.
 
     One model is trained per grid point on all positions pooled together and
-    scored by held-out AUC. Grid order is eta, then max_depth, then
-    colsample, then subsample, slowest to fastest; ties keep the earlier row.
+    scored by held-out AUC. Points run in GRID order, the first key slowest;
+    ties keep the earlier row.
     """
     unique = list(dict.fromkeys(table.session_ids))
     if len(unique) < 2:
@@ -299,28 +275,11 @@ def grid_search(
 
     rows: list[GridRow] = []
     best_index = 0
-    for eta in ETA_GRID:
-        for max_depth in MAX_DEPTH_GRID:
-            for colsample in COLSAMPLE_GRID:
-                for subsample in SUBSAMPLE_GRID:
-                    params = TrainParams(
-                        num_boost_round=num_boost_round,
-                        eta=eta,
-                        max_depth=max_depth,
-                        colsample=colsample,
-                        subsample=subsample,
-                    )
-                    model = train(x_train, y_train, params, seed=seed)
-                    val_auc = auc(model.predict_proba(x_val), y_val)
-                    rows.append(
-                        GridRow(
-                            eta=eta,
-                            max_depth=max_depth,
-                            colsample=colsample,
-                            subsample=subsample,
-                            val_auc=val_auc,
-                        )
-                    )
-                    if rows[-1].val_auc > rows[best_index].val_auc:
-                        best_index = len(rows) - 1
+    for point in itertools.product(*GRID.values()):
+        tuned = dict(zip(GRID, point))
+        params = TrainParams(num_boost_round=num_boost_round, **tuned)
+        model = train(x_train, y_train, params, seed=seed)
+        rows.append(GridRow(tuned, auc(model.predict_proba(x_val), y_val)))
+        if rows[-1].val_auc > rows[best_index].val_auc:
+            best_index = len(rows) - 1
     return GridReport(rows=rows, best_index=best_index)

@@ -14,7 +14,7 @@ and the CSVs written from them are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -78,10 +78,6 @@ class SynthConfig:
             )
         if self.acoustic_dim < 1:
             raise ConfigError("acoustic_dim must be >= 1")
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
 
 
 def _sigmoid(z: float) -> float:

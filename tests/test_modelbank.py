@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,8 @@ from skipcast.errors import (
 from skipcast.features import FEATURE_COUNT, FeatureTable, feature_schema_hash
 from skipcast.gbdt import TrainParams
 from skipcast.modelbank import (
-    COLSAMPLE_GRID,
-    ETA_GRID,
+    GRID,
     GRID_REPORT_HEADER,
-    MAX_DEPTH_GRID,
-    SUBSAMPLE_GRID,
     GridReport,
     GridRow,
     ModelBank,
@@ -297,12 +295,12 @@ def grid_table(n_sessions=12, rows_per_session=4, seed=2):
 class TestGridSearch:
     def test_covers_grid_in_order(self):
         report = grid_search(grid_table(), seed=1, num_boost_round=1)
-        expected = list(
-            itertools.product(ETA_GRID, MAX_DEPTH_GRID, COLSAMPLE_GRID, SUBSAMPLE_GRID)
-        )
+        assert list(GRID) == ["eta", "max_depth", "colsample", "subsample"]
+        assert GRID_REPORT_HEADER == "eta,max_depth,colsample,subsample,val_auc,best"
+        expected = list(itertools.product(*GRID.values()))
         assert len(report.rows) == 54
-        got = [(r.eta, r.max_depth, r.colsample, r.subsample) for r in report.rows]
-        assert got == expected
+        assert all(list(r.params) == list(GRID) for r in report.rows)
+        assert [tuple(r.params.values()) for r in report.rows] == expected
 
     def test_best_row_is_first_maximum(self):
         report = grid_search(grid_table(), seed=1, num_boost_round=1)
@@ -312,13 +310,11 @@ class TestGridSearch:
 
     def test_best_params_reflect_best_row(self):
         report = grid_search(grid_table(), seed=1, num_boost_round=1)
-        row = report.rows[report.best_index]
-        assert report.best_params == {
-            "eta": row.eta,
-            "max_depth": row.max_depth,
-            "colsample": row.colsample,
-            "subsample": row.subsample,
-        }
+        assert report.best_params == report.rows[report.best_index].params
+        assert all(report.best_params[name] in GRID[name] for name in GRID)
+        # train applies the best row with dataclasses.replace, key for key
+        tuned = replace(TrainParams(), **report.best_params)
+        assert all(getattr(tuned, name) == report.best_params[name] for name in GRID)
 
     def test_single_session_raises(self):
         table = grid_table(n_sessions=1)
@@ -370,8 +366,8 @@ class TestGridReport:
     def test_exactly_one_best_marker(self):
         report = GridReport(
             rows=[
-                GridRow(eta=0.1, max_depth=6, colsample=1.0, subsample=1.0, val_auc=0.6),
-                GridRow(eta=0.2, max_depth=6, colsample=1.0, subsample=1.0, val_auc=0.7),
+                GridRow(dict(eta=0.1, max_depth=6, colsample=1.0, subsample=1.0), 0.6),
+                GridRow(dict(eta=0.2, max_depth=6, colsample=1.0, subsample=1.0), 0.7),
             ],
             best_index=1,
         )
