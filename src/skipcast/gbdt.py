@@ -9,6 +9,13 @@ with the standard regularized gain
 and leaf values -G/(H+lambda). The learning rate is applied when a tree's
 output is accumulated into the margin, not baked into the leaves.
 
+Each train() call sorts x.T once into an int32 (features, rows) block of
+row indices. A node carries that block restricted to its rows, and a split
+cuts it into the children's blocks with one stable boolean gather, so no
+node sorts; the result equals sorting each node's own values. A node whose
+hessian sum is below 2 * min_child_weight is not scanned: no boundary of it
+can leave min_child_weight on both sides.
+
 A tree is the nested dict the model file stores: a leaf is {"value": v},
 a split is {"feature", "threshold", "left", "right"}, and rows with
 x[feature] < threshold go left.
@@ -58,8 +65,9 @@ class TrainParams:
             raise ConfigError(f"num_boost_round must be >= 1, got {self.num_boost_round}")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
-        if self.max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
+        # tree growth, inference and the model loader recurse once per level
+        if not 1 <= self.max_depth <= 64:
+            raise ConfigError(f"max_depth must be in [1, 64], got {self.max_depth}")
         if not self.min_child_weight >= 0.0:
             raise ConfigError(
                 f"min_child_weight must be >= 0, got {self.min_child_weight}"
@@ -168,26 +176,47 @@ def best_split(
     if feature_indices is None:
         feature_indices = range(n_features)
     cols = np.asarray(feature_indices, dtype=np.intp)
+    block = np.argsort(x.T[cols], axis=1, kind="stable")
+    return _scan(x, g, h, block, cols, float(g.sum()), float(h.sum()), params)
 
+
+def _scan(
+    x: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    block: np.ndarray,
+    cols: np.ndarray,
+    total_g: float,
+    total_h: float,
+    params: TrainParams,
+) -> Optional[Split]:
+    """best_split's search over one node's sorted row-index block.
+
+    Row i of `block` lists the node's rows in stable order of x[:, cols[i]];
+    total_g and total_h are the node's gradient and hessian sums.
+    """
     lam = params.lambda_
-    total_g, total_h = float(g.sum()), float(h.sum())
     parent_score = total_g * total_g / (total_h + lam)
-    if n < 2:
+    k, n = block.shape
+    # Below 2 * min_child_weight no boundary leaves enough hessian on both
+    # sides, exactly: for a prefix with hl >= min_child_weight, total_h - hl
+    # is exact (Sterbenz) or negative, so it is below min_child_weight.
+    if n < 2 or k == 0 or total_h < 2.0 * params.min_child_weight:
         return None
 
-    # one row per candidate feature keeps each sort and prefix sum contiguous
-    sv = x.T[cols]
-    order = np.argsort(sv, axis=1, kind="stable")
-    sv = np.take_along_axis(sv, order, axis=1)
-    gl, hl = np.cumsum(g[order], axis=1), np.cumsum(h[order], axis=1)
-    del order
+    # one row per candidate feature keeps each prefix sum contiguous
+    sv = x[block, cols[:, None]]
+    gl, hl = g[block], h[block]
+    np.cumsum(gl, axis=1, out=gl)
+    np.cumsum(hl, axis=1, out=hl)
     lo, hi, gl, hl = sv[:, :-1], sv[:, 1:], gl[:, :-1], hl[:, :-1]
     # a midpoint that rounds down to the left value would misroute rows
     mid = (lo + hi) / 2.0
     valid = (lo < hi) & (lo < mid) & (hl >= params.min_child_weight)
+    del sv, lo, hi  # the chosen threshold is read back from x
     hr, gr = np.subtract(total_h, hl, out=mid), total_g - gl
     valid &= hr >= params.min_child_weight
-    # the gain in place, so a node holds about five (features, n) float arrays
+    # the gain in place, so a node holds at most four (features, n) float arrays
     hl += lam
     hr += lam
     gl *= gl
@@ -199,16 +228,17 @@ def best_split(
     gains *= 0.5
     gains -= params.gamma
     gains[~valid] = -np.inf
-    k = np.argmax(gains, axis=1)
-    # a strict '>' keeps ties and NaN gains (lambda_ = 0) with the first feature
-    best: Optional[Split] = None
-    for i in np.flatnonzero(valid.any(axis=1)).tolist():
-        j = k[i]
-        if best is None or gains[i, j] > best.gain:
-            best = Split(int(cols[i]), float((sv[i, j] + sv[i, j + 1]) / 2.0), float(gains[i, j]))
-    if best is None or best.gain <= 0.0:
+    at = np.argmax(gains, axis=1)
+    top = gains[np.arange(k), at]
+    # ties go to the first feature; a NaN gain (lambda_ = 0) wins only on
+    # the first feature with a valid boundary, as a strict '>' scan would
+    first = int(np.argmax(valid.any(axis=1)))
+    nan = np.isnan(top)
+    i = first if nan[first] else int(np.argmax(np.where(nan, -np.inf, top)))
+    if top[i] <= 0.0:
         return None
-    return best
+    lo, hi = x[block[i, at[i] : at[i] + 2], cols[i]]
+    return Split(int(cols[i]), float((lo + hi) / 2.0), float(top[i]))
 
 
 def _build_tree(
@@ -216,21 +246,39 @@ def _build_tree(
     g: np.ndarray,
     h: np.ndarray,
     rows: np.ndarray,
+    block: np.ndarray,
     depth: int,
     params: TrainParams,
-    feature_indices: np.ndarray,
+    cols: np.ndarray,
 ) -> dict:
-    if depth < params.max_depth and rows.size >= 2:
-        split = best_split(x[rows], g[rows], h[rows], params, feature_indices)
+    """Grow the subtree of the node holding `rows` (ascending) from its block.
+
+    The caller hands `block` over: once this node has cut it into its
+    children's blocks it drops it, so only pending siblings' blocks, which
+    cover disjoint rows, stay alive down the recursion.
+    """
+    total_g, total_h = float(g[rows].sum()), float(h[rows].sum())
+    if depth < params.max_depth:
+        split = _scan(x, g, h, block, cols, total_g, total_h, params)
         if split is not None:
-            mask = x[rows, split.feature] < split.threshold
+            goes_left = x[:, split.feature] < split.threshold
+            # a stable gather keeps each child's block sorted
+            side = goes_left[block]
+            pending = [block[~side].reshape(block.shape[0], -1),
+                       block[side].reshape(block.shape[0], -1)]
+            del block, side
+            mask = goes_left[rows]
             return {
                 "feature": split.feature,
                 "threshold": split.threshold,
-                "left": _build_tree(x, g, h, rows[mask], depth + 1, params, feature_indices),
-                "right": _build_tree(x, g, h, rows[~mask], depth + 1, params, feature_indices),
+                "left": _build_tree(
+                    x, g, h, rows[mask], pending.pop(), depth + 1, params, cols
+                ),
+                "right": _build_tree(
+                    x, g, h, rows[~mask], pending.pop(), depth + 1, params, cols
+                ),
             }
-    return {"value": -float(g[rows].sum()) / (float(h[rows].sum()) + params.lambda_)}
+    return {"value": -total_g / (total_h + params.lambda_)}
 
 
 def _tree_predict(node: dict, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -355,6 +403,9 @@ def train(
     margins = np.full(n, base_score, dtype=np.float64)
     all_rows = np.arange(n)
     all_features = np.arange(n_features)
+    # a node's rows stay in ascending index order, so this stable order
+    # restricted to them is the stable order of the node's own values
+    order = np.argsort(x.T, axis=1, kind="stable").astype(np.int32)
 
     for _ in range(params.num_boost_round):
         g, h = logistic_grad_hess(margins, y)
@@ -366,9 +417,14 @@ def train(
         if params.colsample < 1.0:
             k = max(1, int(params.colsample * n_features))
             features = np.sort(rng.choice(n_features, size=k, replace=False))
+            block = order[features]
         else:
-            features = all_features
-        tree = _build_tree(x, g, h, rows, 0, params, features)
+            features, block = all_features, order
+        if rows.size < n:
+            kept = np.zeros(n, dtype=bool)
+            kept[rows] = True
+            block = block[kept[block]].reshape(block.shape[0], rows.size)
+        tree = _build_tree(x, g, h, rows, block, 0, params, features)
         model.trees.append(tree)
         margins += params.eta * tree_values(tree, x)
     return model

@@ -282,6 +282,13 @@ class TestUsageErrors:
         assert main(["synth", "--config", conf, "--workdir", workdir]) == 1
         assert reason in capsys.readouterr().err
 
+    def test_max_depth_above_bound(self, tmp_path, capsys):
+        # deeper trees would overflow the recursion of tree growth
+        conf = write_conf(tmp_path, "max_depth = 5000\n")
+        workdir = str(tmp_path / "w")
+        assert main(["train", "--config", conf, "--workdir", workdir]) == 1
+        assert "max_depth must be in [1, 64], got 5000" in capsys.readouterr().err
+
 
 class TestDataErrors:
     def test_extract_before_synth(self, tmp_path, capsys):
@@ -317,7 +324,8 @@ class TestDataErrors:
     @pytest.mark.parametrize(
         "corrupt",
         ["format", "feature 99", "feature -1", "feature 6.7", "n_features 64",
-         "eta nan", "lambda_ nan", "gamma nan", "min_child_weight nan", "nested 5000"],
+         "eta nan", "lambda_ nan", "gamma nan", "min_child_weight nan", "nested 5000",
+         "max_depth 5000"],
     )
     def test_predict_with_corrupt_model_content(
         self, pipeline, tmp_path, capsys, corrupt
@@ -332,6 +340,8 @@ class TestDataErrors:
             payload["params"][corrupt.split()[0]] = float("nan")
         elif corrupt == "n_features 64":
             payload["n_features"] = 64
+        elif corrupt == "max_depth 5000":
+            payload["params"]["max_depth"] = 5000
         elif corrupt.startswith("feature "):
             feature = json.loads(corrupt.split()[1])
             leaf = {"value": 0.0}

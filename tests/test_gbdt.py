@@ -283,7 +283,7 @@ def split_problems(draw):
         margins,
         labels,
         lambda_=draw(st.sampled_from([0.0, 1.0])),
-        min_child_weight=draw(st.sampled_from([0.0, 0.5])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
         gamma=draw(st.sampled_from([0.0, 0.1])),
         features=features,
     )
@@ -307,6 +307,8 @@ ABOVE_ONE = float(np.nextafter(1.0, 2.0))
     np.column_stack([DUPLICATED, DUPLICATED]), [0.2, -0.1, 0.5, 0.0, -0.3, 0.1],
     [1, 0, 1, 1, 0, 0], features=[3, 0, 2]))
 @example(problem=split_problem(
+    DUPLICATED, [0.2, -0.1, 0.5, 0.0, -0.3, 0.1], [1, 0, 1, 1, 0, 0], features=[]))
+@example(problem=split_problem(
     DUPLICATED, PLUS_MINUS_40, [0, 1, 1, 0, 0, 1], lambda_=0.0, min_child_weight=0.0))
 # feature 1's zero-hessian prefix gives a NaN gain: it loses when searched
 # after feature 0's finite gain, and wins when searched first
@@ -320,10 +322,99 @@ ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 # there is no threshold between them
 @example(problem=split_problem(
     [[1.0, 0.0], [1.0, 0.0], [ABOVE_ONE, 0.0], [ABOVE_ONE, 0.0]], [0.0] * 4, [0, 0, 1, 1]))
+# hessians 0.25 sum to exactly 2 * min_child_weight: only the middle split
+# is valid, so a node at that total must still be searched
+@example(problem=split_problem(
+    [[0.0], [1.0], [2.0], [3.0]], [0.0] * 4, [0, 0, 1, 1], min_child_weight=0.5))
 def test_best_split_matches_per_feature_reference(problem):
     want = split_outcome(reference_best_split, problem)
     got = split_outcome(best_split, problem)
     assert same_split(got, want), (got, want)
+
+
+def reference_tree(x, g, h, rows, depth, params, features):
+    """One tree grown by calling best_split on each node's own rows."""
+    if depth < params.max_depth and rows.size >= 2:
+        split = best_split(x[rows], g[rows], h[rows], params, features)
+        if split is not None:
+            left = x[rows, split.feature] < split.threshold
+            return {
+                "feature": split.feature,
+                "threshold": split.threshold,
+                "left": reference_tree(x, g, h, rows[left], depth + 1, params, features),
+                "right": reference_tree(x, g, h, rows[~left], depth + 1, params, features),
+            }
+    return {"value": -float(g[rows].sum()) / (float(h[rows].sum()) + params.lambda_)}
+
+
+def reference_trees(x, y, params, seed):
+    """train()'s boosting rounds and rng draws, each tree from reference_tree."""
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    prevalence = float(y.mean())
+    margins = np.full(n, math.log(prevalence / (1.0 - prevalence)))
+    trees = []
+    for _ in range(params.num_boost_round):
+        g, h = logistic_grad_hess(margins, y)
+        rows, features = np.arange(n), np.arange(d)
+        if params.subsample < 1.0:
+            m = max(1, int(params.subsample * n))
+            rows = np.sort(rng.choice(n, size=m, replace=False))
+        if params.colsample < 1.0:
+            k = max(1, int(params.colsample * d))
+            features = np.sort(rng.choice(d, size=k, replace=False))
+        trees.append(reference_tree(x, g, h, rows, 0, params, features))
+        margins += params.eta * tree_values(trees[-1], x)
+    return trees
+
+
+def trees_json(grow):
+    """The grown trees as exact JSON text, or the error growing them raised."""
+    try:
+        return json.dumps(grow())
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+@st.composite
+def train_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    cell = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 3.0)
+    x = draw(st.lists(cell, min_size=n * d, max_size=n * d))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    y[0], y[1] = 0, 1
+    params = TrainParams(
+        num_boost_round=draw(st.integers(1, 4)),
+        eta=draw(st.sampled_from([0.1, 0.3, 1.0])),
+        max_depth=draw(st.integers(1, 8)),
+        min_child_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        lambda_=draw(st.sampled_from([0.0, 1.0])),
+        gamma=draw(st.sampled_from([0.0, 0.1])),
+        subsample=draw(st.sampled_from([1.0, 0.8, 0.5])),
+        colsample=draw(st.sampled_from([1.0, 0.7, 0.4])),
+    )
+    return np.reshape(x, (n, d)), np.asarray(y, float), params, draw(st.integers(0, 99))
+
+
+def large_train_problem():
+    rng = np.random.default_rng(8)
+    x = np.round(rng.normal(size=(300, 6)), 1)  # many repeated values
+    y = (rng.uniform(size=300) < 0.3 + 0.4 * (x[:, 2] > 0)).astype(float)
+    params = TrainParams(num_boost_round=3, max_depth=8, min_child_weight=0.5,
+                         subsample=0.8, colsample=0.5)
+    return x, y, params, 5
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(problem=train_problems())
+@example(problem=large_train_problem())
+def test_train_trees_match_per_node_best_split(problem):
+    x, y, params, seed = problem
+    want = trees_json(lambda: reference_trees(x, y, params, seed))
+    got = trees_json(lambda: train(x, y, params, seed).trees)
+    assert got == want
 
 
 class TestTrainParams:
@@ -343,6 +434,7 @@ class TestTrainParams:
             {"min_child_weight": float("nan")},
             {"lambda_": float("nan")},
             {"gamma": float("nan")},
+            {"max_depth": 65},
         ],
     )
     def test_bounds(self, kwargs):
@@ -407,6 +499,19 @@ class TestTrain:
             losses.append(logistic_loss(margins, y))
         diffs = np.diff(losses)
         assert (diffs <= 1e-12).all()
+
+    def test_deepest_allowed_tree(self):
+        # alternating labels on one sorted column grow one long chain
+        x = np.arange(1500, dtype=float)[:, None]
+        y = np.arange(1500) % 2
+        params = TrainParams(num_boost_round=1, max_depth=64, min_child_weight=0.0)
+        model = train(x, y, params, seed=0)
+        depth, node = 0, model.trees[0]
+        while "value" not in node:
+            depth += 1
+            node = max(node["left"], node["right"], key=lambda c: "value" not in c)
+        assert depth == 64
+        assert GBDTModel.from_dict(json.loads(json.dumps(model.to_dict()))).trees == model.trees
 
     def test_learns_noiseless_rule(self):
         x, y = separable_data(400, seed=12)
