@@ -409,6 +409,22 @@ class TestDataErrors:
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "line 5" in capsys.readouterr().err
 
+    def test_tune_on_single_class_table(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "features.csv"
+        lines = path.read_text().splitlines()
+        for i in range(1, len(lines)):
+            cells = lines[i].split(",")
+            cells[FEATURE_COUNT] = "0"
+            lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["tune", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            "skipcast: training labels contain a single class; cannot fit a classifier\n"
+        )
+
     def test_evaluate_before_predict(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)

@@ -3,6 +3,8 @@
 import io
 import itertools
 import json
+import math
+import os
 import warnings
 from dataclasses import replace
 
@@ -11,13 +13,14 @@ import pytest
 
 from skipcast.errors import (
     ConfigError,
+    DegenerateLabelsError,
     DegenerateSampleError,
     IntegrityError,
     RowParseError,
     SchemaError,
 )
 from skipcast.features import FEATURE_COUNT, FeatureTable, feature_schema_hash
-from skipcast.gbdt import TrainParams
+from skipcast.gbdt import GBDTModel, TrainParams, auc, train
 from skipcast.modelbank import (
     GRID,
     GRID_REPORT_HEADER,
@@ -377,3 +380,86 @@ class TestGridReport:
             "0.1,6,1.0,1.0,0.6,0",
             "0.2,6,1.0,1.0,0.7,1",
         ]
+
+
+@pytest.fixture(params=[1, 3], ids=["1cpu", "3cpus"])
+def cpus(request, monkeypatch):
+    """The CPU set this process may run on, patched to 1 or 3 CPUs."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False
+    )
+    return request.param
+
+
+def serial_grid_csv(table, seed, num_boost_round):
+    """grid_report.csv text from one train() and auc() per GRID point in turn."""
+    unique = list(dict.fromkeys(table.session_ids))
+    perm = np.random.default_rng([seed, 1]).permutation(len(unique))
+    n_train = min(max(1, round(0.8 * len(unique))), len(unique) - 1)
+    train_sids = {unique[i] for i in perm[:n_train]}
+    in_train = np.array([sid in train_sids for sid in table.session_ids])
+    rows = []
+    for point in itertools.product(*GRID.values()):
+        tuned = dict(zip(GRID, point))
+        params = TrainParams(num_boost_round=num_boost_round, **tuned)
+        model = train(table.x[in_train], table.labels[in_train], params, seed=seed)
+        scores = model.predict_proba(table.x[~in_train])
+        rows.append(GridRow(tuned, auc(scores, table.labels[~in_train])))
+    aucs = [row.val_auc for row in rows]
+    buf = io.StringIO()
+    GridReport(rows=rows, best_index=aucs.index(max(aucs))).write_csv(buf)
+    return buf.getvalue()
+
+
+def serial_bank(table, params, seed, fallback):
+    """The bank from one train() per position in turn; `fallback` is constant."""
+    models = []
+    for j, rows in enumerate(partition_by_position(table.positions), start=1):
+        y = table.labels[rows]
+        if j == fallback:
+            p = (int(y.sum()) + 1.0) / (y.size + 2.0)
+            models.append(GBDTModel(
+                params=params, base_score=math.log(p / (1.0 - p)),
+                n_features=table.x.shape[1], seed=seed + j, trees=[],
+            ))
+        else:
+            models.append(train(table.x[rows], y, params, seed=seed + j))
+    return ModelBank(
+        models=models, params=params, seed=seed, fallback_positions=(fallback,)
+    )
+
+
+class TestWorkerPoolOracle:
+    """Output is byte-identical to serial fits on any number of CPUs."""
+
+    def test_grid_report_matches_serial_fits(self, cpus):
+        table = grid_table(n_sessions=30)
+        buf = io.StringIO()
+        grid_search(table, seed=3, num_boost_round=2).write_csv(buf)
+        assert buf.getvalue() == serial_grid_csv(table, seed=3, num_boost_round=2)
+
+    def test_bank_files_match_serial_fits(self, cpus, tmp_path):
+        table = make_table()
+        table.labels[table.positions == 7] = 1
+        params = TrainParams(
+            num_boost_round=4, eta=0.3, max_depth=3, subsample=0.7, colsample=0.8
+        )
+        with pytest.warns(RuntimeWarning, match="position 7"):
+            train_bank(table, params, seed=11).save(tmp_path / "bank")
+        serial_bank(table, params, seed=11, fallback=7).save(tmp_path / "serial")
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len(names) == 11
+        assert sorted(p.name for p in (tmp_path / "bank").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "bank" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes(), name
+
+    def test_single_class_table_raises_typed_error(self, cpus):
+        table = grid_table()
+        table.labels[:] = 0
+        with pytest.raises(
+            DegenerateLabelsError,
+            match=r"^training labels contain a single class; cannot fit a classifier$",
+        ):
+            grid_search(table, seed=1, num_boost_round=1)
