@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
@@ -184,6 +185,13 @@ class FeatureTable:
                 positions.append(int(cells[FEATURE_COUNT + 2]))
             except ValueError as exc:
                 raise RowParseError(f"feature matrix line {line}: {exc}", line)
+            if not all(map(math.isfinite, rows[-1])):
+                k = next(k for k, v in enumerate(rows[-1]) if not math.isfinite(v))
+                raise RowParseError(
+                    f"feature matrix line {line}: {FEATURE_NAMES[k]}={cells[k]!r} "
+                    "is not a finite number",
+                    line,
+                )
             if labels[-1] not in (0, 1):
                 raise RowParseError(
                     f"feature matrix line {line}: label {labels[-1]} is not 0 or 1", line

@@ -8,6 +8,14 @@ target row, which the combination strategies consume session by session.
 Positions whose training rows are missing or single-class get a constant
 fallback model (zero trees, smoothed-prevalence base score) and a warning;
 bank training never aborts because one position is starved.
+
+The fits of ``train_bank`` (one per trainable position) and of
+``grid_search`` (one per GRID point) run in worker processes, one per CPU
+in this process's affinity mask and at most one per fit; ``taskset -c 0``
+runs them on one CPU. Every fit seeds its own rng and results come back in
+job order, so the output is byte-identical for any number of workers.
+Fallback decisions, their warnings and the choice of the best grid row
+stay in the calling process.
 """
 
 from __future__ import annotations
@@ -15,7 +23,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO
@@ -31,7 +41,7 @@ from .errors import (
     SchemaError,
 )
 from .features import FEATURE_COUNT, FeatureTable, feature_schema_hash
-from .gbdt import GBDTModel, TrainParams, auc, train
+from .gbdt import GBDTModel, TrainParams, _integer, auc, train
 
 MANIFEST_NAME = "manifest.json"
 
@@ -42,6 +52,45 @@ GRID = {
     "colsample": (0.8, 1.0),
     "subsample": (0.8, 0.9, 1.0),
 }
+
+
+# what every job of the current worker pool shares; set once per worker
+_shared: tuple = ()
+
+
+def _share(*values) -> None:
+    global _shared
+    _shared = values
+
+
+def _map_fits(fit, jobs: list, *shared) -> list:
+    """[fit(job) for job in jobs], run on worker processes that hold `shared`.
+
+    `fit` is a module-level function that reads `shared` from `_shared`.
+    Results, and the error of the first failing job, come in job order.
+    """
+    if not jobs:
+        return []
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with ProcessPoolExecutor(
+        max_workers=min(len(jobs), cpus), initializer=_share, initargs=shared
+    ) as pool:
+        return list(pool.map(fit, jobs))
+
+
+def _fit_position(job: tuple[np.ndarray, int]) -> GBDTModel:
+    x, labels, params = _shared
+    rows, seed = job
+    return train(x[rows], labels[rows], params, seed=seed)
+
+
+def _fit_grid_point(tuned: dict) -> float:
+    x_train, y_train, x_val, y_val, num_boost_round, seed = _shared
+    params = TrainParams(num_boost_round=num_boost_round, **tuned)
+    return auc(train(x_train, y_train, params, seed=seed).predict_proba(x_val), y_val)
 
 
 def partition_by_position(positions: np.ndarray) -> list[np.ndarray]:
@@ -123,8 +172,26 @@ class ModelBank:
                 raise SchemaError(
                     "bank was trained with a different feature schema; re-train it"
                 )
-            models = [GBDTModel.load(bank_dir / name) for name in manifest["models"]]
-            for name, model in zip(manifest["models"], models):
+            names = manifest["models"]
+            if type(names) is not list or len(names) != MAX_TARGET_POSITIONS:
+                raise SchemaError(
+                    f"{manifest_path} must list {MAX_TARGET_POSITIONS} models, "
+                    f"got {names!r}"
+                )
+            seed = _integer(manifest["seed"], f"{manifest_path} seed")
+            fallbacks = tuple(
+                _integer(j, f"{manifest_path} fallback position")
+                for j in manifest["fallback_positions"]
+            )
+            if len(set(fallbacks)) != len(fallbacks) or not all(
+                1 <= j <= MAX_TARGET_POSITIONS for j in fallbacks
+            ):
+                raise SchemaError(
+                    f"{manifest_path} fallback positions {list(fallbacks)} are not "
+                    f"distinct positions in [1, {MAX_TARGET_POSITIONS}]"
+                )
+            models = [GBDTModel.load(bank_dir / name) for name in names]
+            for name, model in zip(names, models):
                 if model.n_features != FEATURE_COUNT:
                     raise SchemaError(
                         f"model file {bank_dir / name} expects {model.n_features} "
@@ -133,8 +200,8 @@ class ModelBank:
             return cls(
                 models=models,
                 params=TrainParams(**manifest["params"]),
-                seed=int(manifest["seed"]),
-                fallback_positions=tuple(manifest["fallback_positions"]),
+                seed=seed,
+                fallback_positions=fallbacks,
             )
         except (
             ConfigError, ValueError, KeyError, TypeError, AttributeError, RecursionError
@@ -148,13 +215,13 @@ def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank
         raise DegenerateSampleError("cannot train a bank on an empty table")
     n_features = table.x.shape[1]
     global_pos = int(table.labels.sum())
-    models: list[GBDTModel] = []
+    models: list[GBDTModel | None] = []  # None until its fit comes back
     fallbacks: list[int] = []
+    jobs: list[tuple[np.ndarray, int]] = []
     for j, rows in enumerate(partition_by_position(table.positions), start=1):
         model_seed = seed + j
-        y = table.labels[rows]
         n = int(rows.size)
-        n_pos = int(y.sum())
+        n_pos = int(table.labels[rows].sum())
         if n < 2 or n_pos == 0 or n_pos == n:
             warnings.warn(
                 f"position {j}: {n} rows with {n_pos} positives; "
@@ -166,10 +233,15 @@ def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank
                 n_pos, n = global_pos, len(table)
             models.append(_constant_model(params, n_features, model_seed, n_pos, n))
             fallbacks.append(j)
-            continue
-        models.append(train(table.x[rows], y, params, seed=model_seed))
+        else:
+            models.append(None)
+            jobs.append((rows, model_seed))
+    fitted = iter(_map_fits(_fit_position, jobs, table.x, table.labels, params))
     return ModelBank(
-        models=models, params=params, seed=seed, fallback_positions=tuple(fallbacks)
+        models=[next(fitted) if m is None else m for m in models],
+        params=params,
+        seed=seed,
+        fallback_positions=tuple(fallbacks),
     )
 
 
@@ -255,7 +327,7 @@ def grid_search(
     """Sweep every point of GRID on a pooled 80/20 session split.
 
     One model is trained per grid point on all positions pooled together and
-    scored by held-out AUC. Points run in GRID order, the first key slowest;
+    scored by held-out AUC. Rows come in GRID order, the first key slowest;
     ties keep the earlier row.
     """
     unique = list(dict.fromkeys(table.session_ids))
@@ -273,13 +345,13 @@ def grid_search(
     x_train, y_train = table.x[in_train], table.labels[in_train]
     x_val, y_val = table.x[~in_train], table.labels[~in_train]
 
-    rows: list[GridRow] = []
+    points = [dict(zip(GRID, p)) for p in itertools.product(*GRID.values())]
+    aucs = _map_fits(
+        _fit_grid_point, points, x_train, y_train, x_val, y_val, num_boost_round, seed
+    )
+    rows = [GridRow(tuned, val_auc) for tuned, val_auc in zip(points, aucs)]
     best_index = 0
-    for point in itertools.product(*GRID.values()):
-        tuned = dict(zip(GRID, point))
-        params = TrainParams(num_boost_round=num_boost_round, **tuned)
-        model = train(x_train, y_train, params, seed=seed)
-        rows.append(GridRow(tuned, auc(model.predict_proba(x_val), y_val)))
-        if rows[-1].val_auc > rows[best_index].val_auc:
-            best_index = len(rows) - 1
+    for i, row in enumerate(rows):
+        if row.val_auc > rows[best_index].val_auc:
+            best_index = i
     return GridReport(rows=rows, best_index=best_index)

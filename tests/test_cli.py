@@ -396,6 +396,21 @@ class TestDataErrors:
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "line 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_train_with_non_finite_feature_cell(
+        self, pipeline, tmp_path, capsys, cell
+    ):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "features.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = cell + lines[4][lines[4].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "not a finite number" in err
+
     def test_train_with_label_outside_0_1(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)

@@ -379,6 +379,19 @@ class TestCorpusAssembly:
             FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
         assert exc_info.value.line_num == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_csv_non_finite_cell_reports_line(self, cell):
+        buf = io.StringIO()
+        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[5] = cell
+        lines[2] = ",".join(cells)
+        with pytest.raises(RowParseError, match="line 3: .*not a finite") as exc_info:
+            FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 3
+        assert FEATURE_NAMES[5] in str(exc_info.value)
+
     def test_csv_header_is_checked(self):
         with pytest.raises(SchemaError):
             FeatureTable.read_csv(io.StringIO("a,b,c\n1,2,3\n"))

@@ -220,6 +220,30 @@ class TestSaveLoad:
         with pytest.raises(SchemaError, match="manifest.json"):
             ModelBank.load(tmp_path / "bank")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("models", [f"model_{j:02d}.json" for j in range(1, 4)]),
+            ("models", "model_01.json"),
+            ("seed", 6.7),
+            ("seed", "5"),
+            ("seed", True),
+            ("fallback_positions", [2.5]),
+            ("fallback_positions", [3, 3]),
+            ("fallback_positions", [0]),
+            ("fallback_positions", [11]),
+            ("fallback_positions", 3),
+        ],
+    )
+    def test_manifest_bad_field_rejected(self, bank, tmp_path, key, value):
+        bank.save(tmp_path / "bank")
+        path = tmp_path / "bank" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="manifest.json"):
+            ModelBank.load(tmp_path / "bank")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SchemaError, match="manifest"):
             ModelBank.load(tmp_path)
