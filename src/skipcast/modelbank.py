@@ -54,7 +54,8 @@ GRID = {
 }
 
 
-# what every job of the current worker pool shares; set once per worker
+# what every job of a worker's pool shares; the pool initializer sets it in
+# each worker process, and the calling process never does
 _shared: tuple = ()
 
 
@@ -67,7 +68,8 @@ def _map_fits(fit, jobs: list, *shared) -> list:
     """[fit(job) for job in jobs], run on worker processes that hold `shared`.
 
     `fit` is a module-level function that reads `shared` from `_shared`.
-    Results, and the error of the first failing job, come in job order.
+    There is one worker per CPU this process may run on, at most one per
+    job. Results, and the error of the first failing job, come in job order.
     """
     if not jobs:
         return []
