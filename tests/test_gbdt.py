@@ -737,6 +737,40 @@ def naive_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def tie_loop_auc(scores, labels):
+    """auc with its ranks from a Python loop over runs of equal sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels).astype(bool)
+    n_pos = int(pos.sum())
+    n_neg = int(pos.size - n_pos)
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos_rank_sum = float(ranks[pos].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@st.composite
+def tied_auc_inputs(draw):
+    """Scores on a few rounded levels, some NaN, with both label classes."""
+    n = draw(st.integers(2, 150))
+    levels = draw(st.lists(
+        st.floats(-3.0, 3.0).map(lambda v: round(v, 2)), min_size=1, max_size=5
+    ))
+    cells = st.one_of(st.sampled_from(levels), st.just(math.nan))
+    scores = draw(st.lists(cells, min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[0], labels[1] = 0, 1
+    return np.array(scores), np.array(labels)
+
+
 class TestAuc:
     def test_hand_case(self):
         scores = np.array([0.1, 0.4, 0.35, 0.8])
@@ -767,6 +801,16 @@ class TestAuc:
         assert auc(scores, labels) == pytest.approx(
             naive_auc(scores, labels), abs=1e-12
         )
+
+    # each NaN score is a run of its own, as NaN != NaN in the loop
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=tied_auc_inputs())
+    @example(inputs=(np.array([math.nan, math.nan, 0.5]), np.array([0, 1, 1])))
+    @example(inputs=(np.array([0.0, -0.0, 0.0, 1.0]), np.array([1, 0, 0, 1])))
+    def test_equals_tie_loop_exactly(self, inputs):
+        scores, labels = inputs
+        got, want = auc(scores, labels), tie_loop_auc(scores, labels)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(77)

@@ -435,12 +435,17 @@ def serial_grid_csv(table, seed, num_boost_round):
     return buf.getvalue()
 
 
-def serial_bank(table, params, seed, fallback):
-    """The bank from one train() per position in turn; `fallback` is constant."""
+def serial_bank(table, params, seed, fallbacks):
+    """The bank from one train() per position in turn; `fallbacks` are constant.
+
+    A fallback position without rows takes the whole table's prevalence.
+    """
     models = []
     for j, rows in enumerate(partition_by_position(table.positions), start=1):
         y = table.labels[rows]
-        if j == fallback:
+        if j in fallbacks:
+            if y.size == 0:
+                y = table.labels
             p = (int(y.sum()) + 1.0) / (y.size + 2.0)
             models.append(GBDTModel(
                 params=params, base_score=math.log(p / (1.0 - p)),
@@ -449,7 +454,7 @@ def serial_bank(table, params, seed, fallback):
         else:
             models.append(train(table.x[rows], y, params, seed=seed + j))
     return ModelBank(
-        models=models, params=params, seed=seed, fallback_positions=(fallback,)
+        models=models, params=params, seed=seed, fallback_positions=fallbacks
     )
 
 
@@ -464,13 +469,19 @@ class TestWorkerPoolOracle:
 
     def test_bank_files_match_serial_fits(self, cpus, tmp_path):
         table = make_table()
-        table.labels[table.positions == 7] = 1
+        table.labels[table.positions == 7] = 1  # single-class fallback
+        table.positions[table.positions == 10] = 9  # empty-position fallback
         params = TrainParams(
             num_boost_round=4, eta=0.3, max_depth=3, subsample=0.7, colsample=0.8
         )
-        with pytest.warns(RuntimeWarning, match="position 7"):
+        with pytest.warns(RuntimeWarning) as record:
             train_bank(table, params, seed=11).save(tmp_path / "bank")
-        serial_bank(table, params, seed=11, fallback=7).save(tmp_path / "serial")
+        assert [str(w.message).split(":")[0] for w in record] == [
+            "position 7", "position 10"
+        ]
+        serial_bank(table, params, seed=11, fallbacks=(7, 10)).save(
+            tmp_path / "serial"
+        )
         names = sorted(p.name for p in (tmp_path / "serial").iterdir())
         assert len(names) == 11
         assert sorted(p.name for p in (tmp_path / "bank").iterdir()) == names
