@@ -241,46 +241,6 @@ def _scan(
     return Split(int(cols[i]), float((lo + hi) / 2.0), float(top[i]))
 
 
-def _build_tree(
-    x: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    rows: np.ndarray,
-    block: np.ndarray,
-    depth: int,
-    params: TrainParams,
-    cols: np.ndarray,
-) -> dict:
-    """Grow the subtree of the node holding `rows` (ascending) from its block.
-
-    The caller hands `block` over: once this node has cut it into its
-    children's blocks it drops it, so only pending siblings' blocks, which
-    cover disjoint rows, stay alive down the recursion.
-    """
-    total_g, total_h = float(g[rows].sum()), float(h[rows].sum())
-    if depth < params.max_depth:
-        split = _scan(x, g, h, block, cols, total_g, total_h, params)
-        if split is not None:
-            goes_left = x[:, split.feature] < split.threshold
-            # a stable gather keeps each child's block sorted
-            side = goes_left[block]
-            pending = [block[~side].reshape(block.shape[0], -1),
-                       block[side].reshape(block.shape[0], -1)]
-            del block, side
-            mask = goes_left[rows]
-            return {
-                "feature": split.feature,
-                "threshold": split.threshold,
-                "left": _build_tree(
-                    x, g, h, rows[mask], pending.pop(), depth + 1, params, cols
-                ),
-                "right": _build_tree(
-                    x, g, h, rows[~mask], pending.pop(), depth + 1, params, cols
-                ),
-            }
-    return {"value": -total_g / (total_h + params.lambda_)}
-
-
 def _tree_predict(node: dict, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     if "value" in node:
         out[rows] = node["value"]
@@ -407,6 +367,33 @@ def train(
     # restricted to them is the stable order of the node's own values
     order = np.argsort(x.T, axis=1, kind="stable").astype(np.int32)
 
+    def grow(rows: np.ndarray, block: np.ndarray, depth: int) -> dict:
+        """The subtree of the node holding `rows` (ascending), from its block.
+
+        It reads the g, h and features of the round being grown. The caller
+        hands `block` over: once this node has cut it into its children's
+        blocks it drops it, so only pending siblings' blocks, which cover
+        disjoint rows, stay alive down the recursion.
+        """
+        total_g, total_h = float(g[rows].sum()), float(h[rows].sum())
+        if depth < params.max_depth:
+            split = _scan(x, g, h, block, features, total_g, total_h, params)
+            if split is not None:
+                goes_left = x[:, split.feature] < split.threshold
+                # a stable gather keeps each child's block sorted
+                side = goes_left[block]
+                pending = [block[~side].reshape(block.shape[0], -1),
+                           block[side].reshape(block.shape[0], -1)]
+                del block, side
+                mask = goes_left[rows]
+                return {
+                    "feature": split.feature,
+                    "threshold": split.threshold,
+                    "left": grow(rows[mask], pending.pop(), depth + 1),
+                    "right": grow(rows[~mask], pending.pop(), depth + 1),
+                }
+        return {"value": -total_g / (total_h + params.lambda_)}
+
     for _ in range(params.num_boost_round):
         g, h = logistic_grad_hess(margins, y)
         if params.subsample < 1.0:
@@ -424,7 +411,7 @@ def train(
             kept = np.zeros(n, dtype=bool)
             kept[rows] = True
             block = block[kept[block]].reshape(block.shape[0], rows.size)
-        tree = _build_tree(x, g, h, rows, block, 0, params, features)
+        tree = grow(rows, block, 0)
         model.trees.append(tree)
         margins += params.eta * tree_values(tree, x)
     return model
@@ -448,13 +435,10 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
         )
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
+    # runs of equal scores; NaN != NaN, so each NaN score is a run of its own
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.append(starts[1:], scores.size) - 1
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     pos_rank_sum = float(ranks[pos].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -110,23 +110,6 @@ def partition_by_position(positions: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _smoothed_logit(n_pos: int, n: int) -> float:
-    p = (n_pos + 1.0) / (n + 2.0)
-    return math.log(p / (1.0 - p))
-
-
-def _constant_model(
-    params: TrainParams, n_features: int, seed: int, n_pos: int, n: int
-) -> GBDTModel:
-    return GBDTModel(
-        params=params,
-        base_score=_smoothed_logit(n_pos, n),
-        n_features=n_features,
-        seed=seed,
-        trees=[],
-    )
-
-
 @dataclass(eq=False)
 class ModelBank:
     models: list[GBDTModel]
@@ -233,7 +216,11 @@ def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank
             )
             if n == 0:
                 n_pos, n = global_pos, len(table)
-            models.append(_constant_model(params, n_features, model_seed, n_pos, n))
+            p = (n_pos + 1.0) / (n + 2.0)  # smoothed prevalence
+            models.append(GBDTModel(
+                params=params, base_score=math.log(p / (1.0 - p)),
+                n_features=n_features, seed=model_seed,
+            ))
             fallbacks.append(j)
         else:
             models.append(None)
@@ -352,8 +339,5 @@ def grid_search(
         _fit_grid_point, points, x_train, y_train, x_val, y_val, num_boost_round, seed
     )
     rows = [GridRow(tuned, val_auc) for tuned, val_auc in zip(points, aucs)]
-    best_index = 0
-    for i, row in enumerate(rows):
-        if row.val_auc > rows[best_index].val_auc:
-            best_index = i
-    return GridReport(rows=rows, best_index=best_index)
+    # max keeps the first of equal maxima
+    return GridReport(rows=rows, best_index=max(range(len(aucs)), key=aucs.__getitem__))
