@@ -187,11 +187,20 @@ def _validate_row_ranges(row: SessionRow) -> None:
             "skip_2 set without skip_3"
         )
     if not 0 <= row.hour <= 23:
-        raise IntegrityError(f"hour {row.hour} outside [0, 23]")
+        raise IntegrityError(
+            f"session {row.session_id!r} position {row.position}: "
+            f"hour {row.hour} outside [0, 23]"
+        )
     if not 1 <= row.day <= 31:
-        raise IntegrityError(f"day {row.day} outside [1, 31]")
+        raise IntegrityError(
+            f"session {row.session_id!r} position {row.position}: "
+            f"day {row.day} outside [1, 31]"
+        )
     if not 1 <= row.month <= 12:
-        raise IntegrityError(f"month {row.month} outside [1, 12]")
+        raise IntegrityError(
+            f"session {row.session_id!r} position {row.position}: "
+            f"month {row.month} outside [1, 12]"
+        )
 
 
 def split_session(session: Session) -> SessionSplit:

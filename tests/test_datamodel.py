@@ -225,7 +225,9 @@ class TestSessionValidation:
                 make_row(position=2, length=2),
             ),
         )
-        with pytest.raises(IntegrityError):
+        with pytest.raises(
+            IntegrityError, match=rf"^session 's0' position 1: {field} {value} outside "
+        ):
             validate_session(bad)
 
 
