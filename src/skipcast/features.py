@@ -196,6 +196,12 @@ class FeatureTable:
                 raise RowParseError(
                     f"feature matrix line {line}: label {labels[-1]} is not 0 or 1", line
                 )
+            if not 1 <= positions[-1] <= MAX_TARGET_POSITIONS:
+                raise RowParseError(
+                    f"feature matrix line {line}: target position {positions[-1]} "
+                    f"outside [1, {MAX_TARGET_POSITIONS}]",
+                    line,
+                )
             sids.append(cells[FEATURE_COUNT + 1])
         n = len(rows)
         x = np.array(rows, dtype=np.float64) if n else np.empty((0, FEATURE_COUNT))

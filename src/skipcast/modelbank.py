@@ -265,7 +265,7 @@ class GridReport:
         if not lines or lines[0] != GRID_REPORT_HEADER:
             raise SchemaError("not a grid report file")
         n_cells = len(GRID_REPORT_HEADER.split(","))
-        rows, best = [], 0
+        rows, best = [], None
         for line_num, line in enumerate(lines[1:], start=2):
             cells = line.split(",")
             try:
@@ -274,6 +274,8 @@ class GridReport:
                         f"expected {n_cells} cells ending in a 0/1 best marker, "
                         f"got {line!r}"
                     )
+                if cells[-1] == "1" and best is not None:
+                    raise ValueError(f"a second best marker after line {best + 2}")
                 # each cell takes the type of its key's grid values
                 point = {k: type(v[0])(c) for (k, v), c in zip(GRID.items(), cells)}
                 TrainParams(**point)
@@ -284,6 +286,8 @@ class GridReport:
                 best = len(rows) - 1
         if not rows:
             raise SchemaError("grid report has no rows")
+        if best is None:
+            raise SchemaError("grid report has no row marked best")
         return cls(rows=rows, best_index=best)
 
 

@@ -375,6 +375,27 @@ class TestDataErrors:
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "line 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("markers", ["none", "two"])
+    def test_train_with_grid_report_best_markers(
+        self, pipeline, tmp_path, capsys, markers
+    ):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "grid_report.csv"
+        lines = path.read_text().splitlines()
+        lines[1:] = [line[:-1] + "0" for line in lines[1:]]
+        if markers == "two":
+            lines[2] = lines[2][:-1] + "1"
+            lines[5] = lines[5][:-1] + "1"
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        if markers == "none":
+            assert "grid report has no row marked best" in err
+        else:
+            assert "line 6: a second best marker" in err
+
     def test_evaluate_with_empty_session_log(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
@@ -423,6 +444,19 @@ class TestDataErrors:
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "line 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["train", "tune"])
+    def test_target_position_outside_1_10(self, pipeline, tmp_path, capsys, stage):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "features.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",11"
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "target position 11 outside [1, 10]" in err
 
     def test_tune_on_single_class_table(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"

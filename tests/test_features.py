@@ -379,6 +379,20 @@ class TestCorpusAssembly:
             FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
         assert exc_info.value.line_num == 3
 
+    @pytest.mark.parametrize("position", ["0", "11"])
+    def test_csv_position_outside_1_10_reports_line(self, position):
+        buf = io.StringIO()
+        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[-1] = position
+        lines[2] = ",".join(cells)
+        with pytest.raises(
+            RowParseError, match=f"line 3: target position {position} outside"
+        ) as exc_info:
+            FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 3
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_csv_non_finite_cell_reports_line(self, cell):
         buf = io.StringIO()

@@ -390,6 +390,20 @@ class TestGridReport:
         with pytest.raises(SchemaError, match="no rows"):
             GridReport.read_csv(io.StringIO(GRID_REPORT_HEADER + "\n"))
 
+    def test_second_best_marker_reports_line(self):
+        text = (
+            f"{GRID_REPORT_HEADER}\n0.1,6,1.0,1.0,0.6,1\n0.2,6,1.0,1.0,0.7,0\n"
+            "0.3,6,1.0,1.0,0.8,1\n"
+        )
+        with pytest.raises(RowParseError, match="line 4: a second best marker") as exc:
+            GridReport.read_csv(io.StringIO(text))
+        assert exc.value.line_num == 4
+
+    def test_rejects_report_without_best_marker(self):
+        text = f"{GRID_REPORT_HEADER}\n0.1,6,1.0,1.0,0.6,0\n0.2,6,1.0,1.0,0.7,0\n"
+        with pytest.raises(SchemaError, match="grid report has no row marked best"):
+            GridReport.read_csv(io.StringIO(text))
+
     def test_exactly_one_best_marker(self):
         report = GridReport(
             rows=[
