@@ -378,6 +378,7 @@ class TestGridReport:
             "0.1,6,1.0,1.0,0.6,x",
             "5.0,6,1.0,1.0,0.6,0",
             "0.1,6,1.0,0.0,0.6,0",
+            "0.2,6,1.0,1.0,0.7,1",  # a second best marker
         ],
     )
     def test_bad_row_reports_line(self, bad_line):
@@ -389,15 +390,6 @@ class TestGridReport:
     def test_rejects_report_without_rows(self):
         with pytest.raises(SchemaError, match="no rows"):
             GridReport.read_csv(io.StringIO(GRID_REPORT_HEADER + "\n"))
-
-    def test_second_best_marker_reports_line(self):
-        text = (
-            f"{GRID_REPORT_HEADER}\n0.1,6,1.0,1.0,0.6,1\n0.2,6,1.0,1.0,0.7,0\n"
-            "0.3,6,1.0,1.0,0.8,1\n"
-        )
-        with pytest.raises(RowParseError, match="line 4: a second best marker") as exc:
-            GridReport.read_csv(io.StringIO(text))
-        assert exc.value.line_num == 4
 
     def test_rejects_report_without_best_marker(self):
         text = f"{GRID_REPORT_HEADER}\n0.1,6,1.0,1.0,0.6,0\n0.2,6,1.0,1.0,0.7,0\n"
