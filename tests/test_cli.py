@@ -22,12 +22,13 @@ from skipcast.config import (
     parse_solutions,
 )
 from skipcast.datamodel import parse_session_log, parse_track_features, split_session
-from skipcast.ensemble import SOLUTION_IDS, EnsembleWeights, combine
+from skipcast.ensemble import SOLUTION_IDS, EnsembleWeights
 from skipcast.errors import ConfigError
 from skipcast.features import FEATURE_COUNT, session_features
 from skipcast.gbdt import TrainParams
 from skipcast.modelbank import ModelBank
 from skipcast.synthetic import SynthConfig
+from test_ensemble import per_session_combine
 
 SMALL_CONF = """\
 # small corpus so the whole pipeline stays fast
@@ -134,11 +135,19 @@ n_sessions = 60
 num_boost_round = 3
 max_depth = 3
 solutions = all
+linear_offset = 12.5
+alpha_scale = 0.6
+fixed_prior = 0.3
+exp_base = 3.0
 """
 
 
 class TestPredictOracle:
-    """Predict-stage output against rows built and scored one session at a time."""
+    """Predict-stage output against rows built and scored one session at a time.
+
+    The scores come from the test's own copy of the per-session strategy
+    code, so the program's corpus scoring is checked against an oracle.
+    """
 
     def test_scores_match_per_session_scoring(self, tmp_path):
         conf = write_conf(tmp_path, ORACLE_CONF)
@@ -161,7 +170,7 @@ class TestPredictOracle:
             score_lines = ["session_id,target_position,score,decision"]
             submission_lines = []
             for s, m, s0 in zip(sessions, matrices, priors):
-                scores = combine(solution, m, s0, cfg.weights)
+                scores = per_session_combine(solution, m, s0, cfg.weights)
                 score_lines += [
                     f"{s.session_id},{i},{repr(float(score))},{int(score >= 0.5)}"
                     for i, score in enumerate(scores, start=1)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skipcast.ensemble import (
     DEFAULT_WEIGHTS,
@@ -71,6 +72,112 @@ def ref_scores(solution, m, s0_hard, weights=DEFAULT_WEIGHTS):
             s = alpha * s0 + (1.0 - alpha) * blended
         out.append(min(1.0, max(0.0, s)))
     return out
+
+
+def per_session_combine(solution, matrix, s0_hard, weights=DEFAULT_WEIGHTS):
+    """The per-session strategy code as it stood before corpus scoring.
+
+    Kept here verbatim as the bit-exact oracle: every sum, mean and dot
+    product runs in the order and shape of the original numpy calls.
+    """
+    n = matrix.shape[0]
+    if solution in (3, 5):
+        s0 = 0.6 if s0_hard >= 0.5 else 0.4
+    else:
+        s0 = float(s0_hard)
+    diag = np.array([matrix[i - 1, i - 1] for i in range(1, n + 1)])
+    j = np.arange(1, 11, dtype=np.float64)
+    if solution == 1:
+        scores = diag
+    elif solution in (2, 3):
+        scores = 0.5 * diag + 0.5 * s0
+    elif solution in (4, 5):
+        q = np.array([matrix[i - 1, :i].mean() for i in range(1, n + 1)])
+        scores = 0.5 * q + 0.5 * s0
+    elif solution in (6, 7):
+        q = matrix[:, :5].mean(axis=1)
+        w = matrix[:, 5:].mean(axis=1)
+        early = 0.4 * s0 + 0.4 * q + 0.2 * w
+        if solution == 6:
+            late = 0.2 * s0 + 0.5 * q + 0.3 * w
+        else:
+            late = 0.4 * s0 + 0.3 * q + 0.3 * w
+        scores = np.where(np.arange(1, n + 1) <= 5, early, late)
+    elif solution in (8, 11):
+        row_mean = matrix[:, :n].mean(axis=1)
+        mix = 0.5 if solution == 8 else 0.4
+        scores = np.empty(n)
+        prev = s0
+        for i in range(n):
+            prev = (1.0 - mix) * row_mean[i] + mix * prev
+            scores[i] = prev
+    else:
+        scores = np.empty(n)
+        for i in range(1, n + 1):
+            if solution == 12:
+                raw = weights.exp_base ** (-np.abs(i - j))
+            else:
+                raw = weights.linear_offset - np.abs(i - j)
+            w = raw / raw.sum()
+            blended = float(w @ matrix[i - 1])
+            if solution == 10:
+                alpha = weights.fixed_prior
+            else:
+                alpha = weights.alpha_scale * (11 - i) / 10.0
+            scores[i - 1] = alpha * s0 + (1.0 - alpha) * blended
+    return np.clip(scores, 0.0, 1.0)
+
+
+def score_corpus(solution, matrix, counts, s0s, weights):
+    """The program's scores for a corpus of sessions stacked row-wise."""
+    stops = np.cumsum(counts)
+    return np.concatenate([
+        combine(solution, matrix[stop - n:stop], s0, weights)
+        for stop, n, s0 in zip(stops, counts, s0s)
+    ])
+
+
+@st.composite
+def corpora(draw):
+    """Sessions of 1..10 targets, both last actions, default or drawn weights."""
+    counts = draw(st.lists(st.integers(1, 10), min_size=1, max_size=8))
+    s0s = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(counts),
+                        max_size=len(counts)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.random((sum(counts), 10))
+    if draw(st.booleans()):
+        matrix = np.round(matrix, 1)  # exact ties and the 0.5 boundary
+    weights = draw(st.one_of(
+        st.just(DEFAULT_WEIGHTS),
+        st.builds(
+            EnsembleWeights,
+            linear_offset=st.floats(9.5, 40.0),
+            alpha_scale=st.floats(0.0, 1.0),
+            fixed_prior=st.floats(0.0, 1.0),
+            exp_base=st.floats(1.01, 8.0),
+        ),
+    ))
+    return counts, s0s, matrix, weights
+
+
+class TestCorpusOracle:
+    """Corpus scoring against the per-session code, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora())
+    @example(corpus=(list(range(1, 11)), [0.0, 1.0] * 5,
+                     np.random.default_rng(5).random((55, 10)), DEFAULT_WEIGHTS))
+    def test_every_strategy_matches_per_session_copy(self, corpus):
+        counts, s0s, matrix, weights = corpus
+        stops = np.cumsum(counts)
+        for solution in SOLUTION_IDS:
+            want = np.concatenate([
+                per_session_combine(solution, matrix[stop - n:stop], s0, weights)
+                for stop, n, s0 in zip(stops, counts, s0s)
+            ])
+            got = score_corpus(solution, matrix, counts, s0s, weights)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), solution
 
 
 def random_matrix(rng, n=None):

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skipcast.datamodel import Session, SessionRow
 from skipcast.errors import DimensionError
@@ -27,6 +28,17 @@ def aa_direct(decisions, truth):
     hits = [1 if d == t else 0 for d, t in zip(decisions, truth)]
     n = len(hits)
     return sum(hits[i] * sum(hits[: i + 1]) / (i + 1) for i in range(n)) / n
+
+
+def loop_average_accuracy(decisions, truth):
+    """The running-accuracy loop as it stood before corpus scoring: the oracle."""
+    total = 0.0
+    correct = 0
+    for i in range(decisions.size):
+        if decisions[i] == truth[i]:
+            correct += 1
+            total += correct / (i + 1)
+    return total / decisions.size
 
 
 def all_bit_vectors(n):
@@ -258,3 +270,64 @@ class TestSolutionsReport:
         assert lines[0].startswith("Solution")
         assert "Solution 9" in lines[1]
         assert "0.6250" in lines[1] and "0.7500" in lines[1]
+
+
+@st.composite
+def scored_corpora(draw, max_targets=10):
+    """(decisions, truth) bool pairs of 1..max_targets slots, one per session."""
+    counts = draw(st.lists(st.integers(1, max_targets), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    accuracy = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    pairs = []
+    for n in counts:
+        truth = rng.random(n) < 0.5
+        pairs.append((truth ^ (rng.random(n) >= accuracy), truth))
+    return pairs
+
+
+class TestLoopOracle:
+    """AA, MAA and FPA against the original per-session loop, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=scored_corpora(max_targets=40))
+    def test_average_accuracy_equals_loop(self, pairs):
+        for decisions, truth in pairs:
+            got = average_accuracy(decisions, truth)
+            assert got == loop_average_accuracy(decisions, truth)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=scored_corpora())
+    def test_corpus_scores_equal_loop(self, pairs):
+        got = corpus_scores(pairs)
+        assert got.maa == float(np.mean([loop_average_accuracy(d, t) for d, t in pairs]))
+        assert got.fpa == float(np.mean([d[0] == t[0] for d, t in pairs]))
+        assert got.n_sessions == len(pairs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_solutions_report_equals_loop(self, data):
+        pairs = data.draw(scored_corpora())
+        odd = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        solutions = [4, 7, 2]
+        sessions, stored = [], {}
+        for k, ((decisions, truth), extra) in enumerate(zip(pairs, odd)):
+            # the truth is the target half; the history half is all 0
+            history = [False] * (truth.size + extra)
+            sessions.append(make_session(f"s{k}", history + truth.tolist()))
+            stored[4, f"s{k}"] = decisions
+            stored[7, f"s{k}"] = truth ^ (rng.random(truth.size) < 0.3)
+            stored[2, f"s{k}"] = rng.random(truth.size) < 0.5
+        rows = solutions_report(
+            sessions, lambda s, k: stored[k, s.session_id], solutions=solutions
+        )
+        want = {}
+        for solution in solutions:
+            scored = [(stored[solution, f"s{k}"], t) for k, (_, t) in enumerate(pairs)]
+            want[solution] = (
+                float(np.mean([loop_average_accuracy(d, t) for d, t in scored])),
+                float(np.mean([d[0] == t[0] for d, t in scored])),
+            )
+        assert [(r.solution, r.maa, r.fpa) for r in rows] == sorted(
+            ((k, *want[k]) for k in solutions), key=lambda r: (r[1], r[2])
+        )
