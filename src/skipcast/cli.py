@@ -30,7 +30,12 @@ from .datamodel import (
     write_session_csv,
     write_track_csv,
 )
-from .ensemble import predict_session, write_scores, write_submission
+from .ensemble import (
+    CorpusPrediction,
+    combine_corpus,
+    write_scores,
+    write_submission,
+)
 from .errors import (
     ConfigError,
     DegenerateSampleError,
@@ -135,40 +140,50 @@ def cmd_predict(cfg: RunConfig) -> None:
     track_map, sessions = _load_corpus(cfg)
     # assemble_corpus emits each session's target rows contiguously, in order
     matrix = bank.predict_matrix(assemble_corpus(sessions, track_map).x)
-    scored, start = [], 0
-    for s in sessions:
-        split = split_session(s)
-        stop = start + len(split.targets)
-        s0 = float(split.history[-1].skip_2)
-        scored.append((s.session_id, matrix[start:stop], s0))
-        start = stop
+    splits = [split_session(s) for s in sessions]
+    ids = [s.session_id for s in sessions]
+    counts = np.array([len(split.targets) for split in splits])
+    s0 = [float(split.history[-1].skip_2) for split in splits]
     for solution in cfg.solutions:
-        predictions = [
-            predict_session(sid, rows, s0, solution, cfg.weights)
-            for sid, rows, s0 in scored
-        ]
+        prediction = CorpusPrediction(
+            ids, counts, combine_corpus(solution, matrix, counts, s0, cfg.weights)
+        )
         with open(cfg.workdir / _submission_name(solution), "w", encoding="utf-8") as fh:
-            write_submission(predictions, fh)
+            write_submission(prediction, fh)
         scores_name = f"scores_solution_{solution:02d}.csv"
         with open(cfg.workdir / scores_name, "w", encoding="utf-8") as fh:
-            write_scores(predictions, fh)
+            write_scores(prediction, fh)
     print(
         f"predict: {len(sessions)} sessions, solutions "
         f"{','.join(str(s) for s in cfg.solutions)}"
     )
 
 
-def _load_submission(path: Path, solution: int) -> dict[str, np.ndarray]:
+def _load_submission(
+    path: Path, solution: int, counts: dict[str, int]
+) -> dict[str, np.ndarray]:
+    """A submission's decisions by session id, checked against `counts`.
+
+    `counts` maps every session of the log to its number of targets.
+    """
     out: dict[str, np.ndarray] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
         if not line:
             continue
         sid, _, bits = line.partition(" ")
+        where = f"{path} line {number}: session {sid!r}"
         if not bits or set(bits) - {"0", "1"}:
+            raise IntegrityError(f"{where}: malformed decision string")
+        if sid not in counts:
+            raise IntegrityError(f"{where}: not in the session log")
+        if sid in out:
+            raise IntegrityError(f"{where}: appears a second time")
+        if len(bits) != counts[sid]:
             raise IntegrityError(
-                f"{path}: malformed decision string for session {sid!r}"
+                f"{where}: {len(bits)} decisions for {counts[sid]} targets"
             )
-        out[sid] = np.array([c == "1" for c in bits], dtype=bool)
+        out[sid] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
     if not out:
         raise IntegrityError(f"{path}: submission for solution {solution} is empty")
     return out
@@ -176,10 +191,11 @@ def _load_submission(path: Path, solution: int) -> dict[str, np.ndarray]:
 
 def cmd_evaluate(cfg: RunConfig) -> None:
     _track_map, sessions = _load_corpus(cfg)
+    counts = {s.session_id: len(split_session(s).targets) for s in sessions}
     submissions = {}
     for solution in cfg.solutions:
         path = _require(cfg.workdir / _submission_name(solution), "predict")
-        submissions[solution] = _load_submission(path, solution)
+        submissions[solution] = _load_submission(path, solution, counts)
 
     def replay(session, solution):
         decisions = submissions[solution].get(session.session_id)

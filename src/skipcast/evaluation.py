@@ -31,47 +31,51 @@ class CorpusScore:
     n_sessions: int
 
 
-def average_accuracy(decisions: Sequence[bool], truth: Sequence[bool]) -> float:
-    decisions = np.asarray(decisions, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if decisions.shape != truth.shape or decisions.ndim != 1:
-        raise DimensionError(
-            f"decisions shape {decisions.shape} != truth shape {truth.shape}"
-        )
-    n = decisions.size
-    if n == 0:
-        raise ValueError("average accuracy is undefined for zero predictions")
-    total = 0.0
-    correct = 0
-    for i in range(n):
-        if decisions[i] == truth[i]:
-            correct += 1
-            total += correct / (i + 1)
-    return total / n
+def _average_accuracies(hits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """AA of every session from the stacked hit flags of all sessions' slots.
 
-
-def first_prediction_correct(
-    decisions: Sequence[bool], truth: Sequence[bool]
-) -> bool:
-    return bool(np.asarray(decisions, dtype=bool)[0] == np.asarray(truth, dtype=bool)[0])
+    It runs the metric's loop for all sessions at once, one step per slot
+    index i: where slot i of a session is a hit, its hit count goes up by
+    one and its total gains count / (i + 1). Each total is then divided by
+    its session's slot count, so every value is the loop's, bit for bit.
+    """
+    starts = np.cumsum(counts) - counts
+    total = np.zeros(counts.size)
+    correct = np.zeros(counts.size, dtype=np.int64)
+    for i in range(int(counts.max(initial=0))):
+        live = np.flatnonzero(counts > i)
+        hit = live[hits[starts[live] + i]]
+        correct[hit] += 1
+        total[hit] += correct[hit] / (i + 1)
+    return total / counts
 
 
 def corpus_scores(
     pairs: Iterable[tuple[Sequence[bool], Sequence[bool]]]
 ) -> CorpusScore:
     """MAA and FPA over (decisions, truth) pairs, one pair per session."""
-    aa_values = []
-    first_flags = []
-    for decisions, truth in pairs:
-        aa_values.append(average_accuracy(decisions, truth))
-        first_flags.append(first_prediction_correct(decisions, truth))
-    if not aa_values:
+    decisions, truths = [], []
+    for d, t in pairs:
+        d, t = np.asarray(d, dtype=bool), np.asarray(t, dtype=bool)
+        if d.shape != t.shape or d.ndim != 1:
+            raise DimensionError(f"decisions shape {d.shape} != truth shape {t.shape}")
+        if d.size == 0:
+            raise ValueError("average accuracy is undefined for zero predictions")
+        decisions.append(d)
+        truths.append(t)
+    if not truths:
         raise ValueError("corpus scores need at least one session")
+    counts = np.array([t.size for t in truths])
+    hits = np.concatenate(decisions) == np.concatenate(truths)
     return CorpusScore(
-        maa=float(np.mean(aa_values)),
-        fpa=float(np.mean(first_flags)),
-        n_sessions=len(aa_values),
+        maa=float(np.mean(_average_accuracies(hits, counts))),
+        fpa=float(np.mean(hits[np.cumsum(counts) - counts])),
+        n_sessions=counts.size,
     )
+
+
+def average_accuracy(decisions: Sequence[bool], truth: Sequence[bool]) -> float:
+    return corpus_scores([(decisions, truth)]).maa
 
 
 def compare(lhs: CorpusScore, rhs: CorpusScore) -> int:
@@ -112,13 +116,10 @@ def solutions_report(
     instance one replaying stored submissions) keeps scoring decoupled from
     model execution.
     """
+    truths = [session_truth(s) for s in sessions]
     rows = []
     for solution in solutions:
-        pairs = [
-            (np.asarray(predictor(s, solution), dtype=bool), session_truth(s))
-            for s in sessions
-        ]
-        corpus = corpus_scores(pairs)
+        corpus = corpus_scores(zip((predictor(s, solution) for s in sessions), truths))
         rows.append(SolutionRow(solution=solution, maa=corpus.maa, fpa=corpus.fpa))
     rows.sort(key=functools.cmp_to_key(compare))
     return rows

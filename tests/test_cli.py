@@ -415,6 +415,31 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "sessions.csv" in err and "no sessions" in err
 
+    @pytest.mark.parametrize(
+        "column,cell,problem",
+        [("hour_of_day", "25", "hour 25 outside [0, 23]"),
+         ("skip_3", "0", "skip_2 set without skip_3")],
+    )
+    def test_extract_with_bad_session_row(
+        self, pipeline, tmp_path, capsys, column, cell, problem
+    ):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "sessions.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[3].split(",")
+        row[header.index("skip_2")] = "1"
+        row[header.index("skip_3")] = "1"
+        row[header.index(column)] = cell
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["extract", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} line 4: session {row[0]!r} position {row[1]}: {problem}\n"
+        )
+
     def test_train_with_unparsable_feature_cell(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
@@ -499,6 +524,35 @@ class TestDataErrors:
         conf = write_conf(tmp_path)
         assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "malformed decision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", ["short", "long", "duplicate", "unknown"])
+    def test_evaluate_with_bad_submission_line(
+        self, pipeline, tmp_path, capsys, corrupt
+    ):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "submission_solution_09.txt"
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if len(line.split(" ")[1]) > 1)
+        sid, bits = lines[k].split(" ")
+        if corrupt == "short":
+            lines[k], number = f"{sid} {bits[1:]}", k + 1
+            reason = f"{len(bits) - 1} decisions for {len(bits)} targets"
+        elif corrupt == "long":
+            lines[k], number = f"{sid} {bits}0", k + 1
+            reason = f"{len(bits) + 1} decisions for {len(bits)} targets"
+        elif corrupt == "duplicate":
+            lines.append(lines[k])
+            number, reason = len(lines), "appears a second time"
+        else:
+            sid = "zzz"
+            lines.insert(k, "zzz 1")
+            number, reason = k + 1, "not in the session log"
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} line {number}: session {sid!r}: {reason}" in err
 
     def test_evaluate_with_missing_session(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"

@@ -14,12 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 from skipcast.ensemble import (
     DEFAULT_WEIGHTS,
     SOLUTION_IDS,
+    CorpusPrediction,
     EnsembleWeights,
     binarize,
     combine,
+    combine_corpus,
     exponential_weights,
     linear_weights,
-    predict_session,
     soften,
     write_scores,
     write_submission,
@@ -128,15 +129,6 @@ def per_session_combine(solution, matrix, s0_hard, weights=DEFAULT_WEIGHTS):
     return np.clip(scores, 0.0, 1.0)
 
 
-def score_corpus(solution, matrix, counts, s0s, weights):
-    """The program's scores for a corpus of sessions stacked row-wise."""
-    stops = np.cumsum(counts)
-    return np.concatenate([
-        combine(solution, matrix[stop - n:stop], s0, weights)
-        for stop, n, s0 in zip(stops, counts, s0s)
-    ])
-
-
 @st.composite
 def corpora(draw):
     """Sessions of 1..10 targets, both last actions, default or drawn weights."""
@@ -161,7 +153,10 @@ def corpora(draw):
 
 
 class TestCorpusOracle:
-    """Corpus scoring against the per-session code, bit for bit."""
+    """Corpus scoring against the per-session code, bit for bit.
+
+    Each drawn corpus mixes session lengths and is scored in one call.
+    """
 
     @settings(max_examples=150, deadline=None)
     @given(corpus=corpora())
@@ -175,7 +170,7 @@ class TestCorpusOracle:
                 per_session_combine(solution, matrix[stop - n:stop], s0, weights)
                 for stop, n, s0 in zip(stops, counts, s0s)
             ])
-            got = score_corpus(solution, matrix, counts, s0s, weights)
+            got = combine_corpus(solution, matrix, counts, s0s, weights)
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), solution
 
@@ -375,6 +370,18 @@ class TestValidation:
         with pytest.raises(DimensionError, match="targets"):
             combine(1, np.full((11, 10), 0.5), 0.0)
 
+    def test_corpus_counts_must_cover_the_rows(self):
+        with pytest.raises(DimensionError, match="hold 5 targets, model matrix has 4"):
+            combine_corpus(1, np.full((4, 10), 0.5), [2, 3], [0.0, 1.0])
+
+    def test_corpus_needs_one_last_action_per_session(self):
+        with pytest.raises(DimensionError, match="1 last actions for 2 sessions"):
+            combine_corpus(1, np.full((4, 10), 0.5), [2, 2], [0.0])
+
+    def test_corpus_session_without_targets(self):
+        with pytest.raises(DimensionError, match="got 0"):
+            combine_corpus(1, np.full((4, 10), 0.5), [4, 0], [0.0, 1.0])
+
 
 class TestLastAction:
     def test_soften(self):
@@ -394,32 +401,50 @@ class TestBinarize:
 
 
 class TestPredictAndSerialize:
-    def test_predict_session_wires_everything(self):
-        m = np.full((2, 10), 0.9)
-        m[0, 0], m[1, 1] = 0.2, 0.8
-        pred = predict_session("s42", m, 0.0, solution=1)
-        assert pred.session_id == "s42"
-        assert pred.scores.shape == (2,)
-        assert pred.s0 == 0.0
-        np.testing.assert_allclose(pred.scores, [0.2, 0.8], atol=1e-15)
-        assert pred.decisions.tolist() == [False, True]
+    def test_corpus_prediction_decisions(self):
+        scores = np.array([0.2, 0.8, 0.5])
+        pred = CorpusPrediction(("a", "b"), np.array([2, 1]), scores)
+        assert pred.decisions.tolist() == [False, True, True]
 
     def test_submission_format(self):
         m = np.full((3, 10), 0.9)
         m[0, 0], m[1, 1], m[2, 2] = 0.2, 0.8, 0.5
-        pred = predict_session("sess01", m, 0.0, solution=1)
+        pred = CorpusPrediction(("sess01",), np.array([3]), combine(1, m, 0.0))
         buf = io.StringIO()
-        write_submission([pred], buf)
+        write_submission(pred, buf)
         assert buf.getvalue() == "sess01 011\n"
 
     def test_scores_format(self):
         m = np.full((2, 10), 0.9)
         m[0, 0], m[1, 1] = 0.25, 0.75
-        pred = predict_session("sess01", m, 0.0, solution=1)
+        pred = CorpusPrediction(("sess01",), np.array([2]), combine(1, m, 0.0))
         buf = io.StringIO()
-        write_scores([pred], buf)
+        write_scores(pred, buf)
         assert buf.getvalue() == (
             "session_id,target_position,score,decision\n"
             "sess01,1,0.25,0\n"
             "sess01,2,0.75,1\n"
         )
+
+    def test_corpus_files_match_per_session_lines(self):
+        rng = np.random.default_rng(9)
+        counts = np.array([3, 1, 10, 2])
+        ids = ("a", "bb", "c", "d")
+        pred = CorpusPrediction(ids, counts, rng.random(counts.sum()))
+        submission, scores = io.StringIO(), io.StringIO()
+        write_submission(pred, submission)
+        write_scores(pred, scores)
+        want_submission, want_scores = [], ["session_id,target_position,score,decision"]
+        stop = 0
+        for sid, n in zip(ids, counts):
+            block = pred.scores[stop:stop + n]
+            stop += n
+            want_submission.append(
+                sid + " " + "".join("1" if v >= 0.5 else "0" for v in block)
+            )
+            want_scores += [
+                f"{sid},{i},{repr(float(v))},{int(v >= 0.5)}"
+                for i, v in enumerate(block, start=1)
+            ]
+        assert submission.getvalue() == "\n".join(want_submission) + "\n"
+        assert scores.getvalue() == "\n".join(want_scores) + "\n"

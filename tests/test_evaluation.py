@@ -15,7 +15,6 @@ from skipcast.evaluation import (
     compare,
     corpus_scores,
     CorpusScore,
-    first_prediction_correct,
     format_report_text,
     session_truth,
     solutions_report,
@@ -103,12 +102,6 @@ class TestAverageAccuracy:
             average_accuracy([], [])
 
 
-class TestFirstPrediction:
-    def test_reads_only_the_first_slot(self):
-        assert first_prediction_correct([True, False], [True, True])
-        assert not first_prediction_correct([False, True], [True, True])
-
-
 class TestCorpusScores:
     def test_means_over_sessions(self):
         pairs = [
@@ -144,6 +137,10 @@ class TestCorpusScores:
         b = corpus_scores(list(reversed(pairs)))
         assert a.maa == pytest.approx(b.maa, abs=1e-12)
         assert a.fpa == pytest.approx(b.fpa, abs=1e-12)
+
+    def test_fpa_reads_only_the_first_slot(self):
+        assert corpus_scores([([True, False], [True, True])]).fpa == 1.0
+        assert corpus_scores([([False, True], [True, True])]).fpa == 0.0
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError, match="at least one session"):
