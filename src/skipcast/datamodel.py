@@ -148,8 +148,21 @@ class SessionSplit:
         return len(self.history)
 
 
+#: (SessionRow attribute, lowest, highest) of each bounded context column
+CONTEXT_RANGES = (("hour", 0, 23), ("day", 1, 31), ("month", 1, 12))
+
+
 def validate_session(session: Session) -> None:
     """Check all Session invariants, raising a typed error on violation."""
+    _validate_layout(session)
+    for row in session.rows:
+        problem = _row_problem(row)
+        if problem:
+            raise IntegrityError(problem)
+
+
+def _validate_layout(session: Session) -> None:
+    """Length, ids, positions and declared length; not each row's values."""
     n = session.length
     if not MIN_SESSION_LENGTH <= n <= MAX_SESSION_LENGTH:
         raise MalformedSessionError(
@@ -172,35 +185,20 @@ def validate_session(session: Session) -> None:
                 f"session {session.session_id!r}: declared length "
                 f"{row.session_length} does not match row count {n}"
             )
-        _validate_row_ranges(row)
 
 
-def _validate_row_ranges(row: SessionRow) -> None:
+def _row_problem(row: SessionRow) -> str | None:
+    """What is wrong with one row's skip nesting or context ranges, if anything."""
+    where = f"session {row.session_id!r} position {row.position}: "
     if row.skip_1 and not row.skip_2:
-        raise IntegrityError(
-            f"session {row.session_id!r} position {row.position}: "
-            "skip_1 set without skip_2"
-        )
+        return where + "skip_1 set without skip_2"
     if row.skip_2 and not row.skip_3:
-        raise IntegrityError(
-            f"session {row.session_id!r} position {row.position}: "
-            "skip_2 set without skip_3"
-        )
-    if not 0 <= row.hour <= 23:
-        raise IntegrityError(
-            f"session {row.session_id!r} position {row.position}: "
-            f"hour {row.hour} outside [0, 23]"
-        )
-    if not 1 <= row.day <= 31:
-        raise IntegrityError(
-            f"session {row.session_id!r} position {row.position}: "
-            f"day {row.day} outside [1, 31]"
-        )
-    if not 1 <= row.month <= 12:
-        raise IntegrityError(
-            f"session {row.session_id!r} position {row.position}: "
-            f"month {row.month} outside [1, 12]"
-        )
+        return where + "skip_2 set without skip_3"
+    for column, low, high in CONTEXT_RANGES:
+        value = getattr(row, column)
+        if not low <= value <= high:
+            return where + f"{column} {value} outside [{low}, {high}]"
+    return None
 
 
 def split_session(session: Session) -> SessionSplit:
@@ -355,7 +353,9 @@ def parse_session_log(
     """Read a session log into validated Session objects.
 
     Rows must arrive grouped by session_id and ordered by position; every
-    referenced track must exist in ``track_map``.
+    referenced track must exist in ``track_map``. A row with bad skip
+    nesting or a context value out of range raises a RowParseError naming
+    the stream's file (its ``name``) and line.
     """
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
@@ -365,6 +365,7 @@ def parse_session_log(
         if required not in fields:
             raise SchemaError(f"session log is missing column {required!r}")
 
+    source = getattr(stream, "name", "session log")
     sessions: list[Session] = []
     seen: set[str] = set()
     current_id: str | None = None
@@ -374,7 +375,7 @@ def parse_session_log(
         if current_id is None:
             return
         session = Session(session_id=current_id, rows=tuple(current_rows))
-        validate_session(session)
+        _validate_layout(session)  # each row was checked as it was read
         sessions.append(session)
 
     for record in reader:
@@ -409,6 +410,9 @@ def parse_session_log(
             day=_int_cell(record["day"], "day", line),
             month=_int_cell(record["month"], "month", line),
         )
+        problem = _row_problem(row)
+        if problem:
+            raise RowParseError(f"{source} line {line}: {problem}", line)
         current_rows.append(row)
     finalize()
     return sessions

@@ -291,6 +291,40 @@ class TestSessionLogCsv:
         with pytest.raises(RowParseError, match="skip_1"):
             parse_session_log(io.StringIO("\n".join(lines) + "\n"), self.track_map)
 
+    @pytest.mark.parametrize(
+        "cells,problem",
+        [
+            ({4: "1"}, "skip_1 set without skip_2"),
+            ({5: "1", 6: "0"}, "skip_2 set without skip_3"),
+            ({9: "24"}, "hour 24 outside [0, 23]"),
+            ({10: "0"}, "day 0 outside [1, 31]"),
+            ({10: "32"}, "day 32 outside [1, 31]"),
+            ({11: "13"}, "month 13 outside [1, 12]"),
+        ],
+    )
+    def test_bad_row_reports_line(self, cells, problem):
+        buf = io.StringIO()
+        write_session_csv([make_session(n=2, sid="a"), make_session(n=3, sid="b")], buf)
+        lines = buf.getvalue().splitlines()
+        row = lines[3].split(",")  # session b, position 1
+        for column, cell in cells.items():
+            row[column] = cell
+        lines[3] = ",".join(row)
+        with pytest.raises(RowParseError) as exc_info:
+            parse_session_log(io.StringIO("\n".join(lines) + "\n"), self.track_map)
+        assert str(exc_info.value) == f"session log line 4: session 'b' position 1: {problem}"
+        assert exc_info.value.line_num == 4
+
+    def test_bad_row_names_the_file(self, tmp_path):
+        path = tmp_path / "sessions.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_session_csv([make_session(n=2, sid="a", skips=[False, False])], fh)
+        path.write_text(path.read_text().replace(",14,", ",25,", 1))
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(RowParseError, match=rf"^{path} line 2: session 'a' "
+                               r"position 1: hour 25 outside \[0, 23\]$"):
+                parse_session_log(fh, self.track_map)
+
     def test_missing_column(self):
         with pytest.raises(SchemaError, match="missing column"):
             parse_session_log(io.StringIO("session_id,month\n"), self.track_map)
