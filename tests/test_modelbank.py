@@ -4,7 +4,9 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import sys
 import warnings
 from dataclasses import replace
 
@@ -19,6 +21,7 @@ from skipcast.errors import (
     RowParseError,
     SchemaError,
 )
+from skipcast import modelbank
 from skipcast.features import FEATURE_COUNT, FeatureTable, feature_schema_hash
 from skipcast.gbdt import GBDTModel, TrainParams, auc, train
 from skipcast.modelbank import (
@@ -495,6 +498,22 @@ class TestWorkerPoolOracle:
             assert (tmp_path / "bank" / name).read_bytes() == (
                 tmp_path / "serial" / name
             ).read_bytes(), name
+
+    def test_pool_starts_workers_by_fork_on_linux(self, cpus, monkeypatch):
+        contexts = []
+        pool = modelbank.ProcessPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(modelbank, "ProcessPoolExecutor", recording_pool)
+        train_bank(make_table(n_per_position=10), SMALL_PARAMS, seed=2)
+        want = (
+            "fork" if sys.platform == "linux"
+            else multiprocessing.get_context().get_start_method()
+        )
+        assert [c.get_start_method() for c in contexts] == [want]
 
     def test_single_class_table_raises_typed_error(self, cpus):
         table = grid_table()
