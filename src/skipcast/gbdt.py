@@ -9,12 +9,13 @@ with the standard regularized gain
 and leaf values -G/(H+lambda). The learning rate is applied when a tree's
 output is accumulated into the margin, not baked into the leaves.
 
-Each train() call sorts x.T once into an int32 (features, rows) block of
-row indices. A node carries that block restricted to its rows, and a split
-cuts it into the children's blocks with one stable boolean gather, so no
-node sorts; the result equals sorting each node's own values. A node whose
-hessian sum is below 2 * min_child_weight is not scanned: no boundary of it
-can leave min_child_weight on both sides.
+Each train() call sorts x.T once into a (features, rows) block of row
+indices, kept as argsort's intp, the index type numpy gathers with, so no
+gather converts it. A node carries that block restricted to its rows, and
+a split cuts it into the children's blocks with one stable boolean gather,
+so no node sorts; the result equals sorting each node's own values. A node
+whose hessian sum is below 2 * min_child_weight is not scanned: no boundary
+of it can leave min_child_weight on both sides.
 
 A tree is the nested dict the model file stores: a leaf is {"value": v},
 a split is {"feature", "threshold", "left", "right"}, and rows with
@@ -365,7 +366,7 @@ def train(
     all_features = np.arange(n_features)
     # a node's rows stay in ascending index order, so this stable order
     # restricted to them is the stable order of the node's own values
-    order = np.argsort(x.T, axis=1, kind="stable").astype(np.int32)
+    order = np.argsort(x.T, axis=1, kind="stable")
 
     def grow(rows: np.ndarray, block: np.ndarray, depth: int) -> dict:
         """The subtree of the node holding `rows` (ascending), from its block.
