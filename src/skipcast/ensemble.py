@@ -123,9 +123,7 @@ def combine_corpus(
         )
     s0 = np.asarray(s0_hard, dtype=np.float64)
     if s0.shape != counts.shape:
-        raise DimensionError(
-            f"{s0.size} last actions for {counts.size} sessions"
-        )
+        raise DimensionError(f"{s0.size} last actions for {counts.size} sessions")
     if solution in SOFT_SOLUTIONS:
         s0 = soften(s0)
     s0 = np.repeat(s0, counts)
@@ -164,7 +162,7 @@ def combine_corpus(
         for i in range(2, MAX_TARGET_POSITIONS + 1):
             at = np.flatnonzero(pos == i)
             scores[at] = (1.0 - mix) * row_mean[at] + mix * scores[at - 1]
-    elif solution in (9, 10, 12):
+    else:  # 9, 10 and 12
         kernel = exponential_weights if solution == 12 else linear_weights
         table = np.stack([kernel(i, weights) for i in range(1, MAX_TARGET_POSITIONS + 1)])
         # a stacked (1, 10) @ (10, 1) product is the per-row dot product
@@ -174,8 +172,6 @@ def combine_corpus(
         else:
             alpha = weights.alpha_scale * (MAX_TARGET_POSITIONS + 1 - pos) / 10.0
         scores = alpha * s0 + (1.0 - alpha) * blended
-    else:  # pragma: no cover - SOLUTION_IDS is exhaustive
-        raise DomainError(f"solution id must be in 1..12, got {solution}")
     return np.clip(scores, 0.0, 1.0)
 
 
