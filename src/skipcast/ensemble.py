@@ -165,7 +165,8 @@ def combine_corpus(
     else:  # 9, 10 and 12
         kernel = exponential_weights if solution == 12 else linear_weights
         table = np.stack([kernel(i, weights) for i in range(1, MAX_TARGET_POSITIONS + 1)])
-        # a stacked (1, 10) @ (10, 1) product is the per-row dot product
+        # a stacked (1, 10) @ (10, 1) product is each row's own dot product,
+        # bit-identical to `w @ row`; einsum or (W * M).sum(1) is not
         blended = np.matmul(table[pos - 1][:, None, :], matrix[:, :, None])[:, 0, 0]
         if solution == 10:
             alpha = weights.fixed_prior
