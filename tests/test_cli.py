@@ -419,6 +419,7 @@ class TestDataErrors:
         "column,cell,problem",
         [("hour_of_day", "25", "hour 25 outside [0, 23]"),
          ("skip_3", "0", "skip_2 set without skip_3")],
+        ids=["hour_of_day", "skip_3"],
     )
     def test_extract_with_bad_session_row(
         self, pipeline, tmp_path, capsys, column, cell, problem

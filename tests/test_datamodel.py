@@ -301,6 +301,7 @@ class TestSessionLogCsv:
             ({10: "32"}, "day 32 outside [1, 31]"),
             ({11: "13"}, "month 13 outside [1, 12]"),
         ],
+        ids=["skip_1", "skip_2", "hour 24", "day 0", "day 32", "month 13"],
     )
     def test_bad_row_reports_line(self, cells, problem):
         buf = io.StringIO()
