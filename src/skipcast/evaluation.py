@@ -34,20 +34,20 @@ class CorpusScore:
 def _average_accuracies(hits: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """AA of every session from the stacked hit flags of all sessions' slots.
 
-    It runs the metric's loop for all sessions at once, one step per slot
-    index i: where slot i of a session is a hit, its hit count goes up by
-    one and its total gains count / (i + 1). Each total is then divided by
-    its session's slot count, so every value is the loop's, bit for bit.
+    Slot i of a session adds correct / (i + 1) to its total when it is a
+    hit, `correct` being the session's hits so far, and 0.0 when it is not.
+    A row-wise cumulative sum over a (sessions, slots) table adds these
+    terms in slot order, as the metric's loop does, so every AA is the
+    loop's bit for bit; a plain sum would add them pairwise and differ.
     """
     starts = np.cumsum(counts) - counts
-    total = np.zeros(counts.size)
-    correct = np.zeros(counts.size, dtype=np.int64)
-    for i in range(int(counts.max(initial=0))):
-        live = np.flatnonzero(counts > i)
-        hit = live[hits[starts[live] + i]]
-        correct[hit] += 1
-        total[hit] += correct[hit] / (i + 1)
-    return total / counts
+    session = np.repeat(np.arange(counts.size), counts)
+    slot = np.arange(hits.size) - starts[session]
+    seen = np.cumsum(hits)
+    correct = seen - (seen[starts] - hits[starts])[session]
+    table = np.zeros((counts.size, counts.max()))
+    table[session, slot] = np.where(hits, correct / (slot + 1), 0.0)
+    return np.cumsum(table, axis=1)[:, -1] / counts
 
 
 def corpus_scores(
