@@ -43,7 +43,12 @@ from .errors import (
     SkipcastError,
     StageError,
 )
-from .evaluation import format_report_text, solutions_report, write_report_csv
+from .evaluation import (
+    format_report_text,
+    session_truth,
+    solutions_report,
+    write_report_csv,
+)
 from .features import FeatureTable, assemble_corpus
 from .modelbank import (
     MANIFEST_NAME,
@@ -62,16 +67,19 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def _load_corpus(cfg: RunConfig):
-    tracks_path = _require(cfg.tracks_path(), "synth")
-    sessions_path = _require(cfg.sessions_path(), "synth")
-    with open(tracks_path, encoding="utf-8") as fh:
-        track_map = parse_track_features(fh)
-    with open(sessions_path, encoding="utf-8") as fh:
-        sessions = parse_session_log(fh, track_map)
+def _load_sessions(cfg: RunConfig):
+    path = _require(cfg.sessions_path(), "synth")
+    with open(path, encoding="utf-8") as fh:
+        sessions = parse_session_log(fh)
     if not sessions:
-        raise DegenerateSampleError(f"session log {sessions_path} holds no sessions")
-    return track_map, sessions
+        raise DegenerateSampleError(f"session log {path} holds no sessions")
+    return sessions
+
+
+def _load_corpus(cfg: RunConfig):
+    with open(_require(cfg.tracks_path(), "synth"), encoding="utf-8") as fh:
+        track_map = parse_track_features(fh)
+    return track_map, _load_sessions(cfg)
 
 
 def _read_features(cfg: RunConfig) -> FeatureTable:
@@ -160,13 +168,13 @@ def cmd_predict(cfg: RunConfig) -> None:
 
 
 def _load_submission(
-    path: Path, solution: int, counts: dict[str, int]
-) -> dict[str, np.ndarray]:
-    """A submission's decisions by session id, checked against `counts`.
+    path: Path, index: dict[str, int], truths: list[np.ndarray]
+) -> list[np.ndarray]:
+    """A submission's decisions in session-log order, checked against the log.
 
-    `counts` maps every session of the log to its number of targets.
+    `index` maps each session id of the log to its place in `truths`.
     """
-    out: dict[str, np.ndarray] = {}
+    out: list[np.ndarray | None] = [None] * len(truths)
     lines = path.read_text(encoding="utf-8").splitlines()
     for number, line in enumerate(lines, start=1):
         if not line:
@@ -175,38 +183,34 @@ def _load_submission(
         where = f"{path} line {number}: session {sid!r}"
         if not bits or set(bits) - {"0", "1"}:
             raise IntegrityError(f"{where}: malformed decision string")
-        if sid not in counts:
+        if sid not in index:
             raise IntegrityError(f"{where}: not in the session log")
-        if sid in out:
+        k = index[sid]
+        if out[k] is not None:
             raise IntegrityError(f"{where}: appears a second time")
-        if len(bits) != counts[sid]:
+        if len(bits) != truths[k].size:
             raise IntegrityError(
-                f"{where}: {len(bits)} decisions for {counts[sid]} targets"
+                f"{where}: {len(bits)} decisions for {truths[k].size} targets"
             )
-        out[sid] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
-    if not out:
-        raise IntegrityError(f"{path}: submission for solution {solution} is empty")
+        out[k] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+    for sid, k in index.items():
+        if out[k] is None:
+            raise IntegrityError(
+                f"{path}: no stored decisions for session {sid!r}; "
+                "re-run the predict stage"
+            )
     return out
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    _track_map, sessions = _load_corpus(cfg)
-    counts = {s.session_id: len(split_session(s).targets) for s in sessions}
-    submissions = {}
+    sessions = _load_sessions(cfg)
+    truths = [session_truth(s) for s in sessions]
+    index = {s.session_id: k for k, s in enumerate(sessions)}
+    decisions = []
     for solution in cfg.solutions:
         path = _require(cfg.workdir / _submission_name(solution), "predict")
-        submissions[solution] = _load_submission(path, solution, counts)
-
-    def replay(session, solution):
-        decisions = submissions[solution].get(session.session_id)
-        if decisions is None:
-            raise IntegrityError(
-                f"solution {solution}: no stored decisions for session "
-                f"{session.session_id!r}; re-run the predict stage"
-            )
-        return decisions
-
-    rows = solutions_report(sessions, replay, cfg.solutions)
+        decisions.append(_load_submission(path, index, truths))
+    rows = solutions_report(truths, decisions, cfg.solutions)
     with open(cfg.workdir / "report.csv", "w", encoding="utf-8") as fh:
         write_report_csv(rows, fh)
     text = format_report_text(rows)
@@ -277,11 +281,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"skipcast: {exc}", file=sys.stderr)
         return 1
-    except SkipcastError as exc:
+    except (SkipcastError, OSError) as exc:
         print(f"skipcast: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"skipcast: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"skipcast: a data file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -139,6 +139,8 @@ def build_config(values: Mapping[str, str]) -> RunConfig:
         raise ConfigError(f"sample must be in (0, 1], got {cfg.sample}")
     if cfg.tune_rounds < 1:
         raise ConfigError(f"tune_rounds must be >= 1, got {cfg.tune_rounds}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -151,6 +153,10 @@ def load_config(
         path = Path(config_path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        values.update(parse_kv_text(path.read_text(encoding="utf-8")))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc}")
+        values.update(parse_kv_text(text))
     values.update({k: v for k, v in overrides.items() if v is not None})
     return build_config(values)

@@ -33,7 +33,6 @@ from .errors import (
     MalformedSessionError,
     RowParseError,
     SchemaError,
-    UnknownTrackError,
 )
 
 #: Canonical ordering of the per-track scalar features. Index 0 is
@@ -347,15 +346,14 @@ def write_track_csv(track_map: Mapping[str, TrackMetadata], stream: IO[str]) -> 
 # Session-log CSV
 
 
-def parse_session_log(
-    stream: IO[str], track_map: Mapping[str, TrackMetadata]
-) -> list[Session]:
+def parse_session_log(stream: IO[str]) -> list[Session]:
     """Read a session log into validated Session objects.
 
-    Rows must arrive grouped by session_id and ordered by position; every
-    referenced track must exist in ``track_map``. A row with bad skip
-    nesting or a context value out of range raises a RowParseError naming
-    the stream's file (its ``name``) and line.
+    Rows must arrive grouped by session_id and ordered by position. A bad
+    row, or a session whose positions or declared length do not match its
+    rows, raises a RowParseError naming the stream's file (its ``name``)
+    and the line of the row or of the session's first row. Track ids are
+    checked where features joins the log with the track file.
     """
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
@@ -370,12 +368,16 @@ def parse_session_log(
     seen: set[str] = set()
     current_id: str | None = None
     current_rows: list[SessionRow] = []
+    first_line = 0
 
     def finalize() -> None:
         if current_id is None:
             return
         session = Session(session_id=current_id, rows=tuple(current_rows))
-        _validate_layout(session)  # each row was checked as it was read
+        try:
+            _validate_layout(session)  # each row was checked as it was read
+        except MalformedSessionError as exc:
+            raise RowParseError(f"{source} line {first_line}: {exc}", first_line)
         sessions.append(session)
 
     for record in reader:
@@ -385,22 +387,18 @@ def parse_session_log(
             finalize()
             if sid in seen:
                 raise MalformedSessionError(
-                    f"line {line}: session {sid!r} reappears after other "
-                    "sessions; rows must be contiguous"
+                    f"{source} line {line}: session {sid!r} reappears after "
+                    "other sessions; rows must be contiguous"
                 )
             seen.add(sid)
             current_id = sid
             current_rows = []
-        track_id = record["track_id"]
-        if track_id not in track_map:
-            raise UnknownTrackError(
-                f"line {line}: unknown track_id {track_id!r}"
-            )
+            first_line = line
         row = SessionRow(
             session_id=sid,
             position=_int_cell(record["session_position"], "session_position", line),
             session_length=_int_cell(record["session_length"], "session_length", line),
-            track_id=track_id,
+            track_id=record["track_id"],
             skip_1=_bool_cell(record["skip_1"], "skip_1", line),
             skip_2=_bool_cell(record["skip_2"], "skip_2", line),
             skip_3=_bool_cell(record["skip_3"], "skip_3", line),
@@ -439,12 +437,3 @@ def write_session_csv(sessions: Iterable[Session], stream: IO[str]) -> None:
                 str(row.month),
             )
             stream.write(",".join(cells) + "\n")
-
-
-def lookup_track(
-    track_map: Mapping[str, TrackMetadata], track_id: str
-) -> TrackMetadata:
-    try:
-        return track_map[track_id]
-    except KeyError:
-        raise UnknownTrackError(f"unknown track_id {track_id!r}")

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .datamodel import Session, split_session
 from .errors import DimensionError
-
-Predictor = Callable[[Session, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -102,24 +100,21 @@ def session_truth(session: Session) -> np.ndarray:
 
 
 def solutions_report(
-    sessions: Sequence[Session],
-    predictor: Predictor,
+    truths: Sequence[np.ndarray],
+    decisions: Sequence[Sequence[np.ndarray]],
     solutions: Sequence[int],
 ) -> list[SolutionRow]:
     """Score every requested solution; rows come back ranked worst first.
 
+    `truths[i]` is session i's ground truth and `decisions[k][i]` the
+    boolean decisions of solution `solutions[k]` for that session.
+
     The order is `compare` ascending: MAA, then FPA on an exact MAA tie;
     full ties keep the requested order.
-
-    `predictor(session, solution)` returns that solution's boolean decisions
-    for the session's target tracks; injecting a different predictor (for
-    instance one replaying stored submissions) keeps scoring decoupled from
-    model execution.
     """
-    truths = [session_truth(s) for s in sessions]
     rows = []
-    for solution in solutions:
-        corpus = corpus_scores(zip((predictor(s, solution) for s in sessions), truths))
+    for solution, stored in zip(solutions, decisions, strict=True):
+        corpus = corpus_scores(zip(stored, truths, strict=True))
         rows.append(SolutionRow(solution=solution, maa=corpus.maa, fpa=corpus.fpa))
     rows.sort(key=functools.cmp_to_key(compare))
     return rows

@@ -36,11 +36,17 @@ from .datamodel import (
     N_SCALAR_FEATURES,
     SCALAR_FEATURE_NAMES,
     Session,
+    SessionRow,
     TrackMetadata,
-    lookup_track,
     split_session,
 )
-from .errors import DimensionError, IntegrityError, RowParseError, SchemaError
+from .errors import (
+    DimensionError,
+    IntegrityError,
+    RowParseError,
+    SchemaError,
+    UnknownTrackError,
+)
 
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"track_{name}" for name in SCALAR_FEATURE_NAMES)
@@ -70,9 +76,14 @@ def feature_schema_hash() -> str:
 
 
 def _checked_track(
-    track_map: Mapping[str, TrackMetadata], track_id: str
+    track_map: Mapping[str, TrackMetadata], row: SessionRow
 ) -> TrackMetadata:
-    meta = lookup_track(track_map, track_id)
+    meta = track_map.get(row.track_id)
+    if meta is None:
+        raise UnknownTrackError(
+            f"session {row.session_id!r} position {row.position}: "
+            f"unknown track_id {row.track_id!r}"
+        )
     if meta.scalars.shape != (N_SCALAR_FEATURES,):
         raise DimensionError(
             f"track {meta.track_id!r}: expected {N_SCALAR_FEATURES} scalar "
@@ -104,10 +115,10 @@ def session_features(
                 f"[1, {MAX_TARGET_POSITIONS}]; target row position "
                 f"{row.position} with history length {h}"
             )
-    targets = [_checked_track(track_map, r.track_id) for r in split.targets]
+    targets = [_checked_track(track_map, r) for r in split.targets]
     groups = (
-        [_checked_track(track_map, r.track_id) for r in split.history if r.skip_2],
-        [_checked_track(track_map, r.track_id) for r in split.history if not r.skip_2],
+        [_checked_track(track_map, r) for r in split.history if r.skip_2],
+        [_checked_track(track_map, r) for r in split.history if not r.skip_2],
     )
     for t in targets:
         for m in groups[0] + groups[1]:

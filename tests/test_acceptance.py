@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from skipcast.cli import main
-from skipcast.datamodel import parse_session_log, parse_track_features, split_session
+from skipcast.datamodel import parse_session_log, split_session
 from skipcast.ensemble import (
     combine,
     exponential_weights,
@@ -327,10 +327,8 @@ def test_criterion_07_pipeline_beats_baselines_held_out(announce, tmp_path):
 
     maa = read_report(eval_dir / "report.csv")
 
-    with open(eval_dir / "tracks.csv", encoding="utf-8") as fh:
-        track_map = parse_track_features(fh)
     with open(eval_dir / "sessions.csv", encoding="utf-8") as fh:
-        sessions = parse_session_log(fh, track_map)
+        sessions = parse_session_log(fh)
     truths = [session_truth(s) for s in sessions]
     all_skip = corpus_scores([(np.ones_like(t), t) for t in truths]).maa
     all_listen = corpus_scores([(np.zeros_like(t), t) for t in truths]).maa

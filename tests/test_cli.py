@@ -158,7 +158,7 @@ class TestPredictOracle:
         with open(workdir / "tracks.csv", encoding="utf-8") as fh:
             track_map = parse_track_features(fh)
         with open(workdir / "sessions.csv", encoding="utf-8") as fh:
-            sessions = parse_session_log(fh, track_map)
+            sessions = parse_session_log(fh)
         bank = ModelBank.load(workdir / "bank")
         priors = []
         matrices = []
@@ -230,6 +230,16 @@ class TestStages:
         assert lines[0].startswith("Solution")
         assert len(lines) == 3  # header + solutions 1 and 9
 
+    def test_evaluate_reads_no_track_file(self, pipeline, tmp_path):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        for name in ("tracks.csv", "report.csv", "report.txt"):
+            (workdir / name).unlink()
+        conf = write_conf(tmp_path)
+        assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 0
+        for name in ("report.csv", "report.txt"):
+            assert (workdir / name).read_bytes() == (pipeline / name).read_bytes()
+
     def test_train_applies_tuned_parameters(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
@@ -256,6 +266,20 @@ class TestUsageErrors:
     def test_bad_sample(self, tmp_path, capsys):
         workdir = str(tmp_path / "w")
         assert main(["synth", "--workdir", workdir, "--sample", "2.0"]) == 1
+
+    def test_negative_seed(self, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        assert main(["synth", "--workdir", str(workdir), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "skipcast: seed must be >= 0, got -1\n"
+        assert not (workdir / "sessions.csv").exists()
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"seed = 3\n\xff\n")
+        assert main(["synth", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"skipcast: config file {conf} is not UTF-8 text: ")
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "nope.conf")]) == 1
@@ -441,6 +465,62 @@ class TestDataErrors:
             f"skipcast: {path} line 4: session {row[0]!r} position {row[1]}: {problem}\n"
         )
 
+    def test_extract_with_wrong_session_length(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "sessions.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")  # position 2 of the first session
+        n = int(row[header.index("session_length")])
+        row[header.index("session_length")] = str(n + 1)
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["extract", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} line 2: session {row[0]!r}: declared length {n + 1} "
+            f"does not match row count {n}\n"
+        )
+
+    @pytest.mark.parametrize("half", ["history", "target"])
+    @pytest.mark.parametrize("stage", ["extract", "predict"])
+    def test_unknown_track_id(self, pipeline, tmp_path, capsys, stage, half):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        pattern = "features.csv" if stage == "extract" else "*_solution_*"
+        outputs = sorted(workdir.glob(pattern))
+        assert outputs
+        for output in outputs:
+            output.unlink()
+        path = workdir / "sessions.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        n = int(lines[1].split(",")[header.index("session_length")])
+        k = 1 if half == "history" else n  # first or last row of the first session
+        row = lines[k].split(",")
+        row[header.index("track_id")] = "nosuch"
+        lines[k] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"skipcast: session {row[0]!r} position {row[1]}: "
+            "unknown track_id 'nosuch'\n"
+        )
+        assert not any(output.exists() for output in outputs)
+
+    def test_extract_with_non_utf8_session_log(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "sessions.csv"
+        path.write_bytes(path.read_bytes().replace(b"s000001", b"s\xff00001", 1))
+        conf = write_conf(tmp_path)
+        assert main(["extract", "--config", conf, "--workdir", str(workdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skipcast: a data file is not UTF-8 text: ")
+        assert "Traceback" not in err
+
     def test_train_with_unparsable_feature_cell(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
@@ -563,7 +643,9 @@ class TestDataErrors:
         path.write_text(first_line + "\n")
         conf = write_conf(tmp_path)
         assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 2
-        assert "no stored decisions" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"skipcast: {path}: no stored decisions for session ")
+        assert err.endswith("; re-run the predict stage\n")
 
 
 class TestFlagPrecedence:
@@ -710,6 +792,11 @@ class TestConfigParsing:
         cfg = load_config(conf, {"seed": "5", "workdir": None})
         assert cfg.seed == 5
         assert cfg.sample == 0.5  # untouched file value survives
+
+    def test_seed_must_be_non_negative(self):
+        assert build_config({"seed": "0"}).seed == 0
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            build_config({"seed": "-1"})
 
     def test_tune_rounds_must_be_positive(self):
         with pytest.raises(ConfigError, match="tune_rounds"):

@@ -26,6 +26,7 @@ from skipcast.errors import (
     SchemaError,
     UnknownTrackError,
 )
+from skipcast.features import assemble_corpus
 from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 
 
@@ -248,13 +249,10 @@ class TestSplitSession:
 
 
 class TestSessionLogCsv:
-    def setup_method(self):
-        self.track_map = {"t0": make_track("t0")}
-
     def roundtrip(self, sessions):
         buf = io.StringIO()
         write_session_csv(sessions, buf)
-        return parse_session_log(io.StringIO(buf.getvalue()), self.track_map)
+        return parse_session_log(io.StringIO(buf.getvalue()))
 
     def test_round_trip(self):
         sessions = [make_session(n=3, sid="a"), make_session(n=7, sid="b")]
@@ -264,11 +262,17 @@ class TestSessionLogCsv:
         assert parsed[1].rows == sessions[1].rows
 
     def test_unknown_track(self):
+        # the log parses on its own; the join with the tracks rejects the id
         buf = io.StringIO()
         write_session_csv([make_session(n=2)], buf)
         text = buf.getvalue().replace("t0", "missing")
-        with pytest.raises(UnknownTrackError, match="missing"):
-            parse_session_log(io.StringIO(text), self.track_map)
+        sessions = parse_session_log(io.StringIO(text))
+        assert [r.track_id for r in sessions[0].rows] == ["missing", "missing"]
+        with pytest.raises(
+            UnknownTrackError,
+            match=r"^session 's0' position 2: unknown track_id 'missing'$",
+        ):
+            assemble_corpus(sessions, {"t0": make_track("t0")})
 
     def test_session_reappearing_rejected(self):
         buf = io.StringIO()
@@ -279,7 +283,7 @@ class TestSessionLogCsv:
         # a, b, then all of a again
         repeated = lines + lines[1:3]
         with pytest.raises(MalformedSessionError, match="contiguous"):
-            parse_session_log(io.StringIO("\n".join(repeated) + "\n"), self.track_map)
+            parse_session_log(io.StringIO("\n".join(repeated) + "\n"))
 
     def test_bad_flag_cell(self):
         buf = io.StringIO()
@@ -289,19 +293,23 @@ class TestSessionLogCsv:
         cells[4] = "2"  # skip_1
         lines[1] = ",".join(cells)
         with pytest.raises(RowParseError, match="skip_1"):
-            parse_session_log(io.StringIO("\n".join(lines) + "\n"), self.track_map)
+            parse_session_log(io.StringIO("\n".join(lines) + "\n"))
 
     @pytest.mark.parametrize(
         "cells,problem",
         [
-            ({4: "1"}, "skip_1 set without skip_2"),
-            ({5: "1", 6: "0"}, "skip_2 set without skip_3"),
-            ({9: "24"}, "hour 24 outside [0, 23]"),
-            ({10: "0"}, "day 0 outside [1, 31]"),
-            ({10: "32"}, "day 32 outside [1, 31]"),
-            ({11: "13"}, "month 13 outside [1, 12]"),
+            ({4: "1"}, "session 'b' position 1: skip_1 set without skip_2"),
+            ({5: "1", 6: "0"}, "session 'b' position 1: skip_2 set without skip_3"),
+            ({9: "24"}, "session 'b' position 1: hour 24 outside [0, 23]"),
+            ({10: "0"}, "session 'b' position 1: day 0 outside [1, 31]"),
+            ({10: "32"}, "session 'b' position 1: day 32 outside [1, 31]"),
+            ({11: "13"}, "session 'b' position 1: month 13 outside [1, 12]"),
+            ({2: "9"}, "session 'b': declared length 9 does not match row count 3"),
         ],
-        ids=["skip_1", "skip_2", "hour 24", "day 0", "day 32", "month 13"],
+        ids=[
+            "skip_1", "skip_2", "hour 24", "day 0", "day 32", "month 13",
+            "session_length",
+        ],
     )
     def test_bad_row_reports_line(self, cells, problem):
         buf = io.StringIO()
@@ -312,8 +320,8 @@ class TestSessionLogCsv:
             row[column] = cell
         lines[3] = ",".join(row)
         with pytest.raises(RowParseError) as exc_info:
-            parse_session_log(io.StringIO("\n".join(lines) + "\n"), self.track_map)
-        assert str(exc_info.value) == f"session log line 4: session 'b' position 1: {problem}"
+            parse_session_log(io.StringIO("\n".join(lines) + "\n"))
+        assert str(exc_info.value) == f"session log line 4: {problem}"
         assert exc_info.value.line_num == 4
 
     def test_bad_row_names_the_file(self, tmp_path):
@@ -324,11 +332,11 @@ class TestSessionLogCsv:
         with open(path, encoding="utf-8") as fh:
             with pytest.raises(RowParseError, match=rf"^{path} line 2: session 'a' "
                                r"position 1: hour 25 outside \[0, 23\]$"):
-                parse_session_log(fh, self.track_map)
+                parse_session_log(fh)
 
     def test_missing_column(self):
         with pytest.raises(SchemaError, match="missing column"):
-            parse_session_log(io.StringIO("session_id,month\n"), self.track_map)
+            parse_session_log(io.StringIO("session_id,month\n"))
 
     def test_synthetic_corpus_round_trips(self):
         config = SynthConfig(n_tracks=40, n_sessions=25)
@@ -338,7 +346,8 @@ class TestSessionLogCsv:
         parsed_tracks = parse_track_features(io.StringIO(track_buf.getvalue()))
         session_buf = io.StringIO()
         write_session_csv(sessions, session_buf)
-        parsed = parse_session_log(io.StringIO(session_buf.getvalue()), parsed_tracks)
+        parsed = parse_session_log(io.StringIO(session_buf.getvalue()))
         assert len(parsed) == len(sessions)
         for want, got in zip(sessions, parsed):
             assert want.rows == got.rows
+        assert {r.track_id for s in parsed for r in s.rows} <= parsed_tracks.keys()

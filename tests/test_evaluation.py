@@ -200,51 +200,50 @@ class TestSolutionsReport:
         assert truth.tolist() == [True, False]  # ceiling half is history
 
     def test_perfect_predictor_scores_one(self):
-        rows = solutions_report(
-            self.sessions(), lambda s, k: session_truth(s), solutions=[1, 2, 3]
-        )
+        truths = [session_truth(s) for s in self.sessions()]
+        rows = solutions_report(truths, [truths] * 3, solutions=[1, 2, 3])
         assert [r.solution for r in rows] == [1, 2, 3]
         assert all(r.maa == 1.0 and r.fpa == 1.0 for r in rows)
 
     def test_rows_sorted_by_maa_ascending(self):
-        def predictor(session, solution):
-            truth = session_truth(session)
-            if solution == 1:
-                return ~truth  # always wrong
-            if solution == 2:
-                return truth  # always right
+        truths = [session_truth(s) for s in self.sessions()]
+
+        def last_flipped(truth):
             flipped = truth.copy()
             flipped[-1] = ~flipped[-1]
             return flipped  # right except the last slot
 
-        rows = solutions_report(self.sessions(), predictor, solutions=[2, 1, 3])
+        decisions = [
+            truths,  # solution 2: always right
+            [~t for t in truths],  # solution 1: always wrong
+            [last_flipped(t) for t in truths],  # solution 3
+        ]
+        rows = solutions_report(truths, decisions, solutions=[2, 1, 3])
         assert [r.solution for r in rows] == [1, 3, 2]
         maas = [r.maa for r in rows]
         assert maas == sorted(maas)
 
     def test_exact_maa_tie_ranks_by_fpa(self):
-        def predictor(session, solution):
-            truth = session_truth(session)
-            if solution == 1:  # AA 1.0 on s1, 0.0 on s2: MAA 0.5, FPA 0.5
-                return truth if session.session_id == "s1" else ~truth
-            flipped = truth.copy()  # AA 0.5 on both: MAA 0.5, FPA 1.0
-            flipped[1] = ~flipped[1]
-            return flipped
-
         sessions = [
             make_session("s1", [True, False, True, False]),
             make_session("s2", [False, True, False, True]),
         ]
-        rows = solutions_report(sessions, predictor, solutions=[2, 1])
+        truths = [session_truth(s) for s in sessions]
+        # solution 1: AA 1.0 on s1, 0.0 on s2: MAA 0.5, FPA 0.5
+        first = [truths[0], ~truths[1]]
+        # solution 2: AA 0.5 on both: MAA 0.5, FPA 1.0
+        second = [t.copy() for t in truths]
+        for flipped in second:
+            flipped[1] = ~flipped[1]
+        rows = solutions_report(truths, [second, first], solutions=[2, 1])
         assert [(r.solution, r.maa, r.fpa) for r in rows] == [
             (1, 0.5, 0.5),
             (2, 0.5, 1.0),
         ]
 
     def test_equal_scores_keep_request_order(self):
-        rows = solutions_report(
-            self.sessions(), lambda s, k: session_truth(s), solutions=[7, 4]
-        )
+        truths = [session_truth(s) for s in self.sessions()]
+        rows = solutions_report(truths, [truths, truths], solutions=[7, 4])
         assert [r.solution for r in rows] == [7, 4]  # stable sort
 
     def test_report_csv_bytes(self):
@@ -307,20 +306,22 @@ class TestLoopOracle:
         odd = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         solutions = [4, 7, 2]
-        sessions, stored = [], {}
+        sessions, stored = [], {4: [], 7: [], 2: []}
         for k, ((decisions, truth), extra) in enumerate(zip(pairs, odd)):
             # the truth is the target half; the history half is all 0
             history = [False] * (truth.size + extra)
             sessions.append(make_session(f"s{k}", history + truth.tolist()))
-            stored[4, f"s{k}"] = decisions
-            stored[7, f"s{k}"] = truth ^ (rng.random(truth.size) < 0.3)
-            stored[2, f"s{k}"] = rng.random(truth.size) < 0.5
+            stored[4].append(decisions)
+            stored[7].append(truth ^ (rng.random(truth.size) < 0.3))
+            stored[2].append(rng.random(truth.size) < 0.5)
         rows = solutions_report(
-            sessions, lambda s, k: stored[k, s.session_id], solutions=solutions
+            [session_truth(s) for s in sessions],
+            [stored[k] for k in solutions],
+            solutions=solutions,
         )
         want = {}
         for solution in solutions:
-            scored = [(stored[solution, f"s{k}"], t) for k, (_, t) in enumerate(pairs)]
+            scored = [(d, t) for d, (_, t) in zip(stored[solution], pairs)]
             want[solution] = (
                 float(np.mean([loop_average_accuracy(d, t) for d, t in scored])),
                 float(np.mean([d[0] == t[0] for d, t in scored])),

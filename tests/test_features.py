@@ -165,7 +165,9 @@ class TestTrackFeatures:
                   tracks={"n": narrow})
 
     def test_unknown_track(self):
-        with pytest.raises(UnknownTrackError, match="missing"):
+        with pytest.raises(
+            UnknownTrackError, match=r"^session 's0' position 2: unknown track_id 'missing'$"
+        ):
             block((row("ta", 1, skip_2=False),), row("missing", 2, skip_2=True))
 
 
