@@ -10,7 +10,8 @@ can be rerun in isolation and a finished run can be inspected file by file:
     submission_solution_NN.txt    predict (+ scores_solution_NN.csv)
     report.csv, report.txt        evaluate
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+Exit codes: 0 success, 1 usage or configuration error, 2 data error. Data
+files are read through `_read`: `skipcast: <path> line <n>: <message>`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .errors import (
     ConfigError,
     DegenerateSampleError,
     IntegrityError,
+    RowParseError,
     SkipcastError,
     StageError,
 )
@@ -67,25 +70,48 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
+def _read(path: Path, parse, *args):
+    """`parse(stream, *args)` on the UTF-8 text of the data file at `path`.
+
+    The one place a data error gets its location: a SkipcastError leaves
+    with `<path> line <n>: `, or `<path>: ` if it has no line, before it.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh, *args)
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        error = SkipcastError("not UTF-8 text")  # unless the file changed since
+        try:
+            data.decode("utf-8")  # whole this time, for the line of the byte
+        except UnicodeDecodeError as exc:
+            error = RowParseError(
+                f"byte 0x{data[exc.start]:02x} is not UTF-8 text ({exc.reason})",
+                data.count(b"\n", 0, exc.start) + 1,
+            )
+    except SkipcastError as exc:
+        error = exc
+    where = path if error.line_num is None else f"{path} line {error.line_num}"
+    error.args = (f"{where}: {error}",)
+    raise error
+
+
 def _load_sessions(cfg: RunConfig):
     path = _require(cfg.sessions_path(), "synth")
-    with open(path, encoding="utf-8") as fh:
-        sessions = parse_session_log(fh)
+    sessions = _read(path, parse_session_log)
     if not sessions:
         raise DegenerateSampleError(f"session log {path} holds no sessions")
     return sessions
 
 
 def _load_corpus(cfg: RunConfig):
-    with open(_require(cfg.tracks_path(), "synth"), encoding="utf-8") as fh:
-        track_map = parse_track_features(fh)
+    track_map = _read(_require(cfg.tracks_path(), "synth"), parse_track_features)
     return track_map, _load_sessions(cfg)
 
 
 def _read_features(cfg: RunConfig) -> FeatureTable:
     path = _require(cfg.workdir / "features.csv", "extract")
-    with open(path, encoding="utf-8") as fh:
-        return FeatureTable.read_csv(fh)
+    return _read(path, FeatureTable.read_csv)
 
 
 def _submission_name(solution: int) -> str:
@@ -130,9 +156,7 @@ def cmd_train(cfg: RunConfig) -> None:
     params = cfg.params
     grid_path = cfg.workdir / "grid_report.csv"
     if grid_path.exists():
-        with open(grid_path, encoding="utf-8") as fh:
-            grid = GridReport.read_csv(fh)
-        params = replace(params, **grid.best_params)
+        params = replace(params, **_read(grid_path, GridReport.read_csv).best_params)
         print(f"train: applying tuned parameters from {grid_path.name}")
     bank = train_bank(table, params, cfg.seed)
     bank.save(cfg.workdir / "bank")
@@ -167,37 +191,35 @@ def cmd_predict(cfg: RunConfig) -> None:
     )
 
 
-def _load_submission(
-    path: Path, index: dict[str, int], truths: list[np.ndarray]
+def _parse_submission(
+    stream: IO[str], index: dict[str, int], truths: list[np.ndarray]
 ) -> list[np.ndarray]:
     """A submission's decisions in session-log order, checked against the log.
 
     `index` maps each session id of the log to its place in `truths`.
     """
     out: list[np.ndarray | None] = [None] * len(truths)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(stream.read().splitlines(), start=1):
         if not line:
             continue
         sid, _, bits = line.partition(" ")
-        where = f"{path} line {number}: session {sid!r}"
+        where = f"session {sid!r}"
         if not bits or set(bits) - {"0", "1"}:
-            raise IntegrityError(f"{where}: malformed decision string")
+            raise IntegrityError(f"{where}: malformed decision string", number)
         if sid not in index:
-            raise IntegrityError(f"{where}: not in the session log")
+            raise IntegrityError(f"{where}: not in the session log", number)
         k = index[sid]
         if out[k] is not None:
-            raise IntegrityError(f"{where}: appears a second time")
+            raise IntegrityError(f"{where}: appears a second time", number)
         if len(bits) != truths[k].size:
             raise IntegrityError(
-                f"{where}: {len(bits)} decisions for {truths[k].size} targets"
+                f"{where}: {len(bits)} decisions for {truths[k].size} targets", number
             )
         out[k] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
     for sid, k in index.items():
         if out[k] is None:
             raise IntegrityError(
-                f"{path}: no stored decisions for session {sid!r}; "
-                "re-run the predict stage"
+                f"no stored decisions for session {sid!r}; re-run the predict stage"
             )
     return out
 
@@ -209,7 +231,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     decisions = []
     for solution in cfg.solutions:
         path = _require(cfg.workdir / _submission_name(solution), "predict")
-        decisions.append(_load_submission(path, index, truths))
+        decisions.append(_read(path, _parse_submission, index, truths))
     rows = solutions_report(truths, decisions, cfg.solutions)
     with open(cfg.workdir / "report.csv", "w", encoding="utf-8") as fh:
         write_report_csv(rows, fh)
@@ -283,9 +305,6 @@ def main(argv=None) -> int:
         return 1
     except (SkipcastError, OSError) as exc:
         print(f"skipcast: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"skipcast: a data file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -9,10 +9,13 @@ columns named in :data:`SCALAR_FEATURE_NAMES`, and dense vector columns
 inferred from the header and must match on every row. Unknown extra columns
 are ignored so files with a wider schema still load.
 
-Session log: CSV with columns ``session_id, session_position,
-session_length, track_id, skip_1, skip_2, skip_3, premium, shuffle,
-hour_of_day, day, month``. Boolean cells are encoded as ``0``/``1``. Rows
-must be contiguous per session and ordered by position.
+Session log: CSV with the columns of :data:`SESSION_LOG_LAYOUT`. Boolean
+cells are encoded as ``0``/``1``. Rows must be contiguous per session and
+ordered by position.
+
+Every row of either file has as many cells as its header. A parse error
+tells where it is only by its ``line_num`` (1 for the header, none for an
+empty file); the CLI puts the file's path and the line before the message.
 
 Parsed collections are built single-writer and treated as immutable
 afterwards, so they are safe to share across threads.
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -67,19 +71,22 @@ MAX_TARGET_POSITIONS = 10
 
 DEFAULT_ACOUSTIC_DIM = 7
 
-SESSION_LOG_COLUMNS = (
-    "session_id",
-    "session_position",
-    "session_length",
-    "track_id",
-    "skip_1",
-    "skip_2",
-    "skip_3",
-    "premium",
-    "shuffle",
-    "hour_of_day",
-    "day",
-    "month",
+#: The session log's columns in file order: (column, SessionRow field, kind).
+#: The fields come in SessionRow's order; the kind (str, int or bool) says
+#: how the cell is read and written.
+SESSION_LOG_LAYOUT = (
+    ("session_id", "session_id", str),
+    ("session_position", "position", int),
+    ("session_length", "session_length", int),
+    ("track_id", "track_id", str),
+    ("skip_1", "skip_1", bool),
+    ("skip_2", "skip_2", bool),
+    ("skip_3", "skip_3", bool),
+    ("premium", "premium", bool),
+    ("shuffle", "shuffle", bool),
+    ("hour_of_day", "hour", int),
+    ("day", "day", int),
+    ("month", "month", int),
 )
 
 
@@ -206,6 +213,25 @@ def split_session(session: Session) -> SessionSplit:
     return SessionSplit(history=session.rows[:h], targets=session.rows[h:])
 
 
+def csv_rows(stream: IO[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line, cells) of a header-first CSV stream, the header first.
+
+    A row whose cell count differs from the header's raises a RowParseError
+    at its line; a blank line is a row of no cells.
+    """
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{what} is empty")
+    yield reader.line_num, header
+    for cells in reader:
+        if len(cells) != len(header):
+            raise RowParseError(
+                f"expected {len(header)} cells, got {len(cells)}", reader.line_num
+            )
+        yield reader.line_num, cells
+
+
 # ---------------------------------------------------------------------------
 # Track-feature CSV
 
@@ -225,14 +251,14 @@ def _infer_acoustic_dim(fieldnames: Iterable[str]) -> int:
             try:
                 indices.add(int(name[len(prefix):]))
             except ValueError:
-                raise SchemaError(f"malformed acoustic vector column {name!r}")
+                raise SchemaError(f"malformed acoustic vector column {name!r}", 1)
     if not indices:
-        raise SchemaError("no acoustic_vector_* columns in header")
+        raise SchemaError("no acoustic_vector_* columns in header", 1)
     dim = len(indices)
     if indices != set(range(dim)):
         raise SchemaError(
             "acoustic vector columns must be numbered contiguously from 0, "
-            f"got indices {sorted(indices)}"
+            f"got indices {sorted(indices)}", 1
         )
     return dim
 
@@ -240,26 +266,18 @@ def _infer_acoustic_dim(fieldnames: Iterable[str]) -> int:
 def _float_cell(value: str, column: str, line_num: int) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise RowParseError(
-            f"line {line_num}: cannot parse {column}={value!r} as a number",
-            line_num,
-        )
+    except ValueError:
+        raise RowParseError(f"cannot parse {column}={value!r} as a number", line_num)
     if not math.isfinite(number):
-        raise RowParseError(
-            f"line {line_num}: {column}={value!r} is not a finite number", line_num
-        )
+        raise RowParseError(f"{column}={value!r} is not a finite number", line_num)
     return number
 
 
 def _int_cell(value: str, column: str, line_num: int) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
-        raise RowParseError(
-            f"line {line_num}: cannot parse {column}={value!r} as an integer",
-            line_num,
-        )
+    except ValueError:
+        raise RowParseError(f"cannot parse {column}={value!r} as an integer", line_num)
 
 
 def _bool_cell(value: str, column: str, line_num: int) -> bool:
@@ -267,10 +285,7 @@ def _bool_cell(value: str, column: str, line_num: int) -> bool:
         return False
     if value == "1":
         return True
-    raise RowParseError(
-        f"line {line_num}: column {column} must be 0 or 1, got {value!r}",
-        line_num,
-    )
+    raise RowParseError(f"column {column} must be 0 or 1, got {value!r}", line_num)
 
 
 def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
@@ -279,36 +294,30 @@ def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
     The acoustic-vector dimension is inferred from the header and every
     track in the returned map shares it.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise SchemaError("track feature file is empty")
-    fields = set(reader.fieldnames)
-    for required in ("track_id", "duration", "release_year", *SCALAR_FEATURE_NAMES):
-        if required not in fields:
-            raise SchemaError(f"track feature file is missing column {required!r}")
-    dim = _infer_acoustic_dim(reader.fieldnames)
+    rows = csv_rows(stream, "track feature file")
+    _, header = next(rows)
+    for required in _track_header_columns(0):
+        if required not in header:
+            raise SchemaError(f"track feature file is missing column {required!r}", 1)
+    dim = _infer_acoustic_dim(header)
     vector_cols = [f"acoustic_vector_{k}" for k in range(dim)]
 
     track_map: dict[str, TrackMetadata] = {}
-    for record in reader:
-        line = reader.line_num
+    for line, cells in rows:
+        record = dict(zip(header, cells))
         track_id = record["track_id"]
         if track_id in track_map:
-            raise DuplicateTrackError(
-                f"line {line}: duplicate track_id {track_id!r}"
-            )
+            raise DuplicateTrackError(f"duplicate track_id {track_id!r}", line)
         duration = _float_cell(record["duration"], "duration", line)
         if duration <= 0:
-            raise IntegrityError(f"line {line}: duration must be positive")
+            raise IntegrityError("duration must be positive", line)
         year = _int_cell(record["release_year"], "release_year", line)
         scalars = np.array(
             [_float_cell(record[c], c, line) for c in SCALAR_FEATURE_NAMES],
             dtype=np.float64,
         )
         if not 0.0 <= scalars[0] <= 100.0:
-            raise IntegrityError(
-                f"line {line}: popularity {scalars[0]} outside [0, 100]"
-            )
+            raise IntegrityError(f"popularity {scalars[0]} outside [0, 100]", line)
         vector = np.array(
             [_float_cell(record[c], c, line) for c in vector_cols],
             dtype=np.float64,
@@ -345,25 +354,31 @@ def write_track_csv(track_map: Mapping[str, TrackMetadata], stream: IO[str]) -> 
 # ---------------------------------------------------------------------------
 # Session-log CSV
 
+# how a cell of each SESSION_LOG_LAYOUT kind is read
+_READ_CELL = {
+    str: lambda value, column, line_num: value, int: _int_cell, bool: _bool_cell
+}
+
 
 def parse_session_log(stream: IO[str]) -> list[Session]:
     """Read a session log into validated Session objects.
 
-    Rows must arrive grouped by session_id and ordered by position. A bad
-    row, or a session whose positions or declared length do not match its
-    rows, raises a RowParseError naming the stream's file (its ``name``)
-    and the line of the row or of the session's first row. Track ids are
-    checked where features joins the log with the track file.
+    Rows must arrive grouped by session_id and ordered by position. An
+    error's ``line_num`` is its row's, the session's first row's for wrong
+    positions or length, or 1 for the header; a row's first bad cell in
+    column order is the one reported. Track ids are checked where features
+    joins the log with the track file.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise SchemaError("session log is empty")
-    fields = set(reader.fieldnames)
-    for required in SESSION_LOG_COLUMNS:
-        if required not in fields:
-            raise SchemaError(f"session log is missing column {required!r}")
-
-    source = getattr(stream, "name", "session log")
+    rows = csv_rows(stream, "session log")
+    _, header = next(rows)
+    for column, _field, _kind in SESSION_LOG_LAYOUT:
+        if column not in header:
+            raise SchemaError(f"session log is missing column {column!r}", 1)
+    index = {column: i for i, column in enumerate(header)}
+    layout = [
+        (index[column], column, _READ_CELL[kind])
+        for column, _field, kind in SESSION_LOG_LAYOUT
+    ]
     sessions: list[Session] = []
     seen: set[str] = set()
     current_id: str | None = None
@@ -377,40 +392,27 @@ def parse_session_log(stream: IO[str]) -> list[Session]:
         try:
             _validate_layout(session)  # each row was checked as it was read
         except MalformedSessionError as exc:
-            raise RowParseError(f"{source} line {first_line}: {exc}", first_line)
+            raise RowParseError(str(exc), first_line)
         sessions.append(session)
 
-    for record in reader:
-        line = reader.line_num
-        sid = record["session_id"]
+    for line, cells in rows:
+        sid = cells[index["session_id"]]
         if sid != current_id:
             finalize()
             if sid in seen:
                 raise MalformedSessionError(
-                    f"{source} line {line}: session {sid!r} reappears after "
-                    "other sessions; rows must be contiguous"
+                    f"session {sid!r} reappears after other sessions; "
+                    "rows must be contiguous",
+                    line,
                 )
             seen.add(sid)
             current_id = sid
             current_rows = []
             first_line = line
-        row = SessionRow(
-            session_id=sid,
-            position=_int_cell(record["session_position"], "session_position", line),
-            session_length=_int_cell(record["session_length"], "session_length", line),
-            track_id=record["track_id"],
-            skip_1=_bool_cell(record["skip_1"], "skip_1", line),
-            skip_2=_bool_cell(record["skip_2"], "skip_2", line),
-            skip_3=_bool_cell(record["skip_3"], "skip_3", line),
-            premium=_bool_cell(record["premium"], "premium", line),
-            shuffle=_bool_cell(record["shuffle"], "shuffle", line),
-            hour=_int_cell(record["hour_of_day"], "hour_of_day", line),
-            day=_int_cell(record["day"], "day", line),
-            month=_int_cell(record["month"], "month", line),
-        )
+        row = SessionRow(*[read(cells[i], column, line) for i, column, read in layout])
         problem = _row_problem(row)
         if problem:
-            raise RowParseError(f"{source} line {line}: {problem}", line)
+            raise RowParseError(problem, line)
         current_rows.append(row)
     finalize()
     return sessions
@@ -418,22 +420,10 @@ def parse_session_log(stream: IO[str]) -> list[Session]:
 
 def write_session_csv(sessions: Iterable[Session], stream: IO[str]) -> None:
     """Write sessions in order using the canonical session-log layout."""
-    stream.write(",".join(SESSION_LOG_COLUMNS) + "\n")
-    flag = lambda b: "1" if b else "0"  # noqa: E731
+    stream.write(",".join(column for column, _, _ in SESSION_LOG_LAYOUT) + "\n")
+    cells = operator.attrgetter(*(field for _, field, _ in SESSION_LOG_LAYOUT))
+    # %d writes a bool as 1 or 0
+    line = ",".join("%s" if kind is str else "%d" for _, _, kind in SESSION_LOG_LAYOUT)
     for session in sessions:
         for row in session.rows:
-            cells = (
-                row.session_id,
-                str(row.position),
-                str(row.session_length),
-                row.track_id,
-                flag(row.skip_1),
-                flag(row.skip_2),
-                flag(row.skip_3),
-                flag(row.premium),
-                flag(row.shuffle),
-                str(row.hour),
-                str(row.day),
-                str(row.month),
-            )
-            stream.write(",".join(cells) + "\n")
+            stream.write(line % cells(row) + "\n")

@@ -6,7 +6,11 @@ CLI can map any of them to its "data error" exit code.
 
 
 class SkipcastError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``line_num`` is a file line."""
+
+    def __init__(self, message: str, line_num: int | None = None):
+        super().__init__(message)
+        self.line_num = line_num
 
 
 class SchemaError(SkipcastError):
@@ -14,11 +18,7 @@ class SchemaError(SkipcastError):
 
 
 class RowParseError(SkipcastError):
-    """A CSV cell could not be parsed; carries the offending line number."""
-
-    def __init__(self, message: str, line_num: int | None = None):
-        super().__init__(message)
-        self.line_num = line_num
+    """A CSV row or cell could not be parsed."""
 
 
 class DuplicateTrackError(SkipcastError):

@@ -23,7 +23,6 @@ are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -38,6 +37,7 @@ from .datamodel import (
     Session,
     SessionRow,
     TrackMetadata,
+    csv_rows,
     split_session,
 )
 from .errors import (
@@ -171,46 +171,34 @@ class FeatureTable:
 
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "FeatureTable":
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError("feature matrix file is empty")
-        if tuple(header) != MATRIX_COLUMNS:
+        """Parse `write_csv`'s layout; an error's ``line_num`` is its line."""
+        lines = csv_rows(stream, "feature matrix file")
+        if tuple(next(lines)[1]) != MATRIX_COLUMNS:
             raise SchemaError(
                 "feature matrix header does not match the canonical schema; "
                 f"expected {len(MATRIX_COLUMNS)} columns starting with "
-                f"{MATRIX_COLUMNS[0]!r}"
+                f"{MATRIX_COLUMNS[0]!r}",
+                1,
             )
         rows, labels, positions, sids = [], [], [], []
-        for cells in reader:
-            line = reader.line_num
-            if len(cells) != len(MATRIX_COLUMNS):
-                raise RowParseError(
-                    f"feature matrix line {line}: expected {len(MATRIX_COLUMNS)} "
-                    f"cells, got {len(cells)}",
-                    line,
-                )
+        for line, cells in lines:
             try:
                 rows.append([float(c) for c in cells[:FEATURE_COUNT]])
                 labels.append(int(cells[FEATURE_COUNT]))
                 positions.append(int(cells[FEATURE_COUNT + 2]))
             except ValueError as exc:
-                raise RowParseError(f"feature matrix line {line}: {exc}", line)
+                raise RowParseError(str(exc), line)
             if not all(map(math.isfinite, rows[-1])):
                 k = next(k for k, v in enumerate(rows[-1]) if not math.isfinite(v))
                 raise RowParseError(
-                    f"feature matrix line {line}: {FEATURE_NAMES[k]}={cells[k]!r} "
-                    "is not a finite number",
-                    line,
+                    f"{FEATURE_NAMES[k]}={cells[k]!r} is not a finite number", line
                 )
             if labels[-1] not in (0, 1):
-                raise RowParseError(
-                    f"feature matrix line {line}: label {labels[-1]} is not 0 or 1", line
-                )
+                raise RowParseError(f"label {labels[-1]} is not 0 or 1", line)
             if not 1 <= positions[-1] <= MAX_TARGET_POSITIONS:
                 raise RowParseError(
-                    f"feature matrix line {line}: target position {positions[-1]} "
-                    f"outside [1, {MAX_TARGET_POSITIONS}]",
+                    f"target position {positions[-1]} outside "
+                    f"[1, {MAX_TARGET_POSITIONS}]",
                     line,
                 )
             sids.append(cells[FEATURE_COUNT + 1])

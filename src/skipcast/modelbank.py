@@ -34,7 +34,7 @@ from typing import IO
 
 import numpy as np
 
-from .datamodel import MAX_TARGET_POSITIONS
+from .datamodel import MAX_TARGET_POSITIONS, csv_rows
 from .errors import (
     ConfigError,
     DegenerateSampleError,
@@ -167,7 +167,8 @@ class ModelBank:
                 raise SchemaError(f"{manifest_path} is not a model bank manifest")
             if manifest["feature_schema_hash"] != feature_schema_hash():
                 raise SchemaError(
-                    "bank was trained with a different feature schema; re-train it"
+                    f"{manifest_path}: bank was trained with a different feature "
+                    "schema; re-train it"
                 )
             names = manifest["models"]
             if type(names) is not list or len(names) != MAX_TARGET_POSITIONS:
@@ -273,27 +274,23 @@ class GridReport:
 
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "GridReport":
-        lines = stream.read().splitlines()
-        if not lines or lines[0] != GRID_REPORT_HEADER:
-            raise SchemaError("not a grid report file")
-        n_cells = len(GRID_REPORT_HEADER.split(","))
+        """Parse `write_csv`'s layout; an error's ``line_num`` is its line."""
+        lines = csv_rows(stream, "grid report file")
+        if ",".join(next(lines)[1]) != GRID_REPORT_HEADER:
+            raise SchemaError("not a grid report file", 1)
         rows, best = [], None
-        for line_num, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
+        for line_num, cells in lines:
             try:
-                if len(cells) != n_cells or cells[-1] not in ("0", "1"):
-                    raise ValueError(
-                        f"expected {n_cells} cells ending in a 0/1 best marker, "
-                        f"got {line!r}"
-                    )
+                if cells[-1] not in ("0", "1"):
+                    raise ValueError(f"best marker {cells[-1]!r} is not 0 or 1")
                 if cells[-1] == "1" and best is not None:
-                    raise ValueError(f"a second best marker after line {best + 2}")
+                    raise ValueError("a second best marker")
                 # each cell takes the type of its key's grid values
                 point = {k: type(v[0])(c) for (k, v), c in zip(GRID.items(), cells)}
                 TrainParams(**point)
                 rows.append(GridRow(point, float(cells[-2])))
             except (ValueError, ConfigError) as exc:
-                raise RowParseError(f"grid report line {line_num}: {exc}", line_num)
+                raise RowParseError(str(exc), line_num)
             if cells[-1] == "1":
                 best = len(rows) - 1
         if not rows:

@@ -406,7 +406,9 @@ class TestDataErrors:
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
-        assert "line 4" in capsys.readouterr().err
+        problem = {"cut": "expected 6 cells, got 4",
+                   "best eta 5.0": "eta must be in (0, 1], got 5.0"}[corrupt]
+        assert capsys.readouterr().err == f"skipcast: {path} line 4: {problem}\n"
 
     @pytest.mark.parametrize("markers", ["none", "two"])
     def test_train_with_grid_report_best_markers(
@@ -425,9 +427,9 @@ class TestDataErrors:
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
         err = capsys.readouterr().err
         if markers == "none":
-            assert "grid report has no row marked best" in err
+            assert err == f"skipcast: {path}: grid report has no row marked best\n"
         else:
-            assert "line 6: a second best marker" in err
+            assert err == f"skipcast: {path} line 6: a second best marker\n"
 
     def test_evaluate_with_empty_session_log(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
@@ -510,28 +512,6 @@ class TestDataErrors:
         )
         assert not any(output.exists() for output in outputs)
 
-    def test_extract_with_non_utf8_session_log(self, pipeline, tmp_path, capsys):
-        workdir = tmp_path / "w"
-        shutil.copytree(pipeline, workdir)
-        path = workdir / "sessions.csv"
-        path.write_bytes(path.read_bytes().replace(b"s000001", b"s\xff00001", 1))
-        conf = write_conf(tmp_path)
-        assert main(["extract", "--config", conf, "--workdir", str(workdir)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("skipcast: a data file is not UTF-8 text: ")
-        assert "Traceback" not in err
-
-    def test_train_with_unparsable_feature_cell(self, pipeline, tmp_path, capsys):
-        workdir = tmp_path / "w"
-        shutil.copytree(pipeline, workdir)
-        path = workdir / "features.csv"
-        lines = path.read_text().splitlines()
-        lines[4] = "abc" + lines[4][lines[4].index(","):]
-        path.write_text("\n".join(lines) + "\n")
-        conf = write_conf(tmp_path)
-        assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
-        assert "line 5" in capsys.readouterr().err
-
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_train_with_non_finite_feature_cell(
         self, pipeline, tmp_path, capsys, cell
@@ -544,8 +524,10 @@ class TestDataErrors:
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
-        err = capsys.readouterr().err
-        assert "line 5" in err and "not a finite number" in err
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} line 5: "
+            f"track_popularity={cell!r} is not a finite number\n"
+        )
 
     def test_train_with_label_outside_0_1(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
@@ -558,7 +540,9 @@ class TestDataErrors:
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
-        assert "line 5" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} line 5: label 7 is not 0 or 1\n"
+        )
 
     @pytest.mark.parametrize("stage", ["train", "tune"])
     def test_target_position_outside_1_10(self, pipeline, tmp_path, capsys, stage):
@@ -570,8 +554,9 @@ class TestDataErrors:
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
-        err = capsys.readouterr().err
-        assert "line 5" in err and "target position 11 outside [1, 10]" in err
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} line 5: target position 11 outside [1, 10]\n"
+        )
 
     def test_tune_on_single_class_table(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
@@ -601,10 +586,13 @@ class TestDataErrors:
     def test_evaluate_with_corrupt_submission(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
-        (workdir / "submission_solution_01.txt").write_text("s000000 01x\n")
+        path = workdir / "submission_solution_01.txt"
+        path.write_text("s000000 01x\n")
         conf = write_conf(tmp_path)
         assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 2
-        assert "malformed decision" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} line 1: session 's000000': malformed decision string\n"
+        )
 
     @pytest.mark.parametrize("corrupt", ["short", "long", "duplicate", "unknown"])
     def test_evaluate_with_bad_submission_line(
@@ -633,7 +621,7 @@ class TestDataErrors:
         conf = write_conf(tmp_path)
         assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 2
         err = capsys.readouterr().err
-        assert f"{path} line {number}: session {sid!r}: {reason}" in err
+        assert err == f"skipcast: {path} line {number}: session {sid!r}: {reason}\n"
 
     def test_evaluate_with_missing_session(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
@@ -646,6 +634,112 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"skipcast: {path}: no stored decisions for session ")
         assert err.endswith("; re-run the predict stage\n")
+
+
+def _set_cell(index, value):
+    def edit(line):
+        cells = line.split(",")
+        cells[index] = value
+        return ",".join(cells)
+
+    return edit
+
+
+# each data file: the stage that reads it, and its error when it is empty
+DATA_FILES = {
+    "tracks.csv": ("extract", "track feature file is empty"),
+    "sessions.csv": ("evaluate", "session log is empty"),
+    "features.csv": ("train", "feature matrix file is empty"),
+    "grid_report.csv": ("train", "grid report file is empty"),
+    "submission_solution_09.txt": (
+        "evaluate",
+        "no stored decisions for session 's000000'; re-run the predict stage",
+    ),
+}
+
+# (file, error): the line to edit, the edit, and the message after the line
+LINE_ERRORS = {
+    ("tracks.csv", "bad cell"): (
+        3, _set_cell(1, "x"), "cannot parse duration='x' as a number"
+    ),
+    ("tracks.csv", "extra cell"): (
+        3, lambda line: line + ",0", "expected 26 cells, got 27"
+    ),
+    ("tracks.csv", "bad header"): (
+        1,
+        lambda line: line.replace(",valence,", ",valency,"),
+        "track feature file is missing column 'valence'",
+    ),
+    ("sessions.csv", "bad cell"): (
+        4, _set_cell(1, "x"), "cannot parse session_position='x' as an integer"
+    ),
+    ("sessions.csv", "extra cell"): (
+        4, lambda line: line + ",0", "expected 12 cells, got 13"
+    ),
+    ("sessions.csv", "missing cell"): (
+        4, lambda line: line.rsplit(",", 1)[0], "expected 12 cells, got 11"
+    ),
+    ("sessions.csv", "bad header"): (
+        1,
+        lambda line: line.replace("month", "mon"),
+        "session log is missing column 'month'",
+    ),
+    ("features.csv", "bad cell"): (
+        5, _set_cell(0, "abc"), "could not convert string to float: 'abc'"
+    ),
+    ("features.csv", "bad header"): (
+        1,
+        _set_cell(0, "popularity"),
+        "feature matrix header does not match the canonical schema; "
+        "expected 66 columns starting with 'track_popularity'",
+    ),
+    ("grid_report.csv", "bad cell"): (
+        4, _set_cell(0, "abc"), "could not convert string to float: 'abc'"
+    ),
+    ("grid_report.csv", "bad header"): (
+        1, lambda line: line.replace("val_auc", "auc"), "not a grid report file"
+    ),
+    ("submission_solution_09.txt", "bad cell"): (
+        2, lambda line: "zzz 01x", "session 'zzz': malformed decision string"
+    ),
+}
+
+
+class TestDataFileErrors:
+    """Every data file the CLI reads, with each kind of error it can hold.
+
+    Each run exits 2 with one stderr line, `skipcast: <path> line <n>:
+    <message>`, or `skipcast: <path>: <message>` for an empty file. A
+    submission has no header. The byte that is not UTF-8 sits on the last
+    line, past the decoder's first chunk in the larger files.
+    """
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [*LINE_ERRORS, *((name, "not UTF-8") for name in DATA_FILES),
+         *((name, "empty") for name in DATA_FILES)],
+        ids=lambda value: value,
+    )
+    def test_error_names_file_and_line(self, pipeline, tmp_path, capsys, name, error):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / name
+        lines = path.read_bytes().splitlines()
+        stage, message = DATA_FILES[name]
+        if error == "empty":
+            lines, where = [], f"{path}"
+        elif error == "not UTF-8":
+            lines[-1] = lines[-1][:5] + b"\xff" + lines[-1][5:]
+            where = f"{path} line {len(lines)}"
+            message = "byte 0xff is not UTF-8 text (invalid start byte)"
+        else:
+            number, edit, message = LINE_ERRORS[name, error]
+            lines[number - 1] = edit(lines[number - 1].decode()).encode()
+            where = f"{path} line {number}"
+        path.write_bytes(b"".join(line + b"\n" for line in lines))
+        conf = write_conf(tmp_path)
+        assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
+        assert capsys.readouterr().err == f"skipcast: {where}: {message}\n"
 
 
 class TestFlagPrecedence:

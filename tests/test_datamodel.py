@@ -1,13 +1,16 @@
 """Record validation, CSV round trips, and the history/target split."""
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from skipcast.cli import _read
 from skipcast.datamodel import (
     MAX_TARGET_POSITIONS,
     SCALAR_FEATURE_NAMES,
+    SESSION_LOG_LAYOUT,
     Session,
     SessionRow,
     TrackMetadata,
@@ -95,8 +98,11 @@ class TestTrackCsv:
     def test_missing_scalar_column(self):
         header = "track_id,duration,release_year," + ",".join(SCALAR_FEATURE_NAMES[:-1])
         header += ",acoustic_vector_0"
-        with pytest.raises(SchemaError, match="valence"):
+        with pytest.raises(
+            SchemaError, match=r"^track feature file is missing column 'valence'$"
+        ) as exc_info:
             parse_track_features(io.StringIO(header + "\n"))
+        assert exc_info.value.line_num == 1
 
     def test_no_acoustic_columns(self):
         header = "track_id,duration,release_year," + ",".join(SCALAR_FEATURE_NAMES)
@@ -117,8 +123,28 @@ class TestTrackCsv:
         write_track_csv({"dup": make_track("dup")}, buf)
         text = buf.getvalue()
         doubled = text + text.splitlines()[1] + "\n"
-        with pytest.raises(DuplicateTrackError, match="dup"):
+        with pytest.raises(
+            DuplicateTrackError, match=r"^duplicate track_id 'dup'$"
+        ) as exc_info:
             parse_track_features(io.StringIO(doubled))
+        assert exc_info.value.line_num == 3
+
+    @pytest.mark.parametrize(
+        "edit, got",
+        [(lambda line: line + ",0.5", 21), (lambda line: line.rsplit(",", 1)[0], 19),
+         (lambda line: "", 0)],
+        ids=["extra cell", "missing cell", "blank line"],
+    )
+    def test_row_width_must_match_header(self, edit, got):
+        buf = io.StringIO()
+        write_track_csv({"a": make_track("a", dim=1), "b": make_track("b", dim=1)}, buf)
+        lines = buf.getvalue().splitlines()
+        lines[2] = edit(lines[2])
+        with pytest.raises(
+            RowParseError, match=rf"^expected 20 cells, got {got}$"
+        ) as exc_info:
+            parse_track_features(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 3
 
     def test_bad_number_reports_line(self):
         buf = io.StringIO()
@@ -305,10 +331,13 @@ class TestSessionLogCsv:
             ({10: "32"}, "session 'b' position 1: day 32 outside [1, 31]"),
             ({11: "13"}, "session 'b' position 1: month 13 outside [1, 12]"),
             ({2: "9"}, "session 'b': declared length 9 does not match row count 3"),
+            # the first bad cell in column order is the one reported
+            ({11: "june", 4: "2", 1: "first"},
+             "cannot parse session_position='first' as an integer"),
         ],
         ids=[
             "skip_1", "skip_2", "hour 24", "day 0", "day 32", "month 13",
-            "session_length",
+            "session_length", "first bad cell",
         ],
     )
     def test_bad_row_reports_line(self, cells, problem):
@@ -321,22 +350,58 @@ class TestSessionLogCsv:
         lines[3] = ",".join(row)
         with pytest.raises(RowParseError) as exc_info:
             parse_session_log(io.StringIO("\n".join(lines) + "\n"))
-        assert str(exc_info.value) == f"session log line 4: {problem}"
+        assert str(exc_info.value) == problem
         assert exc_info.value.line_num == 4
 
     def test_bad_row_names_the_file(self, tmp_path):
+        # the parser gives the line; the CLI's file reader adds the path
         path = tmp_path / "sessions.csv"
         with open(path, "w", encoding="utf-8") as fh:
             write_session_csv([make_session(n=2, sid="a", skips=[False, False])], fh)
         path.write_text(path.read_text().replace(",14,", ",25,", 1))
-        with open(path, encoding="utf-8") as fh:
-            with pytest.raises(RowParseError, match=rf"^{path} line 2: session 'a' "
-                               r"position 1: hour 25 outside \[0, 23\]$"):
-                parse_session_log(fh)
+        with pytest.raises(RowParseError, match=rf"^{path} line 2: session 'a' "
+                           r"position 1: hour 25 outside \[0, 23\]$"):
+            _read(path, parse_session_log)
 
     def test_missing_column(self):
-        with pytest.raises(SchemaError, match="missing column"):
+        with pytest.raises(
+            SchemaError, match=r"^session log is missing column 'session_position'$"
+        ) as exc_info:
             parse_session_log(io.StringIO("session_id,month\n"))
+        assert exc_info.value.line_num == 1
+
+    @pytest.mark.parametrize(
+        "edit, got",
+        [(lambda line: line + ",0", 13), (lambda line: line.rsplit(",", 1)[0], 11),
+         (lambda line: "", 0)],
+        ids=["extra cell", "missing cell", "blank line"],
+    )
+    def test_row_width_must_match_header(self, edit, got):
+        buf = io.StringIO()
+        write_session_csv([make_session(n=2, sid="a"), make_session(n=3, sid="b")], buf)
+        lines = buf.getvalue().splitlines()
+        lines[3] = edit(lines[3])
+        with pytest.raises(
+            RowParseError, match=rf"^expected 12 cells, got {got}$"
+        ) as exc_info:
+            parse_session_log(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 4
+
+    def test_layout_lists_session_row_fields_in_order(self):
+        assert [field for _, field, _ in SESSION_LOG_LAYOUT] == [
+            f.name for f in dataclasses.fields(SessionRow)
+        ]
+
+    def test_written_layout(self):
+        # the canonical layout, spelled out cell by cell
+        buf = io.StringIO()
+        write_session_csv([make_session(n=2, sid="a", skips=[True, False])], buf)
+        assert buf.getvalue() == (
+            "session_id,session_position,session_length,track_id,skip_1,skip_2,"
+            "skip_3,premium,shuffle,hour_of_day,day,month\n"
+            "a,1,2,t0,0,1,1,1,0,14,11,6\n"
+            "a,2,2,t0,0,0,0,1,0,14,11,6\n"
+        )
 
     def test_synthetic_corpus_round_trips(self):
         config = SynthConfig(n_tracks=40, n_sessions=25)

@@ -202,8 +202,11 @@ class TestSaveLoad:
         manifest = json.loads(path.read_text())
         manifest["feature_schema_hash"] = "0" * 64
         path.write_text(json.dumps(manifest))
-        with pytest.raises(SchemaError, match="feature schema"):
+        with pytest.raises(SchemaError) as exc_info:
             ModelBank.load(tmp_path / "bank")
+        assert str(exc_info.value) == (
+            f"{path}: bank was trained with a different feature schema; re-train it"
+        )
 
     def test_manifest_missing_key_rejected(self, bank, tmp_path):
         bank.save(tmp_path / "bank")
@@ -372,23 +375,25 @@ class TestGridReport:
         with pytest.raises(SchemaError, match="grid report"):
             GridReport.read_csv(io.StringIO("nope,nope\n"))
 
+    BAD_ROWS = [
+        ("0.1,6,1.0,1", "expected 6 cells, got 4"),
+        ("0.1,6,1.0,1.0,0.6,0,7", "expected 6 cells, got 7"),
+        ("abc,6,1.0,1.0,0.6,0", "could not convert string to float: 'abc'"),
+        ("0.1,6,1.0,1.0,0.6,x", "best marker 'x' is not 0 or 1"),
+        ("5.0,6,1.0,1.0,0.6,0", "eta must be in (0, 1], got 5.0"),
+        ("0.1,6,1.0,0.0,0.6,0", "subsample must be in (0, 1], got 0.0"),
+        ("0.2,6,1.0,1.0,0.7,1", "a second best marker"),
+    ]
+
     @pytest.mark.parametrize(
-        "bad_line",
-        [
-            "0.1,6,1.0,1",
-            "0.1,6,1.0,1.0,0.6,0,7",
-            "abc,6,1.0,1.0,0.6,0",
-            "0.1,6,1.0,1.0,0.6,x",
-            "5.0,6,1.0,1.0,0.6,0",
-            "0.1,6,1.0,0.0,0.6,0",
-            "0.2,6,1.0,1.0,0.7,1",  # a second best marker
-        ],
+        "bad_line, problem", BAD_ROWS, ids=[line for line, _ in BAD_ROWS]
     )
-    def test_bad_row_reports_line(self, bad_line):
+    def test_bad_row_reports_line(self, bad_line, problem):
         text = f"{GRID_REPORT_HEADER}\n0.1,6,1.0,1.0,0.6,1\n{bad_line}\n"
-        with pytest.raises(RowParseError, match="line 3") as exc_info:
+        with pytest.raises(RowParseError) as exc_info:
             GridReport.read_csv(io.StringIO(text))
         assert exc_info.value.line_num == 3
+        assert str(exc_info.value) == problem
 
     def test_rejects_report_without_rows(self):
         with pytest.raises(SchemaError, match="no rows"):
