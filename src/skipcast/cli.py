@@ -40,7 +40,6 @@ from .ensemble import (
 )
 from .errors import (
     ConfigError,
-    DegenerateSampleError,
     IntegrityError,
     RowParseError,
     SkipcastError,
@@ -97,11 +96,7 @@ def _read(path: Path, parse, *args):
 
 
 def _load_sessions(cfg: RunConfig):
-    path = _require(cfg.sessions_path(), "synth")
-    sessions = _read(path, parse_session_log)
-    if not sessions:
-        raise DegenerateSampleError(f"session log {path} holds no sessions")
-    return sessions
+    return _read(_require(cfg.sessions_path(), "synth"), parse_session_log)
 
 
 def _load_corpus(cfg: RunConfig):

@@ -32,6 +32,7 @@ from typing import IO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import (
+    DegenerateSampleError,
     DuplicateTrackError,
     IntegrityError,
     MalformedSessionError,
@@ -263,36 +264,54 @@ def _infer_acoustic_dim(fieldnames: Iterable[str]) -> int:
     return dim
 
 
-def _float_cell(value: str, column: str, line_num: int) -> float:
+def parse_cell(kind: type, value: str, column: str, line_num: int):
+    """`value` read as `kind`: str, int, float, or bool written as 0 or 1.
+
+    A cell that does not read raises a RowParseError naming its column.
+    """
+    if kind is bool:
+        if value in ("0", "1"):
+            return value == "1"
+        raise RowParseError(f"column {column} must be 0 or 1, got {value!r}", line_num)
     try:
-        number = float(value)
+        return kind(value)
     except ValueError:
-        raise RowParseError(f"cannot parse {column}={value!r} as a number", line_num)
+        noun = "an integer" if kind is int else "a number"
+        raise RowParseError(f"cannot parse {column}={value!r} as {noun}", line_num)
+
+
+def _float_cell(value: str, column: str, line_num: int) -> float:
+    number = parse_cell(float, value, column, line_num)
     if not math.isfinite(number):
         raise RowParseError(f"{column}={value!r} is not a finite number", line_num)
     return number
 
 
-def _int_cell(value: str, column: str, line_num: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise RowParseError(f"cannot parse {column}={value!r} as an integer", line_num)
+def _track_numbers(
+    record: Mapping[str, str], line: int, vector_cols: list[str]
+) -> tuple[list[float], int]:
+    """One track row's numbers, cell by cell: the first bad one raises.
 
-
-def _bool_cell(value: str, column: str, line_num: int) -> bool:
-    if value == "0":
-        return False
-    if value == "1":
-        return True
-    raise RowParseError(f"column {column} must be 0 or 1, got {value!r}", line_num)
+    Returns the duration, the 16 scalars and the vector, then the year.
+    """
+    duration = _float_cell(record["duration"], "duration", line)
+    if duration <= 0:
+        raise IntegrityError("duration must be positive", line)
+    year = parse_cell(int, record["release_year"], "release_year", line)
+    scalars = [_float_cell(record[c], c, line) for c in SCALAR_FEATURE_NAMES]
+    if not 0.0 <= scalars[0] <= 100.0:
+        raise IntegrityError(f"popularity {scalars[0]} outside [0, 100]", line)
+    vector = [_float_cell(record[c], c, line) for c in vector_cols]
+    return [duration, *scalars, *vector], year
 
 
 def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
     """Read a track-feature CSV into a map keyed by track_id.
 
     The acoustic-vector dimension is inferred from the header and every
-    track in the returned map shares it.
+    track in the returned map shares it. A column named twice is read from
+    its last copy. A row is converted whole; only a row that fails is read
+    again cell by cell, to report its first bad cell.
     """
     rows = csv_rows(stream, "track feature file")
     _, header = next(rows)
@@ -301,33 +320,36 @@ def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
             raise SchemaError(f"track feature file is missing column {required!r}", 1)
     dim = _infer_acoustic_dim(header)
     vector_cols = [f"acoustic_vector_{k}" for k in range(dim)]
+    at = {column: i for i, column in enumerate(header)}  # the last of a repeat
+    numbers = operator.itemgetter(
+        *(at[c] for c in ["duration", *SCALAR_FEATURE_NAMES, *vector_cols])
+    )
+    id_at, year_at = at["track_id"], at["release_year"]
 
     track_map: dict[str, TrackMetadata] = {}
     for line, cells in rows:
-        record = dict(zip(header, cells))
-        track_id = record["track_id"]
+        track_id = cells[id_at]
         if track_id in track_map:
             raise DuplicateTrackError(f"duplicate track_id {track_id!r}", line)
-        duration = _float_cell(record["duration"], "duration", line)
-        if duration <= 0:
-            raise IntegrityError("duration must be positive", line)
-        year = _int_cell(record["release_year"], "release_year", line)
-        scalars = np.array(
-            [_float_cell(record[c], c, line) for c in SCALAR_FEATURE_NAMES],
-            dtype=np.float64,
-        )
-        if not 0.0 <= scalars[0] <= 100.0:
-            raise IntegrityError(f"popularity {scalars[0]} outside [0, 100]", line)
-        vector = np.array(
-            [_float_cell(record[c], c, line) for c in vector_cols],
-            dtype=np.float64,
-        )
+        try:
+            values = list(map(float, numbers(cells)))
+            year = int(cells[year_at])
+            valid = (
+                all(map(math.isfinite, values))
+                and values[0] > 0
+                and 0.0 <= values[1] <= 100.0
+            )
+        except ValueError:
+            valid = False
+        if not valid:
+            values, year = _track_numbers(dict(zip(header, cells)), line, vector_cols)
+        array = np.array(values)  # the scalars and the vector are views of it
         track_map[track_id] = TrackMetadata(
             track_id=track_id,
-            duration_s=duration,
+            duration_s=values[0],
             release_year=year,
-            scalars=scalars,
-            acoustic_vector=vector,
+            scalars=array[1 : 1 + N_SCALAR_FEATURES],
+            acoustic_vector=array[1 + N_SCALAR_FEATURES :],
         )
     return track_map
 
@@ -354,20 +376,15 @@ def write_track_csv(track_map: Mapping[str, TrackMetadata], stream: IO[str]) -> 
 # ---------------------------------------------------------------------------
 # Session-log CSV
 
-# how a cell of each SESSION_LOG_LAYOUT kind is read
-_READ_CELL = {
-    str: lambda value, column, line_num: value, int: _int_cell, bool: _bool_cell
-}
-
-
 def parse_session_log(stream: IO[str]) -> list[Session]:
     """Read a session log into validated Session objects.
 
     Rows must arrive grouped by session_id and ordered by position. An
     error's ``line_num`` is its row's, the session's first row's for wrong
     positions or length, or 1 for the header; a row's first bad cell in
-    column order is the one reported. Track ids are checked where features
-    joins the log with the track file.
+    column order is the one reported, found by reading a row that fails
+    again cell by cell. A log with no rows raises with no line. Track ids
+    are checked where features joins the log with the track file.
     """
     rows = csv_rows(stream, "session log")
     _, header = next(rows)
@@ -375,10 +392,10 @@ def parse_session_log(stream: IO[str]) -> list[Session]:
         if column not in header:
             raise SchemaError(f"session log is missing column {column!r}", 1)
     index = {column: i for i, column in enumerate(header)}
-    layout = [
-        (index[column], column, _READ_CELL[kind])
-        for column, _field, kind in SESSION_LOG_LAYOUT
-    ]
+    cells_of = operator.itemgetter(*(index[c] for c, _, _ in SESSION_LOG_LAYOUT))
+    # in CONTEXT_RANGES order
+    hours, days, months = (range(low, high + 1) for _, low, high in CONTEXT_RANGES)
+    bits = frozenset("01")
     sessions: list[Session] = []
     seen: set[str] = set()
     current_id: str | None = None
@@ -396,7 +413,9 @@ def parse_session_log(stream: IO[str]) -> list[Session]:
         sessions.append(session)
 
     for line, cells in rows:
-        sid = cells[index["session_id"]]
+        # the cells in SESSION_LOG_LAYOUT order, which is SessionRow's
+        (sid, position, length, track_id, skip_1, skip_2, skip_3, premium,
+         shuffle, hour, day, month) = cells_of(cells)
         if sid != current_id:
             finalize()
             if sid in seen:
@@ -409,12 +428,34 @@ def parse_session_log(stream: IO[str]) -> list[Session]:
             current_id = sid
             current_rows = []
             first_line = line
-        row = SessionRow(*[read(cells[i], column, line) for i, column, read in layout])
-        problem = _row_problem(row)
-        if problem:
-            raise RowParseError(problem, line)
+        try:
+            row = SessionRow(
+                sid, int(position), int(length), track_id, skip_1 == "1",
+                skip_2 == "1", skip_3 == "1", premium == "1", shuffle == "1",
+                int(hour), int(day), int(month),
+            )
+            valid = (
+                bits.issuperset((skip_1, skip_2, skip_3, premium, shuffle))
+                # the flags nest: "0" < "1"
+                and skip_1 <= skip_2 <= skip_3
+                and row.hour in hours
+                and row.day in days
+                and row.month in months
+            )
+        except ValueError:
+            valid = False
+        if not valid:
+            row = SessionRow(*[
+                parse_cell(kind, cell, column, line)
+                for cell, (column, _, kind) in zip(cells_of(cells), SESSION_LOG_LAYOUT)
+            ])
+            problem = _row_problem(row)
+            if problem:
+                raise RowParseError(problem, line)
         current_rows.append(row)
     finalize()
+    if not sessions:
+        raise DegenerateSampleError("session log holds no sessions")
     return sessions
 
 

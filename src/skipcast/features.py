@@ -19,6 +19,21 @@ Canonical layout of the feature vector:
 A history group with no members contributes zeros for all of its entries;
 the ratio features let a model recognize that regime. All functions here
 are pure and never mutate their inputs.
+
+Summation order. `assemble_corpus` builds all rows at once, and each value
+is bit-identical to computing its session alone with numpy's reductions:
+
+- A group mean (16-47) is ``mean(axis=0)`` of the members' stacked
+  scalars, which adds them one after another from zero, in history order,
+  then divides by the count. The corpus adds member 1, 2, ... of every
+  session slot by slot and adds nothing for a missing member.
+- A difference or dot-product mean (55-62) is ``mean(axis=-1)`` along a
+  C-contiguous row of the group's m values, which sums pairwise from
+  m = 8 on. Target rows are grouped by m so each row is reduced alone.
+- Each dot product is one ddot: a stacked ``(1, d) @ (d, 1)`` matmul
+  equals ``u @ v`` of two 1-D vectors; an elementwise product summed, or
+  ``T @ G.T``, does not.
+- The skip ratios (53-54) are an integer count divided by h.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from .datamodel import (
     SessionRow,
     TrackMetadata,
     csv_rows,
+    parse_cell,
     split_session,
 )
 from .errors import (
@@ -68,6 +84,8 @@ FEATURE_NAMES: tuple[str, ...] = (
 FEATURE_COUNT = len(FEATURE_NAMES)
 
 MATRIX_COLUMNS = FEATURE_NAMES + ("label", "session_id", "target_position")
+# how each MATRIX_COLUMNS cell is read
+_MATRIX_KINDS = (float,) * FEATURE_COUNT + (int, str, int)
 
 
 def feature_schema_hash() -> str:
@@ -92,62 +110,6 @@ def _checked_track(
     return meta
 
 
-def session_features(
-    session: Session, track_map: Mapping[str, TrackMetadata]
-) -> np.ndarray:
-    """The (n_targets, 63) feature block of one session's target rows.
-
-    The 39 history features are computed once and broadcast to every row.
-    Differences and dot products are averaged along the C-contiguous rows
-    of an (n_targets, group size) array, and each dot product is a 1-D
-    ``@``, so every sum runs in the order it would for one target alone.
-    A 3-D reduction or a ``T @ G.T`` product changes the last bits.
-    """
-    split = split_session(session)
-    out = np.zeros((len(split.targets), FEATURE_COUNT))
-    if not split.targets:
-        return out
-    h = split.h
-    for row in split.targets:
-        if not 1 <= row.position - h <= MAX_TARGET_POSITIONS:
-            raise IntegrityError(
-                f"target position {row.position - h} outside "
-                f"[1, {MAX_TARGET_POSITIONS}]; target row position "
-                f"{row.position} with history length {h}"
-            )
-    targets = [_checked_track(track_map, r) for r in split.targets]
-    groups = (
-        [_checked_track(track_map, r) for r in split.history if r.skip_2],
-        [_checked_track(track_map, r) for r in split.history if not r.skip_2],
-    )
-    for t in targets:
-        for m in groups[0] + groups[1]:
-            if m.acoustic_vector.shape != t.acoustic_vector.shape:
-                raise IntegrityError(
-                    f"acoustic vector dimension mismatch: track "
-                    f"{m.track_id!r} has {m.acoustic_vector.shape[0]}, target "
-                    f"{t.track_id!r} has {t.acoustic_vector.shape[0]}"
-                )
-
-    out[:, :16] = np.stack([t.scalars for t in targets])
-    last = split.history[-1]
-    out[:, 48:53] = [last.premium, last.shuffle, last.hour, last.day, last.month]
-    out[:, 53] = sum(1 for r in split.history if r.skip_1) / h
-    out[:, 54] = sum(1 for r in split.history if r.skip_2) / h
-    for g, group in enumerate(groups):
-        if not group:
-            continue  # an empty group contributes zeros
-        scalars = np.array([m.scalars for m in group], dtype=np.float64)
-        out[:, 16 + 16 * g : 32 + 16 * g] = scalars.mean(axis=0)
-        for k, attr in enumerate(("duration_s", "release_year", "popularity")):
-            t_vals = np.array([float(getattr(t, attr)) for t in targets])
-            m_vals = np.array([float(getattr(m, attr)) for m in group])
-            out[:, 55 + 3 * g + k] = (t_vals[:, None] - m_vals[None, :]).mean(axis=1)
-        dots = [[t.acoustic_vector @ m.acoustic_vector for m in group] for t in targets]
-        out[:, 61 + g] = np.array(dots).mean(axis=1)
-    return out
-
-
 @dataclass(eq=False)
 class FeatureTable:
     """Column-major training data: one row per target track."""
@@ -162,12 +124,13 @@ class FeatureTable:
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write(",".join(MATRIX_COLUMNS) + "\n")
-        for i in range(len(self)):
-            cells = [repr(float(v)) for v in self.x[i]]
-            cells.append(str(int(self.labels[i])))
-            cells.append(self.session_ids[i])
-            cells.append(str(int(self.positions[i])))
-            stream.write(",".join(cells) + "\n")
+        # repr of a Python float round-trips exactly; a row at a time keeps
+        # the table's Python floats from all existing at once
+        for values, label, sid, position in zip(
+            self.x, self.labels.tolist(), self.session_ids, self.positions.tolist()
+        ):
+            cells = ",".join(map(repr, values.tolist()))
+            stream.write(f"{cells},{label},{sid},{position}\n")
 
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "FeatureTable":
@@ -183,11 +146,12 @@ class FeatureTable:
         rows, labels, positions, sids = [], [], [], []
         for line, cells in lines:
             try:
-                rows.append([float(c) for c in cells[:FEATURE_COUNT]])
+                rows.append(list(map(float, cells[:FEATURE_COUNT])))
                 labels.append(int(cells[FEATURE_COUNT]))
                 positions.append(int(cells[FEATURE_COUNT + 2]))
-            except ValueError as exc:
-                raise RowParseError(str(exc), line)
+            except ValueError:
+                for column, kind, cell in zip(MATRIX_COLUMNS, _MATRIX_KINDS, cells):
+                    parse_cell(kind, cell, column, line)  # the first bad cell raises
             if not all(map(math.isfinite, rows[-1])):
                 k = next(k for k, v in enumerate(rows[-1]) if not math.isfinite(v))
                 raise RowParseError(
@@ -215,21 +179,165 @@ class FeatureTable:
 def assemble_corpus(
     sessions: Iterable[Session], track_map: Mapping[str, TrackMetadata]
 ) -> FeatureTable:
-    """Extract the feature rows of every session's target half, in session order."""
-    blocks = [np.empty((0, FEATURE_COUNT))]
-    labels: list[int] = []
+    """Extract the feature rows of every session's target half, in session order.
+
+    One pass over the rows resolves each row's track and checks each
+    session in this order: every target's position; the track of each
+    target, then of each skipped and each listened history row, in order
+    (unknown id, then scalar shape); then each target's vector dimension
+    against each history track's. The first failing session raises. A
+    session without targets adds no rows and is not checked. The rest is
+    array operations over the whole corpus; they loop only over history
+    slots, group sizes and the vector dimensions in use.
+    """
+    index: dict[str, int] = {}  # track_id -> its row in the track tables
+    metas: list[TrackMetadata] = []
+
+    def resolve(row: SessionRow) -> int:
+        k = index.get(row.track_id)
+        if k is None:
+            metas.append(_checked_track(track_map, row))
+            k = index[row.track_id] = len(metas) - 1
+        return k
+
+    target_tracks: list[int] = []
+    history_tracks: list[int] = []
+    skip_1: list[bool] = []  # of each history row
+    skip_2: list[bool] = []
+    context: list[tuple] = []  # columns 48-52 of each session
+    n_targets: list[int] = []
+    n_history: list[int] = []
+    labels: list[bool] = []
     positions: list[int] = []
     sids: list[str] = []
     for session in sessions:
-        blocks.append(session_features(session, track_map))
         split = split_session(session)
-        for row in split.targets:
-            labels.append(int(row.skip_2))
-            positions.append(row.position - split.h)
-            sids.append(row.session_id)
+        history, targets, h = split.history, split.targets, split.h
+        if not targets:
+            continue
+        for row in targets:
+            if not 1 <= row.position - h <= MAX_TARGET_POSITIONS:
+                raise IntegrityError(
+                    f"target position {row.position - h} outside "
+                    f"[1, {MAX_TARGET_POSITIONS}]; target row position "
+                    f"{row.position} with history length {h}"
+                )
+        tracks = [resolve(r) for r in targets]
+        members = [resolve(r) for r in history if r.skip_2]
+        members += [resolve(r) for r in history if not r.skip_2]
+        if len({metas[k].acoustic_vector.shape for k in tracks + members}) > 1:
+            t, m = next(
+                (metas[t], metas[m]) for t in tracks for m in members
+                if metas[m].acoustic_vector.shape != metas[t].acoustic_vector.shape
+            )
+            raise IntegrityError(
+                f"acoustic vector dimension mismatch: track "
+                f"{m.track_id!r} has {m.acoustic_vector.shape[0]}, target "
+                f"{t.track_id!r} has {t.acoustic_vector.shape[0]}"
+            )
+        target_tracks += tracks
+        history_tracks += [index[r.track_id] for r in history]
+        skip_1 += [r.skip_1 for r in history]
+        skip_2 += [r.skip_2 for r in history]
+        last = history[-1]
+        context.append((last.premium, last.shuffle, last.hour, last.day, last.month))
+        n_targets.append(len(targets))
+        n_history.append(h)
+        labels += [r.skip_2 for r in targets]
+        positions += [r.position - h for r in targets]
+        sids += [r.session_id for r in targets]
+
+    x = np.zeros((len(target_tracks), FEATURE_COUNT))
+    if target_tracks:
+        _fill_features(
+            x, metas, np.array(target_tracks), np.array(history_tracks),
+            np.array(skip_1, dtype=np.int64), np.array(skip_2, dtype=bool),
+            np.array(context, dtype=np.float64), np.array(n_targets),
+            np.array(n_history),
+        )
     return FeatureTable(
-        x=np.concatenate(blocks),
+        x=x,
         labels=np.array(labels, dtype=np.int64),
         positions=np.array(positions, dtype=np.int64),
         session_ids=tuple(sids),
     )
+
+
+def _fill_features(
+    x: np.ndarray,
+    metas: list[TrackMetadata],
+    target_tracks: np.ndarray,
+    history_tracks: np.ndarray,
+    skip_1: np.ndarray,
+    skip_2: np.ndarray,
+    context: np.ndarray,
+    n_targets: np.ndarray,
+    n_history: np.ndarray,
+) -> None:
+    """Write the 63 columns of every target row of the corpus into `x`.
+
+    Tracks are rows of `metas`; `history_tracks`, `skip_1` and `skip_2` hold
+    every session's history rows back to back, `n_history` of them each.
+    """
+    n_sessions, h_max = len(n_history), int(n_history.max())
+    session = np.repeat(np.arange(n_sessions), n_targets)  # of each target row
+    owner = np.repeat(np.arange(n_sessions), n_history)  # of each history row
+    start = np.cumsum(n_history) - n_history  # each session's first history row
+
+    scalars = np.array([m.scalars for m in metas], dtype=np.float64)
+    attrs = np.array(  # what the differences of columns 55-60 are taken of
+        [(m.duration_s, m.release_year, m.popularity) for m in metas],
+        dtype=np.float64,
+    )
+    vectors = [m.acoustic_vector for m in metas]
+    dims = np.array([len(v) for v in vectors])
+    flat = np.concatenate(vectors).astype(np.float64, copy=False)
+    offsets = np.cumsum(dims) - dims
+    vector_dims = sorted(set(dims.tolist()))  # in use; usually one
+
+    x[:, :16] = scalars[target_tracks]
+    x[:, 48:53] = context[session]
+    x[:, 53] = (np.add.reduceat(skip_1, start) / n_history)[session]
+    x[:, 54] = (np.add.reduceat(skip_2.astype(np.int64), start) / n_history)[session]
+
+    # dots[i, k]: target row i's acoustic vector dotted with history slot k's
+    dots = np.zeros((len(x), h_max))
+    row_h = n_history[session]
+    for k in range(h_max):
+        rows = np.flatnonzero(row_h > k)
+        t = target_tracks[rows]
+        m = history_tracks[start[session[rows]] + k]
+        for d in vector_dims:  # one dimension per session, checked above
+            at = np.flatnonzero(dims[t] == d)
+            span = np.arange(d)
+            u = flat[offsets[t[at], None] + span]
+            v = flat[offsets[m[at], None] + span]
+            # a stacked (1, d) @ (d, 1) product is one ddot, like `u[i] @ v[i]`
+            dots[rows[at], k] = np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+    for g, in_group in enumerate((skip_2, ~skip_2)):
+        # member[s, j]: the history row of the j-th member of session s's group
+        seen = np.cumsum(in_group)
+        rank = seen - 1 - (seen - in_group)[start][owner]
+        member = np.zeros((n_sessions, h_max), dtype=np.intp)
+        member[owner[in_group], rank[in_group]] = np.flatnonzero(in_group)
+        count = np.add.reduceat(in_group.astype(np.int64), start)
+
+        # add the members one after another, as mean(axis=0) of a block does
+        sums = np.zeros((n_sessions, N_SCALAR_FEATURES))
+        for j in range(int(count.max())):
+            has = np.flatnonzero(count > j)
+            sums[has] += scalars[history_tracks[member[has, j]]]
+        means = sums / np.maximum(count, 1)[:, None]  # an empty group stays zero
+        x[:, 16 + 16 * g : 32 + 16 * g] = means[session]
+
+        # mean along C-contiguous rows of m members, as for one target alone
+        row_count = count[session]
+        for m in range(1, int(count.max()) + 1):
+            rows = np.flatnonzero(row_count == m)
+            s = session[rows]
+            hist = member[s, :m]  # the members' history rows, in order
+            theirs = attrs[history_tracks[hist]].transpose(0, 2, 1)  # (rows, 3, m)
+            diffs = np.ascontiguousarray(attrs[target_tracks[rows], :, None] - theirs)
+            x[rows, 55 + 3 * g : 58 + 3 * g] = diffs.mean(axis=2)
+            x[rows, 61 + g] = dots[rows[:, None], hist - start[s, None]].mean(axis=1)

@@ -34,7 +34,7 @@ from typing import IO
 
 import numpy as np
 
-from .datamodel import MAX_TARGET_POSITIONS, csv_rows
+from .datamodel import MAX_TARGET_POSITIONS, csv_rows, parse_cell
 from .errors import (
     ConfigError,
     DegenerateSampleError,
@@ -286,9 +286,13 @@ class GridReport:
                 if cells[-1] == "1" and best is not None:
                     raise ValueError("a second best marker")
                 # each cell takes the type of its key's grid values
-                point = {k: type(v[0])(c) for (k, v), c in zip(GRID.items(), cells)}
+                point = {
+                    k: parse_cell(type(v[0]), c, k, line_num)
+                    for (k, v), c in zip(GRID.items(), cells)
+                }
                 TrainParams(**point)
-                rows.append(GridRow(point, float(cells[-2])))
+                val_auc = parse_cell(float, cells[-2], "val_auc", line_num)
+                rows.append(GridRow(point, val_auc))
             except (ValueError, ConfigError) as exc:
                 raise RowParseError(str(exc), line_num)
             if cells[-1] == "1":

@@ -31,7 +31,7 @@ from skipcast.evaluation import (
     corpus_scores,
     session_truth,
 )
-from skipcast.features import FEATURE_COUNT, session_features
+from skipcast.features import FEATURE_COUNT, assemble_corpus
 from skipcast.gbdt import (
     TrainParams,
     auc,
@@ -385,7 +385,7 @@ def test_criterion_08_reruns_are_byte_identical(announce, tmp_path):
 def test_criterion_09_every_feature_vector_is_63_wide(announce):
     config = SynthConfig(n_tracks=100, n_sessions=400)
     track_map, sessions = generate_synthetic_dataset(config, seed=9)
-    shapes = [session_features(s, track_map).shape for s in sessions]
+    shapes = [assemble_corpus([s], track_map).x.shape for s in sessions]
     expected = [(len(split_session(s).targets), 63) for s in sessions]
     checked = sum(n for n, _width in shapes)
     passed = shapes == expected and FEATURE_COUNT == 63 and checked > 0

@@ -24,7 +24,7 @@ from skipcast.config import (
 from skipcast.datamodel import parse_session_log, parse_track_features, split_session
 from skipcast.ensemble import SOLUTION_IDS, EnsembleWeights
 from skipcast.errors import ConfigError
-from skipcast.features import FEATURE_COUNT, session_features
+from skipcast.features import FEATURE_COUNT, assemble_corpus
 from skipcast.gbdt import TrainParams
 from skipcast.modelbank import ModelBank
 from skipcast.synthetic import SynthConfig
@@ -163,7 +163,7 @@ class TestPredictOracle:
         priors = []
         matrices = []
         for s in sessions:
-            matrices.append(bank.predict_matrix(session_features(s, track_map)))
+            matrices.append(bank.predict_matrix(assemble_corpus([s], track_map).x))
             priors.append(float(split_session(s).history[-1].skip_2))
         assert set(priors) == {0.0, 1.0}  # both last actions are exercised
         for solution in SOLUTION_IDS:
@@ -439,7 +439,7 @@ class TestDataErrors:
         conf = write_conf(tmp_path)
         assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 2
         err = capsys.readouterr().err
-        assert "sessions.csv" in err and "no sessions" in err
+        assert err == f"skipcast: {path}: session log holds no sessions\n"
 
     @pytest.mark.parametrize(
         "column,cell,problem",
@@ -685,7 +685,13 @@ LINE_ERRORS = {
         "session log is missing column 'month'",
     ),
     ("features.csv", "bad cell"): (
-        5, _set_cell(0, "abc"), "could not convert string to float: 'abc'"
+        5, _set_cell(0, "abc"), "cannot parse track_popularity='abc' as a number"
+    ),
+    ("features.csv", "bad label"): (
+        5, _set_cell(FEATURE_COUNT, "x"), "cannot parse label='x' as an integer"
+    ),
+    ("features.csv", "bad position"): (
+        5, _set_cell(-1, "1.5"), "cannot parse target_position='1.5' as an integer"
     ),
     ("features.csv", "bad header"): (
         1,
@@ -694,7 +700,13 @@ LINE_ERRORS = {
         "expected 66 columns starting with 'track_popularity'",
     ),
     ("grid_report.csv", "bad cell"): (
-        4, _set_cell(0, "abc"), "could not convert string to float: 'abc'"
+        4, _set_cell(0, "abc"), "cannot parse eta='abc' as a number"
+    ),
+    ("grid_report.csv", "bad integer"): (
+        4, _set_cell(1, "6.0"), "cannot parse max_depth='6.0' as an integer"
+    ),
+    ("grid_report.csv", "bad val_auc"): (
+        4, _set_cell(4, "high"), "cannot parse val_auc='high' as a number"
     ),
     ("grid_report.csv", "bad header"): (
         1, lambda line: line.replace("val_auc", "auc"), "not a grid report file"

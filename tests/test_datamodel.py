@@ -22,6 +22,7 @@ from skipcast.datamodel import (
     write_track_csv,
 )
 from skipcast.errors import (
+    DegenerateSampleError,
     DuplicateTrackError,
     IntegrityError,
     MalformedSessionError,
@@ -167,6 +168,44 @@ class TestTrackCsv:
         with pytest.raises(RowParseError, match=column) as exc_info:
             parse_track_features(io.StringIO("\n".join(lines) + "\n"))
         assert exc_info.value.line_num == 3
+
+    @pytest.mark.parametrize(
+        "edits, line, problem",
+        [
+            ({2: {"valence": "inf"}, 3: {"duration": "abc"}}, 2,
+             "valence='inf' is not a finite number"),
+            ({3: {"energy": "nan", "acoustic_vector_0": "abc"}}, 3,
+             "energy='nan' is not a finite number"),
+            ({2: {"release_year": "x", "popularity": "nan"}}, 2,
+             "cannot parse release_year='x' as an integer"),
+            ({2: {"duration": "0", "energy": "abc"}}, 2, "duration must be positive"),
+        ],
+        ids=["earlier line", "earlier column", "year before scalars",
+             "duration before scalars"],
+    )
+    def test_first_bad_cell_is_reported(self, edits, line, problem):
+        buf = io.StringIO()
+        write_track_csv({f"t{i}": make_track(f"t{i}") for i in range(3)}, buf)
+        lines = buf.getvalue().splitlines()
+        header = lines[0].split(",")
+        for number, cells in edits.items():
+            row = lines[number - 1].split(",")
+            for column, value in cells.items():
+                row[header.index(column)] = value
+            lines[number - 1] = ",".join(row)
+        with pytest.raises((RowParseError, IntegrityError)) as exc_info:
+            parse_track_features(io.StringIO("\n".join(lines) + "\n"))
+        assert str(exc_info.value) == problem
+        assert exc_info.value.line_num == line
+
+    def test_repeated_column_is_read_from_its_last_copy(self):
+        buf = io.StringIO()
+        write_track_csv({"t0": make_track("t0")}, buf)
+        header, row = buf.getvalue().splitlines()
+        text = f"{header},energy,track_id\n{row},0.25,renamed\n"
+        parsed = parse_track_features(io.StringIO(text))
+        assert list(parsed) == ["renamed"]
+        assert parsed["renamed"].scalars[SCALAR_FEATURE_NAMES.index("energy")] == 0.25
 
     def test_nonpositive_duration_rejected(self):
         buf = io.StringIO()
@@ -362,6 +401,15 @@ class TestSessionLogCsv:
         with pytest.raises(RowParseError, match=rf"^{path} line 2: session 'a' "
                            r"position 1: hour 25 outside \[0, 23\]$"):
             _read(path, parse_session_log)
+
+    def test_log_without_rows_is_rejected(self):
+        buf = io.StringIO()
+        write_session_csv([], buf)
+        with pytest.raises(
+            DegenerateSampleError, match=r"^session log holds no sessions$"
+        ) as exc_info:
+            parse_session_log(io.StringIO(buf.getvalue()))
+        assert exc_info.value.line_num is None
 
     def test_missing_column(self):
         with pytest.raises(

@@ -25,8 +25,8 @@ from skipcast.features import (
     FEATURE_NAMES,
     FeatureTable,
     assemble_corpus,
+    _checked_track,
     feature_schema_hash,
-    session_features,
 )
 from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 
@@ -86,10 +86,60 @@ OTHER_TARGET = row("tb", 5, skip_2=False)
 
 
 def block(history, *targets, tracks=TRACKS):
-    """session_features of the session made of `history` then `targets`."""
+    """The feature rows of the session made of `history` then `targets`."""
     rows = tuple(history) + targets
     assert (len(rows) + 1) // 2 == len(history)  # the split keeps this history
-    return session_features(Session(session_id="s0", rows=rows), tracks)
+    return assemble_corpus([Session(session_id="s0", rows=rows)], tracks).x
+
+
+def reference_block(session, track_map):
+    """The per-session assembly that `assemble_corpus` replaced, kept as its oracle.
+
+    Group means are `mean(axis=0)` of each group's stacked scalars. The
+    differences and dot products are averaged along the C-contiguous rows
+    of an (n_targets, group size) array, and each dot product is a 1-D `@`.
+    """
+    split = split_session(session)
+    out = np.zeros((len(split.targets), FEATURE_COUNT))
+    if not split.targets:
+        return out
+    h = split.h
+    for r in split.targets:
+        if not 1 <= r.position - h <= 10:
+            raise IntegrityError(f"target position {r.position - h} outside")
+    targets = [_checked_track(track_map, r) for r in split.targets]
+    groups = (
+        [_checked_track(track_map, r) for r in split.history if r.skip_2],
+        [_checked_track(track_map, r) for r in split.history if not r.skip_2],
+    )
+    for t in targets:
+        for m in groups[0] + groups[1]:
+            if m.acoustic_vector.shape != t.acoustic_vector.shape:
+                raise IntegrityError("acoustic vector dimension mismatch")
+    out[:, :16] = np.stack([t.scalars for t in targets])
+    last = split.history[-1]
+    out[:, 48:53] = [last.premium, last.shuffle, last.hour, last.day, last.month]
+    out[:, 53] = sum(1 for r in split.history if r.skip_1) / h
+    out[:, 54] = sum(1 for r in split.history if r.skip_2) / h
+    for g, group in enumerate(groups):
+        if not group:
+            continue
+        scalars = np.array([m.scalars for m in group], dtype=np.float64)
+        out[:, 16 + 16 * g : 32 + 16 * g] = scalars.mean(axis=0)
+        for k, attr in enumerate(("duration_s", "release_year", "popularity")):
+            t_vals = np.array([float(getattr(t, attr)) for t in targets])
+            m_vals = np.array([float(getattr(m, attr)) for m in group])
+            out[:, 55 + 3 * g + k] = (t_vals[:, None] - m_vals[None, :]).mean(axis=1)
+        dots = [[t.acoustic_vector @ m.acoustic_vector for m in group] for t in targets]
+        out[:, 61 + g] = np.array(dots).mean(axis=1)
+    return out
+
+
+def reference_corpus(sessions, track_map):
+    return np.concatenate(
+        [np.empty((0, FEATURE_COUNT))]
+        + [reference_block(s, track_map) for s in sessions]
+    )
 
 
 def naive_vector(target_meta, history, tracks):
@@ -284,7 +334,7 @@ class TestAssembleExample:
 
     def test_no_targets_gives_empty_block(self):
         session = Session(session_id="s0", rows=(row("ta", 1, skip_2=False),))
-        assert session_features(session, TRACKS).shape == (0, FEATURE_COUNT)
+        assert assemble_corpus([session], TRACKS).x.shape == (0, FEATURE_COUNT)
 
     def test_group_permutation_invariance(self):
         base = block(HISTORY, TARGET, OTHER_TARGET)[0]
@@ -333,7 +383,7 @@ class TestCorpusAssembly:
 
     def test_every_vector_is_63_wide(self):
         for session in self.sessions:
-            out = session_features(session, self.track_map)
+            out = assemble_corpus([session], self.track_map).x
             assert out.shape == (len(split_session(session).targets), FEATURE_COUNT)
 
     def test_weighted_mean_consistency(self):
@@ -342,7 +392,7 @@ class TestCorpusAssembly:
         for session in self.sessions[:10]:
             h = (session.length + 1) // 2
             history = session.rows[:h]
-            out = session_features(session, self.track_map)[0, 16:55]
+            out = assemble_corpus([session], self.track_map).x[0, 16:55]
             n_skip = sum(r.skip_2 for r in history)
             n_listen = len(history) - n_skip
             total = np.zeros(16)
@@ -446,3 +496,125 @@ class TestCorpusOracle:
                 i += 1
         assert i == len(table)
         assert empty_skipped > 0 and empty_listened > 0
+
+
+def random_track(rng, tid, dim):
+    """A track whose values span many magnitudes, so summation order shows."""
+    scalars = rng.standard_normal(16) * 10.0 ** rng.integers(-6, 7, 16)
+    scalars[0] = rng.uniform(0.0, 100.0)
+    vector = rng.standard_normal(dim) * 10.0 ** rng.integers(-4, 5, dim)
+    return track(tid, rng.uniform(30.0, 600.0), int(rng.integers(1950, 2025)),
+                 scalars, vector)
+
+
+def session_of(sid, track_ids, skips):
+    """A session playing `track_ids` in order, skip_2 set where `skips` is."""
+    n = len(track_ids)
+    return Session(sid, tuple(
+        row(tid, i + 1, skip_2=bool(s), length=n, sid=sid)
+        for i, (tid, s) in enumerate(zip(track_ids, skips))
+    ))
+
+
+class TestCorpusMatchesReference:
+    """`assemble_corpus` against the per-session reference, byte for byte."""
+
+    def test_every_group_size_and_both_length_extremes(self):
+        rng = np.random.default_rng(7)
+        tracks = {f"t{i}": random_track(rng, f"t{i}", 7) for i in range(40)}
+        ids = list(tracks)
+        sessions = []
+        for n_skipped in range(11):  # history of 10: groups of 0 to 10 members
+            for rep in range(3):
+                skips = [1] * n_skipped + [0] * (10 - n_skipped)
+                skips = list(rng.permutation(skips)) + list(rng.integers(0, 2, 10))
+                tids = list(rng.choice(ids, 20))
+                sessions.append(session_of(f"l{n_skipped}_{rep}", tids, skips))
+        for k in range(6):
+            sessions.append(session_of(f"s{k}", list(rng.choice(ids, 2)), [k % 2, 0]))
+        rng.shuffle(sessions)
+        table = assemble_corpus(sessions, tracks)
+        assert table.x.tobytes() == reference_corpus(sessions, tracks).tobytes()
+        targets = [split_session(s).targets for s in sessions]
+        assert table.labels.tolist() == [int(r.skip_2) for t in targets for r in t]
+        assert table.session_ids == tuple(r.session_id for t in targets for r in t)
+        sizes = {sum(r.skip_2 for r in split_session(s).history) for s in sessions}
+        assert sizes == set(range(11))
+
+    def test_synthetic_corpus(self):
+        config = SynthConfig(n_tracks=80, n_sessions=300)
+        track_map, sessions = generate_synthetic_dataset(config, seed=13)
+        table = assemble_corpus(sessions, track_map)
+        assert table.x.tobytes() == reference_corpus(sessions, track_map).tobytes()
+
+    def test_sessions_may_differ_in_vector_dimension(self):
+        rng = np.random.default_rng(3)
+        tracks = {}
+        for dim in (2, 7, 40):
+            tracks.update({f"d{dim}_{i}": random_track(rng, f"d{dim}_{i}", dim)
+                           for i in range(8)})
+        sessions = []
+        for k, dim in enumerate((7, 40, 2, 7, 40)):
+            tids = list(rng.choice([t for t in tracks if t.startswith(f"d{dim}_")], 12))
+            sessions.append(session_of(f"m{k}", tids, rng.integers(0, 2, 12)))
+        table = assemble_corpus(sessions, tracks)
+        assert table.x.tobytes() == reference_corpus(sessions, tracks).tobytes()
+
+    def test_empty_corpus(self):
+        table = assemble_corpus([], TRACKS)
+        assert table.x.shape == (0, FEATURE_COUNT)
+        assert table.labels.dtype == np.int64 and len(table.labels) == 0
+
+
+NARROW = track("narrow", 100.0, 2000, [0.0] * 15, [0.0, 0.0, 0.0])
+SHORT = track("short", 100.0, 2000, spread(5.0), [1.0, 2.0])
+PRECEDENCE_TRACKS = {**TRACKS, "narrow": NARROW, "short": SHORT}
+FAR_TARGET = Session("far", (row("ta", 1, False, sid="far", length=2),
+                             row("tb", 14, False, sid="far", length=2)))
+
+# sessions in corpus order, the error raised, and its message
+PRECEDENCE = {
+    "first bad session wins": (
+        [session_of("s1", ["tb", "gone", "ta", "tc"], [1, 0, 0, 0]), FAR_TARGET],
+        UnknownTrackError, "session 's1' position 2: unknown track_id 'gone'",
+    ),
+    "earlier dimension error wins": (
+        [session_of("s1", ["short", "ta"], [1, 0]),
+         session_of("s2", ["ta", "gone"], [0, 0])],
+        IntegrityError,
+        "acoustic vector dimension mismatch: track 'short' has 2, target 'ta' has 3",
+    ),
+    "position before tracks": (
+        [Session("far", (row("gone", 1, False, sid="far", length=2),
+                         row("gone", 13, False, sid="far", length=2)))],
+        IntegrityError,
+        "target position 12 outside [1, 10]; target row position 13 with "
+        "history length 1",
+    ),
+    "target before history": (
+        [session_of("s0", ["gone_h", "tb", "ta", "gone_t"], [0, 1, 0, 0])],
+        UnknownTrackError, "session 's0' position 4: unknown track_id 'gone_t'",
+    ),
+    "skipped before listened": (
+        [session_of("s0", ["gone_l", "gone_s", "ta", "tb"], [0, 1, 0, 0])],
+        UnknownTrackError, "session 's0' position 2: unknown track_id 'gone_s'",
+    ),
+    "history scalar shape after target": (
+        [session_of("s0", ["narrow", "gone"], [1, 0])],
+        UnknownTrackError, "session 's0' position 2: unknown track_id 'gone'",
+    ),
+    "scalar shape of an earlier target": (
+        [session_of("s0", ["ta", "tb", "narrow", "gone"], [0, 1, 0, 0])],
+        DimensionError, "track 'narrow': expected 16 scalar features, got shape (15,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PRECEDENCE)
+def test_error_precedence(case):
+    sessions, error, message = PRECEDENCE[case]
+    with pytest.raises(error) as exc_info:
+        assemble_corpus(sessions, PRECEDENCE_TRACKS)
+    assert str(exc_info.value) == message
+    with pytest.raises(error):  # the per-session reference agrees
+        reference_corpus(sessions, PRECEDENCE_TRACKS)

@@ -378,7 +378,7 @@ class TestGridReport:
     BAD_ROWS = [
         ("0.1,6,1.0,1", "expected 6 cells, got 4"),
         ("0.1,6,1.0,1.0,0.6,0,7", "expected 6 cells, got 7"),
-        ("abc,6,1.0,1.0,0.6,0", "could not convert string to float: 'abc'"),
+        ("abc,6,1.0,1.0,0.6,0", "cannot parse eta='abc' as a number"),
         ("0.1,6,1.0,1.0,0.6,x", "best marker 'x' is not 0 or 1"),
         ("5.0,6,1.0,1.0,0.6,0", "eta must be in (0, 1], got 5.0"),
         ("0.1,6,1.0,0.0,0.6,0", "subsample must be in (0, 1], got 0.0"),
