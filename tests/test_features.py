@@ -560,11 +560,6 @@ class TestCorpusMatchesReference:
         table = assemble_corpus(sessions, tracks)
         assert table.x.tobytes() == reference_corpus(sessions, tracks).tobytes()
 
-    def test_empty_corpus(self):
-        table = assemble_corpus([], TRACKS)
-        assert table.x.shape == (0, FEATURE_COUNT)
-        assert table.labels.dtype == np.int64 and len(table.labels) == 0
-
 
 NARROW = track("narrow", 100.0, 2000, [0.0] * 15, [0.0, 0.0, 0.0])
 SHORT = track("short", 100.0, 2000, spread(5.0), [1.0, 2.0])
