@@ -86,6 +86,9 @@ FEATURE_COUNT = len(FEATURE_NAMES)
 MATRIX_COLUMNS = FEATURE_NAMES + ("label", "session_id", "target_position")
 # how each MATRIX_COLUMNS cell is read
 _MATRIX_KINDS = (float,) * FEATURE_COUNT + (int, str, int)
+# FeatureTable.read_csv converts this many rows at a time, so at most one
+# block's Python floats exist beside the float64 blocks
+_READ_BLOCK = 128
 
 
 def feature_schema_hash() -> str:
@@ -143,7 +146,7 @@ class FeatureTable:
                 f"{MATRIX_COLUMNS[0]!r}",
                 1,
             )
-        rows, labels, positions, sids = [], [], [], []
+        blocks, rows, labels, positions, sids = [], [], [], [], []
         for line, cells in lines:
             try:
                 rows.append(list(map(float, cells[:FEATURE_COUNT])))
@@ -166,10 +169,12 @@ class FeatureTable:
                     line,
                 )
             sids.append(cells[FEATURE_COUNT + 1])
-        n = len(rows)
-        x = np.array(rows, dtype=np.float64) if n else np.empty((0, FEATURE_COUNT))
+            if len(rows) == _READ_BLOCK:
+                blocks.append(np.array(rows, dtype=np.float64))
+                rows = []
+        blocks.append(np.array(rows, dtype=np.float64).reshape(-1, FEATURE_COUNT))
         return cls(
-            x=x,
+            x=np.concatenate(blocks),
             labels=np.array(labels, dtype=np.int64),
             positions=np.array(positions, dtype=np.int64),
             session_ids=tuple(sids),

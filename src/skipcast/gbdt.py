@@ -12,10 +12,22 @@ output is accumulated into the margin, not baked into the leaves.
 Each train() call sorts x.T once into a (features, rows) block of row
 indices, kept as argsort's intp, the index type numpy gathers with, so no
 gather converts it. A node carries that block restricted to its rows, and
-a split cuts it into the children's blocks with one stable boolean gather,
-so no node sorts; the result equals sorting each node's own values. A node
-whose hessian sum is below 2 * min_child_weight is not scanned: no boundary
-of it can leave min_child_weight on both sides.
+a split cuts it into the children's blocks with one stable gather, so no
+node sorts; the result equals sorting each node's own values.
+
+Tree growth decides whether a child is scanned before it cuts the parent's
+block, and gathers a block only for a child that will be: one below
+max_depth with at least 2 rows, at least one feature and a hessian sum of
+at least 2 * min_child_weight (below that, no boundary can leave
+min_child_weight on both sides).
+
+A scan takes both prefix sums from one gather and one cumsum of the packed
+complex array g + 1j*h. Complex addition adds the real parts and the
+imaginary parts separately, in the same order, so each prefix sum is
+bit-identical to a float cumsum of g or h alone. A node's own totals stay
+two float sums: numpy groups a complex sum's terms differently, and the
+result can differ in the last bit. With lambda_ = 0, a node whose hessians
+are all 0 has no finite score or leaf value, which raises ConfigError.
 
 A tree is the nested dict the model file stores: a leaf is {"value": v},
 a split is {"feature", "threshold", "left", "right"}, and rows with
@@ -162,7 +174,8 @@ def best_split(
     Returns the split with the highest gain, or None when no candidate has
     strictly positive gain while satisfying min_child_weight on both sides.
     Ties go to the feature listed first, then the lowest threshold. Rows
-    with value < threshold fall left.
+    with value < threshold fall left. With lambda_ = 0 and a zero hessian
+    sum the node's score divides by 0, which raises ConfigError.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -177,14 +190,44 @@ def best_split(
     if feature_indices is None:
         feature_indices = range(n_features)
     cols = np.asarray(feature_indices, dtype=np.intp)
+    total_g, total_h = float(g.sum()), float(h.sum())
+    if not _scanned(n, cols.size, total_h, params.min_child_weight):
+        _over(total_g * total_g, total_h, params.lambda_)  # raises as a scan would
+        return None
     block = np.argsort(x.T[cols], axis=1, kind="stable")
-    return _scan(x, g, h, block, cols, float(g.sum()), float(h.sum()), params)
+    return _scan(x, _packed(g, h), block, cols, total_g, total_h, params)
+
+
+def _over(numerator: float, total_h: float, lambda_: float) -> float:
+    """numerator / (total_h + lambda_): a node's score or leaf-value division."""
+    if total_h + lambda_ == 0.0:
+        raise ConfigError(
+            "lambda_ = 0 and a node's hessian sum is 0: its score divides by "
+            "zero; set lambda_ > 0"
+        )
+    return numerator / (total_h + lambda_)
+
+
+def _packed(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g + 1j * h, built from the two parts so each is copied exactly."""
+    gh = np.empty(g.shape, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+    return gh
+
+
+def _scanned(n_rows: int, n_features: int, total_h: float, min_child_weight: float) -> bool:
+    """Whether a node can hold a valid boundary, so that it is worth scanning.
+
+    Below 2 * min_child_weight no boundary leaves enough hessian on both
+    sides, exactly: for a prefix with hl >= min_child_weight, total_h - hl
+    is exact (Sterbenz) or negative, so it is below min_child_weight.
+    """
+    return n_rows >= 2 and n_features > 0 and not total_h < 2.0 * min_child_weight
 
 
 def _scan(
     x: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    gh: np.ndarray,
     block: np.ndarray,
     cols: np.ndarray,
     total_g: float,
@@ -194,28 +237,30 @@ def _scan(
     """best_split's search over one node's sorted row-index block.
 
     Row i of `block` lists the node's rows in stable order of x[:, cols[i]];
-    total_g and total_h are the node's gradient and hessian sums.
+    gh is _packed(g, h) over all rows; total_g and total_h are the node's
+    gradient and hessian sums. The caller checks _scanned first.
     """
     lam = params.lambda_
-    parent_score = total_g * total_g / (total_h + lam)
+    parent_score = _over(total_g * total_g, total_h, lam)
     k, n = block.shape
-    # Below 2 * min_child_weight no boundary leaves enough hessian on both
-    # sides, exactly: for a prefix with hl >= min_child_weight, total_h - hl
-    # is exact (Sterbenz) or negative, so it is below min_child_weight.
-    if n < 2 or k == 0 or total_h < 2.0 * params.min_child_weight:
-        return None
 
     # one row per candidate feature keeps each prefix sum contiguous
     sv = x[block, cols[:, None]]
-    gl, hl = g[block], h[block]
-    np.cumsum(gl, axis=1, out=gl)
-    np.cumsum(hl, axis=1, out=hl)
-    lo, hi, gl, hl = sv[:, :-1], sv[:, 1:], gl[:, :-1], hl[:, :-1]
+    lo, hi = sv[:, :-1], sv[:, 1:]
     # a midpoint that rounds down to the left value would misroute rows
     mid = (lo + hi) / 2.0
-    valid = (lo < hi) & (lo < mid) & (hl >= params.min_child_weight)
+    valid = (lo < hi) & (lo < mid)
     del sv, lo, hi  # the chosen threshold is read back from x
-    hr, gr = np.subtract(total_h, hl, out=mid), total_g - gl
+    # complex addition sums the real and imaginary parts separately, in
+    # the same order, so both prefix sums equal their own cumsum bit for bit
+    ghl = gh[block]
+    np.cumsum(ghl, axis=1, out=ghl)
+    gl = ghl.real[:, :-1].copy()
+    hl = mid
+    np.copyto(hl, ghl.imag[:, :-1])
+    del ghl
+    valid &= hl >= params.min_child_weight
+    hr, gr = total_h - hl, total_g - gl
     valid &= hr >= params.min_child_weight
     # the gain in place, so a node holds at most four (features, n) float arrays
     hl += lam
@@ -225,21 +270,35 @@ def _scan(
     gl /= hl
     gr /= hr
     gains = np.add(gl, gr, out=gr)
+    del gl, hl, hr
     gains -= parent_score
     gains *= 0.5
     gains -= params.gamma
-    gains[~valid] = -np.inf
-    at = np.argmax(gains, axis=1)
-    top = gains[np.arange(k), at]
-    # ties go to the first feature; a NaN gain (lambda_ = 0) wins only on
-    # the first feature with a valid boundary, as a strict '>' scan would
-    first = int(np.argmax(valid.any(axis=1)))
-    nan = np.isnan(top)
-    i = first if nan[first] else int(np.argmax(np.where(nan, -np.inf, top)))
-    if top[i] <= 0.0:
+    gains = np.where(valid, gains, -np.inf)
+    # row-major order: ties go to the first feature, then the lowest threshold
+    i, at = divmod(int(np.argmax(gains)), n - 1)
+    if np.isnan(gains[i, at]):
+        # a NaN gain (lambda_ = 0) wins only on the first feature with a
+        # valid boundary, as a strict '>' scan over the features would
+        ats = np.argmax(gains, axis=1)
+        top = gains[np.arange(k), ats]
+        first = int(np.argmax(valid.any(axis=1)))
+        nan = np.isnan(top)
+        i = first if nan[first] else int(np.argmax(np.where(nan, -np.inf, top)))
+        at = int(ats[i])
+    gain = float(gains[i, at])
+    if gain <= 0.0:
         return None
-    lo, hi = x[block[i, at[i] : at[i] + 2], cols[i]]
-    return Split(int(cols[i]), float((lo + hi) / 2.0), float(top[i]))
+    lo, hi = x[block[i, at : at + 2], cols[i]]
+    return Split(int(cols[i]), float((lo + hi) / 2.0), gain)
+
+
+def _cut(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The entries of `block` where the same-shaped mask `keep` holds, which
+    picks as many in every row; each row keeps its order, so a sorted block
+    stays sorted. np.compress is several times faster than block[keep] from
+    about 48 rows up."""
+    return np.compress(keep.ravel(), block).reshape(block.shape[0], -1)
 
 
 def _tree_predict(node: dict, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -368,35 +427,46 @@ def train(
     # restricted to them is the stable order of the node's own values
     order = np.argsort(x.T, axis=1, kind="stable")
 
-    def grow(rows: np.ndarray, block: np.ndarray, depth: int) -> dict:
-        """The subtree of the node holding `rows` (ascending), from its block.
-
-        It reads the g, h and features of the round being grown. The caller
-        hands `block` over: once this node has cut it into its children's
-        blocks it drops it, so only pending siblings' blocks, which cover
-        disjoint rows, stay alive down the recursion.
-        """
+    def totals(rows: np.ndarray, depth: int) -> tuple[float, float, bool]:
+        """The gradient and hessian sums of a node and whether to scan it."""
         total_g, total_h = float(g[rows].sum()), float(h[rows].sum())
-        if depth < params.max_depth:
-            split = _scan(x, g, h, block, features, total_g, total_h, params)
+        scan = depth < params.max_depth and _scanned(
+            rows.size, features.size, total_h, params.min_child_weight
+        )
+        return total_g, total_h, scan
+
+    def grow(rows, total_g, total_h, block, depth: int) -> dict:
+        """The subtree of the node holding `rows` (ascending), from totals().
+
+        `block` is the node's sorted block if totals() chose to scan it,
+        else None. It reads the g, h and features of the round being grown.
+        The caller hands `block` over: once this node has cut it into its
+        children's blocks it drops it, so only pending siblings' blocks,
+        which cover disjoint rows, stay alive down the recursion.
+        """
+        if block is not None:
+            split = _scan(x, gh, block, features, total_g, total_h, params)
             if split is not None:
                 goes_left = x[:, split.feature] < split.threshold
-                # a stable gather keeps each child's block sorted
-                side = goes_left[block]
-                pending = [block[~side].reshape(block.shape[0], -1),
-                           block[side].reshape(block.shape[0], -1)]
-                del block, side
                 mask = goes_left[rows]
+                left, right = rows[mask], rows[~mask]
+                left_g, left_h, scan_left = totals(left, depth + 1)
+                right_g, right_h, scan_right = totals(right, depth + 1)
+                side = goes_left[block] if scan_left or scan_right else None
+                pending = [_cut(block, ~side) if scan_right else None,
+                           _cut(block, side) if scan_left else None]
+                del block, side
                 return {
                     "feature": split.feature,
                     "threshold": split.threshold,
-                    "left": grow(rows[mask], pending.pop(), depth + 1),
-                    "right": grow(rows[~mask], pending.pop(), depth + 1),
+                    "left": grow(left, left_g, left_h, pending.pop(), depth + 1),
+                    "right": grow(right, right_g, right_h, pending.pop(), depth + 1),
                 }
-        return {"value": -total_g / (total_h + params.lambda_)}
+        return {"value": _over(-total_g, total_h, params.lambda_)}
 
     for _ in range(params.num_boost_round):
         g, h = logistic_grad_hess(margins, y)
+        gh = _packed(g, h)
         if params.subsample < 1.0:
             m = max(1, int(params.subsample * n))
             rows = np.sort(rng.choice(n, size=m, replace=False))
@@ -408,11 +478,14 @@ def train(
             block = order[features]
         else:
             features, block = all_features, order
-        if rows.size < n:
+        total_g, total_h, scan = totals(rows, 0)
+        if not scan:
+            block = None
+        elif rows.size < n:
             kept = np.zeros(n, dtype=bool)
             kept[rows] = True
-            block = block[kept[block]].reshape(block.shape[0], rows.size)
-        tree = grow(rows, block, 0)
+            block = _cut(block, kept[block])
+        tree = grow(rows, total_g, total_h, block, 0)
         model.trees.append(tree)
         margins += params.eta * tree_values(tree, x)
     return model

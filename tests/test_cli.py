@@ -544,6 +544,22 @@ class TestDataErrors:
             f"skipcast: {path} line 5: label 7 is not 0 or 1\n"
         )
 
+    def test_train_with_zero_hessian_and_lambda_0(self, tmp_path, capsys):
+        # eta 1 drives margins far enough that some node's hessians are all 0
+        conf = write_conf(tmp_path, (
+            "seed = 3\nn_sessions = 120\nn_tracks = 100\nnum_boost_round = 200\n"
+            "eta = 1.0\nlambda_ = 0.0\nmin_child_weight = 0.0\n"
+        ))
+        workdir = str(tmp_path / "w")
+        for stage in ("synth", "extract"):
+            assert main([stage, "--config", conf, "--workdir", workdir]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", conf, "--workdir", workdir]) == 1
+        assert capsys.readouterr().err == (
+            "skipcast: lambda_ = 0 and a node's hessian sum is 0: its score "
+            "divides by zero; set lambda_ > 0\n"
+        )
+
     @pytest.mark.parametrize("stage", ["train", "tune"])
     def test_target_position_outside_1_10(self, pipeline, tmp_path, capsys, stage):
         workdir = tmp_path / "w"

@@ -1,6 +1,7 @@
 """Feature extraction against hand-computed and independently coded oracles."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -461,6 +462,41 @@ class TestCorpusAssembly:
         assert str(exc_info.value) == (
             f"{FEATURE_NAMES[5]}={cell!r} is not a finite number"
         )
+
+    def test_csv_read_spans_blocks_exactly_in_bounded_memory(self, tmp_path):
+        # many conversion blocks; tracemalloc counts from the read's start
+        rng = np.random.default_rng(3)
+        n = 1549
+        magnitudes = 10.0 ** rng.integers(-6, 7, (n, FEATURE_COUNT))
+        table = FeatureTable(
+            x=rng.standard_normal((n, FEATURE_COUNT)) * magnitudes,
+            labels=rng.integers(0, 2, n),
+            positions=rng.integers(1, 11, n),
+            session_ids=tuple(f"s{i // 5:04d}" for i in range(n)),
+        )
+        path = tmp_path / "features.csv"
+        with path.open("w", encoding="utf-8") as stream:
+            table.write_csv(stream)
+        with path.open(encoding="utf-8") as stream:
+            tracemalloc.start()
+            try:
+                back = FeatureTable.read_csv(stream)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert back.x.tobytes() == table.x.tobytes()
+        np.testing.assert_array_equal(back.labels, table.labels)
+        np.testing.assert_array_equal(back.positions, table.positions)
+        assert back.session_ids == table.session_ids
+        assert peak <= 2 * table.x.nbytes + 500_000
+
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[1400].split(",")
+        cells[FEATURE_COUNT] = "7"
+        lines[1400] = ",".join(cells)
+        with pytest.raises(RowParseError, match=r"^label 7 is not 0 or 1$") as exc_info:
+            FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 1401
 
     def test_csv_header_is_checked(self):
         with pytest.raises(SchemaError):
