@@ -28,13 +28,13 @@ from .config import RunConfig, load_config
 from .datamodel import (
     parse_session_log,
     parse_track_features,
-    split_session,
     write_session_csv,
     write_track_csv,
 )
 from .ensemble import (
     CorpusPrediction,
     combine_corpus,
+    target_positions,
     write_scores,
     write_submission,
 )
@@ -45,12 +45,7 @@ from .errors import (
     SkipcastError,
     StageError,
 )
-from .evaluation import (
-    format_report_text,
-    session_truth,
-    solutions_report,
-    write_report_csv,
-)
+from .evaluation import format_report_text, solutions_report, write_report_csv
 from .features import FeatureTable, assemble_corpus
 from .modelbank import (
     MANIFEST_NAME,
@@ -127,11 +122,11 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 
 def cmd_extract(cfg: RunConfig) -> None:
-    track_map, sessions = _load_corpus(cfg)
-    table = assemble_corpus(sessions, track_map)
+    track_map, log = _load_corpus(cfg)
+    table = assemble_corpus(log, track_map)
     with open(cfg.workdir / "features.csv", "w", encoding="utf-8") as fh:
         table.write_csv(fh)
-    print(f"extract: {len(table)} examples from {len(sessions)} sessions")
+    print(f"extract: {len(table)} examples from {len(log)} sessions")
 
 
 def cmd_tune(cfg: RunConfig) -> None:
@@ -164,16 +159,15 @@ def cmd_train(cfg: RunConfig) -> None:
 def cmd_predict(cfg: RunConfig) -> None:
     _require(cfg.workdir / "bank" / MANIFEST_NAME, "train")
     bank = ModelBank.load(cfg.workdir / "bank")
-    track_map, sessions = _load_corpus(cfg)
+    track_map, log = _load_corpus(cfg)
     # assemble_corpus emits each session's target rows contiguously, in order
-    matrix = bank.predict_matrix(assemble_corpus(sessions, track_map).x)
-    splits = [split_session(s) for s in sessions]
-    ids = [s.session_id for s in sessions]
-    counts = np.array([len(split.targets) for split in splits])
-    s0 = [float(split.history[-1].skip_2) for split in splits]
+    matrix = bank.predict_matrix(assemble_corpus(log, track_map).x)
+    n_history, counts, _ = log.split()
+    s0 = log.column("skip_2")[log.starts[:-1] + n_history - 1]  # the last history row's
     for solution in cfg.solutions:
         prediction = CorpusPrediction(
-            ids, counts, combine_corpus(solution, matrix, counts, s0, cfg.weights)
+            log.session_ids, counts,
+            combine_corpus(solution, matrix, counts, s0, cfg.weights),
         )
         with open(cfg.workdir / _submission_name(solution), "w", encoding="utf-8") as fh:
             write_submission(prediction, fh)
@@ -181,23 +175,68 @@ def cmd_predict(cfg: RunConfig) -> None:
         with open(cfg.workdir / scores_name, "w", encoding="utf-8") as fh:
             write_scores(prediction, fh)
     print(
-        f"predict: {len(sessions)} sessions, solutions "
+        f"predict: {len(log)} sessions, solutions "
         f"{','.join(str(s) for s in cfg.solutions)}"
     )
 
 
-def _parse_submission(
-    stream: IO[str], index: dict[str, int], truths: list[np.ndarray]
-) -> list[np.ndarray]:
-    """A submission's decisions in session-log order, checked against the log.
+class _SubmissionLayout:
+    """What `write_submission` writes for the sessions of a log.
 
-    `index` maps each session id of the log to its place in `truths`.
+    `template` is the UTF-8 file with every decision "0" and `at` the
+    offset of each decision in it, sessions in log order. The template is
+    None when an id holds a line break, which would split its line.
     """
-    out: list[np.ndarray | None] = [None] * len(truths)
-    for number, line in enumerate(stream.read().splitlines(), start=1):
+
+    def __init__(self, ids: list[str], counts: np.ndarray) -> None:
+        self.ids, self.counts = ids, counts
+        self.template = self.at = None
+        joined = "".join(ids)
+        if joined.splitlines() == [joined]:
+            heads = [f"{sid} ".encode("utf-8") for sid in ids]
+            widths = np.array([len(head) for head in heads])
+            lines = widths + counts + 1
+            bits_start = np.cumsum(lines) - lines + widths
+            self.at = np.repeat(bits_start, counts) + target_positions(counts) - 1
+            self.template = np.frombuffer(
+                b"".join(h + b"0" * n + b"\n" for h, n in zip(heads, counts.tolist())),
+                dtype=np.uint8,
+            )
+
+
+def _parse_submission(stream: IO[str], layout: _SubmissionLayout) -> np.ndarray:
+    """A submission's decisions, stacked in session-log order.
+
+    A file of exactly the bytes `write_submission` writes for the log is
+    checked whole against `layout`; any other is read line by line, which
+    reports its first bad line.
+    """
+    text = stream.read()
+    if layout.template is not None:
+        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        if data.size == layout.template.size:
+            bits = data[layout.at]
+            ones = bits == ord("1")
+            # every decision is 0 or 1, and only its 1s differ from the template
+            if ((bits | 1) == ord("1")).all() and (
+                np.count_nonzero(data != layout.template) == np.count_nonzero(ones)
+            ):
+                return ones
+    return _submission_lines(text, layout.ids, layout.counts.tolist())
+
+
+def _submission_lines(text: str, ids: list[str], counts: list[int]) -> np.ndarray:
+    """The line reader of `_parse_submission`: checks each line in turn.
+
+    A line is a session id, a space, then the decisions; the id is
+    everything before the last space, since decisions hold none.
+    """
+    index = {sid: k for k, sid in enumerate(ids)}
+    out: list[np.ndarray | None] = [None] * len(ids)
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
-        sid, _, bits = line.partition(" ")
+        sid, bits = line.rsplit(" ", 1) if " " in line else (line, "")
         where = f"session {sid!r}"
         if not bits or set(bits) - {"0", "1"}:
             raise IntegrityError(f"{where}: malformed decision string", number)
@@ -206,9 +245,9 @@ def _parse_submission(
         k = index[sid]
         if out[k] is not None:
             raise IntegrityError(f"{where}: appears a second time", number)
-        if len(bits) != truths[k].size:
+        if len(bits) != counts[k]:
             raise IntegrityError(
-                f"{where}: {len(bits)} decisions for {truths[k].size} targets", number
+                f"{where}: {len(bits)} decisions for {counts[k]} targets", number
             )
         out[k] = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
     for sid, k in index.items():
@@ -216,18 +255,19 @@ def _parse_submission(
             raise IntegrityError(
                 f"no stored decisions for session {sid!r}; re-run the predict stage"
             )
-    return out
+    return np.concatenate(out)
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    sessions = _load_sessions(cfg)
-    truths = [session_truth(s) for s in sessions]
-    index = {s.session_id: k for k, s in enumerate(sessions)}
+    log = _load_sessions(cfg)
+    _, counts, target = log.split()
+    truth = log.column("skip_2")[target] == 1
+    layout = _SubmissionLayout(log.session_ids, counts)
     decisions = []
     for solution in cfg.solutions:
         path = _require(cfg.workdir / _submission_name(solution), "predict")
-        decisions.append(_read(path, _parse_submission, index, truths))
-    rows = solutions_report(truths, decisions, cfg.solutions)
+        decisions.append(_read(path, _parse_submission, layout))
+    rows = solutions_report(counts, truth, decisions, cfg.solutions)
     with open(cfg.workdir / "report.csv", "w", encoding="utf-8") as fh:
         write_report_csv(rows, fh)
     text = format_report_text(rows)

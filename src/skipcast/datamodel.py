@@ -11,11 +11,32 @@ are ignored so files with a wider schema still load.
 
 Session log: CSV with the columns of :data:`SESSION_LOG_LAYOUT`. Boolean
 cells are encoded as ``0``/``1``. Rows must be contiguous per session and
-ordered by position.
+ordered by position. It parses into a :class:`SessionLog`, a column store.
 
 Every row of either file has as many cells as its header. A parse error
 tells where it is only by its ``line_num`` (1 for the header, none for an
 empty file); the CLI puts the file's path and the line before the message.
+
+Reading
+-------
+Each reader takes the whole text and tries its fast reader first: one
+``np.loadtxt`` call converts the numeric columns, ``str.split(",")`` gives
+the id and flag cells, and every check runs as an array operation. The
+row reader, which converts and checks one cell after another, reads the
+same text instead when
+
+- the text holds a quote, a carriage return, or one of ``\\x1c``-``\\x1f``
+  (numpy strips those around a number; ``float`` and ``int`` do not);
+- a row's cell count is not the header's (a blank line, which ``loadtxt``
+  would skip, included), ``loadtxt`` rejects a cell, or a flag cell is not
+  exactly ``0`` or ``1``;
+- any other check fails.
+
+So every error comes from the row reader, with the line and cell it
+names. The fast reader accepts only what the row reader accepts, with the
+same result, and a file that only the row reader accepts (a quoted cell,
+an integer written ``1_0``) still loads: a differential test holds the
+two to this. Both readers share the header checks.
 
 Parsed collections are built single-writer and treated as immutable
 afterwards, so they are safe to share across threads.
@@ -24,9 +45,13 @@ afterwards, so they are safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -89,6 +114,10 @@ SESSION_LOG_LAYOUT = (
     ("day", "day", int),
     ("month", "month", int),
 )
+#: The int and bool fields of SESSION_LOG_LAYOUT, in its order: the columns
+#: of SessionLog.values.
+LOG_VALUE_FIELDS = tuple(field for _, field, kind in SESSION_LOG_LAYOUT if kind is not str)
+_LOG_VALUE_KINDS = tuple(kind for _, _, kind in SESSION_LOG_LAYOUT if kind is not str)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +182,71 @@ class SessionSplit:
     @property
     def h(self) -> int:
         return len(self.history)
+
+
+@dataclass(frozen=True, eq=False)
+class SessionLog(Sequence):
+    """A session log as columns, its sessions in file order.
+
+    Session k owns rows ``starts[k]`` up to ``starts[k + 1]``. Row i plays
+    track ``track_ids[tracks[i]]``; ``track_ids`` lists each track once, in
+    the order the rows first name it. ``values`` holds every row's int and
+    bool cells as int64, one column per :data:`LOG_VALUE_FIELDS` entry. As
+    a sequence it holds one :class:`Session` per session, built when read.
+    """
+
+    session_ids: list[str]
+    starts: np.ndarray  # (sessions + 1,) row offsets
+    track_ids: list[str]
+    tracks: np.ndarray  # (rows,) intp
+    values: np.ndarray  # (rows, len(LOG_VALUE_FIELDS)) int64
+
+    @classmethod
+    def from_sessions(cls, sessions: Iterable[Session]) -> "SessionLog":
+        sessions = list(sessions)
+        rows = [row for session in sessions for row in session.rows]
+        index: dict[str, int] = {}
+        cells = operator.attrgetter(*LOG_VALUE_FIELDS)
+        return cls(
+            session_ids=[session.session_id for session in sessions],
+            starts=np.cumsum([0] + [len(session.rows) for session in sessions]),
+            tracks=np.array(
+                [index.setdefault(row.track_id, len(index)) for row in rows], dtype=np.intp
+            ),
+            track_ids=list(index),
+            values=np.array([cells(row) for row in rows], dtype=np.int64).reshape(
+                -1, len(LOG_VALUE_FIELDS)
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    def __getitem__(self, k: int) -> Session:
+        k = range(len(self))[k]
+        sid = self.session_ids[k]
+        a, b = self.starts[k], self.starts[k + 1]
+        rows = []
+        for track, cells in zip(self.tracks[a:b].tolist(), self.values[a:b].tolist()):
+            # SessionRow's order: the id, two ints, the track id, the rest
+            position, length, *rest = [kind(v) for kind, v in zip(_LOG_VALUE_KINDS, cells)]
+            rows.append(SessionRow(sid, position, length, self.track_ids[track], *rest))
+        return Session(session_id=sid, rows=tuple(rows))
+
+    def column(self, field: str) -> np.ndarray:
+        """The cells of one LOG_VALUE_FIELDS field, one per row."""
+        return self.values[:, LOG_VALUE_FIELDS.index(field)]
+
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """split_session of every session at once.
+
+        Returns each session's history length and target count, and
+        whether each row is a target.
+        """
+        n = np.diff(self.starts)
+        h = (n + 1) // 2
+        rank = np.arange(self.starts[-1]) - np.repeat(self.starts[:-1], n)
+        return h, n - h, rank >= np.repeat(h, n)
 
 
 #: (SessionRow attribute, lowest, highest) of each bounded context column
@@ -233,6 +327,32 @@ def csv_rows(stream: IO[str], what: str) -> Iterator[tuple[int, list[str]]]:
         yield reader.line_num, cells
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def csv_cell(text: str) -> str:
+    """`text` quoted as csv.writer quotes a cell by default, if at all."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+#: What only the row reader reads: csv quoting, a carriage return, and the
+#: separators that numpy strips around a number but float() and int() do not.
+_ROW_READER_ONLY = '"\r\x1c\x1d\x1e\x1f'
+
+
+def _fast_lines(text: str) -> list[str] | None:
+    """The lines of `text`, header first, or None if only the row reader
+    may read it: it is empty or holds a character of _ROW_READER_ONLY."""
+    if not text or any(c in text for c in _ROW_READER_ONLY):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the last line's end
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # Track-feature CSV
 
@@ -262,6 +382,18 @@ def _infer_acoustic_dim(fieldnames: Iterable[str]) -> int:
             f"got indices {sorted(indices)}", 1
         )
     return dim
+
+
+def _track_layout(header: list[str]) -> tuple[dict[str, int], list[str]]:
+    """Each column's index (a repeated column's last) and the vector columns.
+
+    A header without a required column raises a SchemaError at line 1.
+    """
+    for required in _track_header_columns(0):
+        if required not in header:
+            raise SchemaError(f"track feature file is missing column {required!r}", 1)
+    vector_cols = [f"acoustic_vector_{k}" for k in range(_infer_acoustic_dim(header))]
+    return {column: i for i, column in enumerate(header)}, vector_cols
 
 
 def parse_cell(kind: type, value: str, column: str, line_num: int):
@@ -310,46 +442,68 @@ def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
 
     The acoustic-vector dimension is inferred from the header and every
     track in the returned map shares it. A column named twice is read from
-    its last copy. A row is converted whole; only a row that fails is read
-    again cell by cell, to report its first bad cell.
+    its last copy. The fast reader reads a valid file; the row reader
+    reads any other, to report its first bad cell (see the module notes).
     """
+    text = stream.read()
+    lines = _fast_lines(text)
+    if lines is not None:
+        track_map = _track_columns(lines[0].split(","), lines[1:])
+        if track_map is not None:
+            return track_map
+    return _track_rows(io.StringIO(text))
+
+
+def _track_columns(header: list[str], rows: list[str]) -> dict[str, TrackMetadata] | None:
+    """The fast reader's track map, or None to leave the file to the row reader."""
+    at, vector_cols = _track_layout(header)
+    if not rows:
+        return {}
+    if set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+        return None
+    id_at = at["track_id"]
+    ids = [row.split(",", id_at + 1)[id_at] for row in rows]
+    numbers = ["duration", *SCALAR_FEATURE_NAMES, *vector_cols]
+    try:
+        table = np.loadtxt(
+            rows, delimiter=",", comments=None, ndmin=1,
+            usecols=[at["release_year"], *(at[c] for c in numbers)],
+            dtype=[("year", np.int64), ("numbers", np.float64, (len(numbers),))],
+        )
+    except ValueError:
+        return None
+    values = np.ascontiguousarray(table["numbers"])
+    duration, popularity = values[:, 0], values[:, 1]
+    if not (
+        len(set(ids)) == len(ids)
+        and np.isfinite(values).all()
+        and (duration > 0).all()
+        and ((0.0 <= popularity) & (popularity <= 100.0)).all()
+    ):
+        return None
+    return dict(zip(ids, map(
+        TrackMetadata, ids, duration.tolist(), table["year"].tolist(),
+        list(values[:, 1 : 1 + N_SCALAR_FEATURES]),  # row views of `values`
+        list(values[:, 1 + N_SCALAR_FEATURES :]),
+    )))
+
+
+def _track_rows(stream: IO[str]) -> dict[str, TrackMetadata]:
+    """The row reader: each row's cells in turn, so the first bad one raises."""
     rows = csv_rows(stream, "track feature file")
     _, header = next(rows)
-    for required in _track_header_columns(0):
-        if required not in header:
-            raise SchemaError(f"track feature file is missing column {required!r}", 1)
-    dim = _infer_acoustic_dim(header)
-    vector_cols = [f"acoustic_vector_{k}" for k in range(dim)]
-    at = {column: i for i, column in enumerate(header)}  # the last of a repeat
-    numbers = operator.itemgetter(
-        *(at[c] for c in ["duration", *SCALAR_FEATURE_NAMES, *vector_cols])
-    )
-    id_at, year_at = at["track_id"], at["release_year"]
-
+    _, vector_cols = _track_layout(header)
     track_map: dict[str, TrackMetadata] = {}
     for line, cells in rows:
-        track_id = cells[id_at]
+        record = dict(zip(header, cells))  # the last copy of a repeated column
+        track_id = record["track_id"]
         if track_id in track_map:
             raise DuplicateTrackError(f"duplicate track_id {track_id!r}", line)
-        try:
-            values = list(map(float, numbers(cells)))
-            year = int(cells[year_at])
-            valid = (
-                all(map(math.isfinite, values))
-                and values[0] > 0
-                and 0.0 <= values[1] <= 100.0
-            )
-        except ValueError:
-            valid = False
-        if not valid:
-            values, year = _track_numbers(dict(zip(header, cells)), line, vector_cols)
+        values, year = _track_numbers(record, line, vector_cols)
         array = np.array(values)  # the scalars and the vector are views of it
         track_map[track_id] = TrackMetadata(
-            track_id=track_id,
-            duration_s=values[0],
-            release_year=year,
-            scalars=array[1 : 1 + N_SCALAR_FEATURES],
-            acoustic_vector=array[1 + N_SCALAR_FEATURES :],
+            track_id, values[0], year, array[1 : 1 + N_SCALAR_FEATURES],
+            array[1 + N_SCALAR_FEATURES :],
         )
     return track_map
 
@@ -376,26 +530,108 @@ def write_track_csv(track_map: Mapping[str, TrackMetadata], stream: IO[str]) -> 
 # ---------------------------------------------------------------------------
 # Session-log CSV
 
-def parse_session_log(stream: IO[str]) -> list[Session]:
-    """Read a session log into validated Session objects.
+
+# the fast log reader splits this many rows into cells at a time, so only
+# one block's cells exist at once
+_SPLIT_BLOCK = 4096
+
+
+def _log_layout(header: list[str]) -> dict[str, int]:
+    """Each column's index, a repeated column's last.
+
+    A header without a column of SESSION_LOG_LAYOUT raises a SchemaError at
+    line 1.
+    """
+    for column, _field, _kind in SESSION_LOG_LAYOUT:
+        if column not in header:
+            raise SchemaError(f"session log is missing column {column!r}", 1)
+    return {column: i for i, column in enumerate(header)}
+
+
+def parse_session_log(stream: IO[str]) -> SessionLog:
+    """Read a session log into a validated SessionLog.
 
     Rows must arrive grouped by session_id and ordered by position. An
     error's ``line_num`` is its row's, the session's first row's for wrong
     positions or length, or 1 for the header; a row's first bad cell in
-    column order is the one reported, found by reading a row that fails
-    again cell by cell. A log with no rows raises with no line. Track ids
-    are checked where features joins the log with the track file.
+    column order is the one reported. A log with no rows raises with no
+    line. Track ids are checked where features joins the log with the
+    track file. The fast reader reads a valid log; the row reader reads
+    any other, to report its first error (see the module notes).
     """
+    text = stream.read()
+    lines = _fast_lines(text)
+    if lines is not None:
+        log = _log_columns(lines[0].split(","), lines[1:])
+        if log is not None:
+            return log
+    return SessionLog.from_sessions(_log_rows(io.StringIO(text)))
+
+
+def _log_columns(header: list[str], rows: list[str]) -> SessionLog | None:
+    """The fast reader's log, or None to leave the file to the row reader."""
+    at = _log_layout(header)
+    if not rows:
+        return None
+    flags = operator.itemgetter(*(at[c] for c, _, kind in SESSION_LOG_LAYOUT if kind is bool))
+    sid_at, track_at = at["session_id"], at["track_id"]
+    session_ids: list[str] = []
+    first: list[int] = []  # each session's first row
+    index: dict[str, int] = {}  # track id -> its place in track_ids
+    tracks: list[int] = []
+    for start in range(0, len(rows), _SPLIT_BLOCK):
+        cells = [row.split(",") for row in rows[start : start + _SPLIT_BLOCK]]
+        if set(map(len, cells)) != {len(header)} or not {"0", "1"}.issuperset(
+            chain.from_iterable(map(flags, cells))
+        ):
+            return None
+        for i, row in enumerate(cells, start):
+            if not session_ids or row[sid_at] != session_ids[-1]:
+                session_ids.append(row[sid_at])
+                first.append(i)
+        tracks += [index.setdefault(row[track_at], len(index)) for row in cells]
+    try:
+        values = np.loadtxt(
+            rows, delimiter=",", comments=None, ndmin=2, dtype=np.int64,
+            usecols=[at[c] for c, _, kind in SESSION_LOG_LAYOUT if kind is not str],
+        )
+    except ValueError:
+        return None
+    log = SessionLog(
+        session_ids=session_ids,
+        starts=np.array(first + [len(rows)]),
+        track_ids=list(index),
+        tracks=np.array(tracks, dtype=np.intp),
+        values=values,
+    )
+    return log if _holds_row_checks(log) else None
+
+
+def _holds_row_checks(log: SessionLog) -> bool:
+    """Whether the log passes every check of the row reader, as arrays."""
+    n = np.diff(log.starts)
+    rank = np.arange(log.starts[-1]) - np.repeat(log.starts[:-1], n)
+    skip_1, skip_2, skip_3 = (log.column(f) for f in ("skip_1", "skip_2", "skip_3"))
+    return bool(
+        len(set(log.session_ids)) == len(log)  # contiguous sessions
+        and ((MIN_SESSION_LENGTH <= n) & (n <= MAX_SESSION_LENGTH)).all()
+        and (log.column("position") == rank + 1).all()
+        and (log.column("session_length") == np.repeat(n, n)).all()
+        and (skip_1 <= skip_2).all()
+        and (skip_2 <= skip_3).all()
+        and all(
+            ((low <= log.column(f)) & (log.column(f) <= high)).all()
+            for f, low, high in CONTEXT_RANGES
+        )
+    )
+
+
+def _log_rows(stream: IO[str]) -> list[Session]:
+    """The row reader: each row's cells in turn, so the first bad one raises."""
     rows = csv_rows(stream, "session log")
     _, header = next(rows)
-    for column, _field, _kind in SESSION_LOG_LAYOUT:
-        if column not in header:
-            raise SchemaError(f"session log is missing column {column!r}", 1)
-    index = {column: i for i, column in enumerate(header)}
-    cells_of = operator.itemgetter(*(index[c] for c, _, _ in SESSION_LOG_LAYOUT))
-    # in CONTEXT_RANGES order
-    hours, days, months = (range(low, high + 1) for _, low, high in CONTEXT_RANGES)
-    bits = frozenset("01")
+    at = _log_layout(header)
+    cells_of = operator.itemgetter(*(at[c] for c, _, _ in SESSION_LOG_LAYOUT))
     sessions: list[Session] = []
     seen: set[str] = set()
     current_id: str | None = None
@@ -413,45 +649,26 @@ def parse_session_log(stream: IO[str]) -> list[Session]:
         sessions.append(session)
 
     for line, cells in rows:
-        # the cells in SESSION_LOG_LAYOUT order, which is SessionRow's
-        (sid, position, length, track_id, skip_1, skip_2, skip_3, premium,
-         shuffle, hour, day, month) = cells_of(cells)
-        if sid != current_id:
+        cells = cells_of(cells)  # in SESSION_LOG_LAYOUT order, which is SessionRow's
+        if cells[0] != current_id:
             finalize()
-            if sid in seen:
+            if cells[0] in seen:
                 raise MalformedSessionError(
-                    f"session {sid!r} reappears after other sessions; "
+                    f"session {cells[0]!r} reappears after other sessions; "
                     "rows must be contiguous",
                     line,
                 )
-            seen.add(sid)
-            current_id = sid
+            seen.add(cells[0])
+            current_id = cells[0]
             current_rows = []
             first_line = line
-        try:
-            row = SessionRow(
-                sid, int(position), int(length), track_id, skip_1 == "1",
-                skip_2 == "1", skip_3 == "1", premium == "1", shuffle == "1",
-                int(hour), int(day), int(month),
-            )
-            valid = (
-                bits.issuperset((skip_1, skip_2, skip_3, premium, shuffle))
-                # the flags nest: "0" < "1"
-                and skip_1 <= skip_2 <= skip_3
-                and row.hour in hours
-                and row.day in days
-                and row.month in months
-            )
-        except ValueError:
-            valid = False
-        if not valid:
-            row = SessionRow(*[
-                parse_cell(kind, cell, column, line)
-                for cell, (column, _, kind) in zip(cells_of(cells), SESSION_LOG_LAYOUT)
-            ])
-            problem = _row_problem(row)
-            if problem:
-                raise RowParseError(problem, line)
+        row = SessionRow(*[
+            parse_cell(kind, cell, column, line)
+            for cell, (column, _, kind) in zip(cells, SESSION_LOG_LAYOUT)
+        ])
+        problem = _row_problem(row)
+        if problem:
+            raise RowParseError(problem, line)
         current_rows.append(row)
     finalize()
     if not sessions:

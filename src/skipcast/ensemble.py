@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import MAX_TARGET_POSITIONS
+from .datamodel import MAX_TARGET_POSITIONS, csv_cell
 from .errors import DimensionError, DomainError
 
 SOLUTION_IDS = tuple(range(1, 13))
@@ -209,9 +209,11 @@ def write_submission(prediction: CorpusPrediction, stream) -> None:
 
 
 def write_scores(prediction: CorpusPrediction, stream) -> None:
-    """One line per target row: session id, position, score and decision."""
+    """One CSV line per target row: session id, position, score and decision."""
     counts = np.asarray(prediction.counts).tolist()
-    row_ids = [sid for sid, n in zip(prediction.session_ids, counts) for _ in range(n)]
+    row_ids = [
+        cell for sid, n in zip(prediction.session_ids, counts) for cell in [csv_cell(sid)] * n
+    ]
     stream.write("session_id,target_position,score,decision\n" + "".join(
         f"{sid},{i},{score!r},{bit}\n"
         for sid, i, score, bit in zip(

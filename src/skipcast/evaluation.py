@@ -48,6 +48,15 @@ def _average_accuracies(hits: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(table, axis=1)[:, -1] / counts
 
 
+def _corpus_score(hits: np.ndarray, counts: np.ndarray) -> CorpusScore:
+    """MAA and FPA from the stacked hit flags of sessions of `counts` slots."""
+    return CorpusScore(
+        maa=float(np.mean(_average_accuracies(hits, counts))),
+        fpa=float(np.mean(hits[np.cumsum(counts) - counts])),
+        n_sessions=counts.size,
+    )
+
+
 def corpus_scores(
     pairs: Iterable[tuple[Sequence[bool], Sequence[bool]]]
 ) -> CorpusScore:
@@ -64,12 +73,7 @@ def corpus_scores(
     if not truths:
         raise ValueError("corpus scores need at least one session")
     counts = np.array([t.size for t in truths])
-    hits = np.concatenate(decisions) == np.concatenate(truths)
-    return CorpusScore(
-        maa=float(np.mean(_average_accuracies(hits, counts))),
-        fpa=float(np.mean(hits[np.cumsum(counts) - counts])),
-        n_sessions=counts.size,
-    )
+    return _corpus_score(np.concatenate(decisions) == np.concatenate(truths), counts)
 
 
 def average_accuracy(decisions: Sequence[bool], truth: Sequence[bool]) -> float:
@@ -100,21 +104,31 @@ def session_truth(session: Session) -> np.ndarray:
 
 
 def solutions_report(
-    truths: Sequence[np.ndarray],
-    decisions: Sequence[Sequence[np.ndarray]],
+    counts: np.ndarray,
+    truth: np.ndarray,
+    decisions: Sequence[np.ndarray],
     solutions: Sequence[int],
 ) -> list[SolutionRow]:
     """Score every requested solution; rows come back ranked worst first.
 
-    `truths[i]` is session i's ground truth and `decisions[k][i]` the
-    boolean decisions of solution `solutions[k]` for that session.
+    Session i has `counts[i]` target slots. `truth` stacks the sessions'
+    ground truth in session order, and `decisions[k]` stacks the boolean
+    decisions of solution `solutions[k]` the same way.
 
     The order is `compare` ascending: MAA, then FPA on an exact MAA tie;
     full ties keep the requested order.
     """
+    counts, truth = np.asarray(counts), np.asarray(truth, dtype=bool)
+    if truth.shape != (counts.sum(),):
+        raise DimensionError(f"truth shape {truth.shape} for {counts.sum()} slots")
     rows = []
     for solution, stored in zip(solutions, decisions, strict=True):
-        corpus = corpus_scores(zip(stored, truths, strict=True))
+        stored = np.asarray(stored, dtype=bool)
+        if stored.shape != truth.shape:
+            raise DimensionError(
+                f"decisions shape {stored.shape} != truth shape {truth.shape}"
+            )
+        corpus = _corpus_score(stored == truth, counts)
         rows.append(SolutionRow(solution=solution, maa=corpus.maa, fpa=corpus.fpa))
     rows.sort(key=functools.cmp_to_key(compare))
     return rows

@@ -41,17 +41,21 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
 from .datamodel import (
+    LOG_VALUE_FIELDS,
     MAX_TARGET_POSITIONS,
     N_SCALAR_FEATURES,
     SCALAR_FEATURE_NAMES,
     Session,
+    SessionLog,
     SessionRow,
     TrackMetadata,
+    csv_cell,
     csv_rows,
     parse_cell,
     split_session,
@@ -86,6 +90,10 @@ FEATURE_COUNT = len(FEATURE_NAMES)
 MATRIX_COLUMNS = FEATURE_NAMES + ("label", "session_id", "target_position")
 # how each MATRIX_COLUMNS cell is read
 _MATRIX_KINDS = (float,) * FEATURE_COUNT + (int, str, int)
+# the log columns of features 48-52, the last history row's context
+_CONTEXT_COLUMNS = [
+    LOG_VALUE_FIELDS.index(f) for f in ("premium", "shuffle", "hour", "day", "month")
+]
 # FeatureTable.read_csv converts this many rows at a time, so at most one
 # block's Python floats exist beside the float64 blocks
 _READ_BLOCK = 128
@@ -133,7 +141,7 @@ class FeatureTable:
             self.x, self.labels.tolist(), self.session_ids, self.positions.tolist()
         ):
             cells = ",".join(map(repr, values.tolist()))
-            stream.write(f"{cells},{label},{sid},{position}\n")
+            stream.write(f"{cells},{label},{csv_cell(sid)},{position}\n")
 
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "FeatureTable":
@@ -182,89 +190,86 @@ class FeatureTable:
 
 
 def assemble_corpus(
-    sessions: Iterable[Session], track_map: Mapping[str, TrackMetadata]
+    sessions: SessionLog | Iterable[Session], track_map: Mapping[str, TrackMetadata]
 ) -> FeatureTable:
     """Extract the feature rows of every session's target half, in session order.
 
-    One pass over the rows resolves each row's track and checks each
-    session in this order: every target's position; the track of each
-    target, then of each skipped and each listened history row, in order
-    (unknown id, then scalar shape); then each target's vector dimension
-    against each history track's. The first failing session raises. A
-    session without targets adds no rows and is not checked. The rest is
-    array operations over the whole corpus; they loop only over history
-    slots, group sizes and the vector dimensions in use.
+    Sessions that are not a SessionLog are converted into one first. A
+    session of fewer than two rows has no targets: it adds no rows and is
+    not checked. The checks run over all rows at once; the first session
+    that fails one raises the error of its first failing check, in this
+    order: every target's position; the track of each target, then of
+    each skipped and each listened history row, in order (unknown id, then
+    scalar shape); then each target's vector dimension against each
+    history track's. The rest is array operations over the whole corpus;
+    they loop only over history slots, group sizes and the vector
+    dimensions in use.
     """
-    index: dict[str, int] = {}  # track_id -> its row in the track tables
-    metas: list[TrackMetadata] = []
+    log = sessions if isinstance(sessions, SessionLog) else SessionLog.from_sessions(sessions)
+    if (np.diff(log.starts) < 2).any():
+        log = SessionLog.from_sessions(s for s in log if s.length > 1)
+    n_history, n_targets, target = log.split()
+    tracks = log.tracks  # each row's place in the track tables
+    metas = [track_map.get(t) for t in log.track_ids]
+    bad = np.array(
+        [m is None or m.scalars.shape != (N_SCALAR_FEATURES,) for m in metas], dtype=bool
+    )
+    dims = np.array(
+        [0 if b else len(m.acoustic_vector) for m, b in zip(metas, bad)], dtype=np.intp
+    )[tracks]
+    positions = log.column("position") - np.repeat(n_history, n_history + n_targets)
+    failed = bad[tracks] | (
+        target & ((positions < 1) | (positions > MAX_TARGET_POSITIONS))
+    )
+    if len(log):
+        first = log.starts[:-1]
+        failed_session = np.logical_or.reduceat(failed, first) | (
+            np.minimum.reduceat(dims, first) != np.maximum.reduceat(dims, first)
+        )
+        if failed_session.any():
+            _raise_first_failure(log[int(np.argmax(failed_session))], track_map)
 
-    def resolve(row: SessionRow) -> int:
-        k = index.get(row.track_id)
-        if k is None:
-            metas.append(_checked_track(track_map, row))
-            k = index[row.track_id] = len(metas) - 1
-        return k
-
-    target_tracks: list[int] = []
-    history_tracks: list[int] = []
-    skip_1: list[bool] = []  # of each history row
-    skip_2: list[bool] = []
-    context: list[tuple] = []  # columns 48-52 of each session
-    n_targets: list[int] = []
-    n_history: list[int] = []
-    labels: list[bool] = []
-    positions: list[int] = []
-    sids: list[str] = []
-    for session in sessions:
-        split = split_session(session)
-        history, targets, h = split.history, split.targets, split.h
-        if not targets:
-            continue
-        for row in targets:
-            if not 1 <= row.position - h <= MAX_TARGET_POSITIONS:
-                raise IntegrityError(
-                    f"target position {row.position - h} outside "
-                    f"[1, {MAX_TARGET_POSITIONS}]; target row position "
-                    f"{row.position} with history length {h}"
-                )
-        tracks = [resolve(r) for r in targets]
-        members = [resolve(r) for r in history if r.skip_2]
-        members += [resolve(r) for r in history if not r.skip_2]
-        if len({metas[k].acoustic_vector.shape for k in tracks + members}) > 1:
-            t, m = next(
-                (metas[t], metas[m]) for t in tracks for m in members
-                if metas[m].acoustic_vector.shape != metas[t].acoustic_vector.shape
-            )
-            raise IntegrityError(
-                f"acoustic vector dimension mismatch: track "
-                f"{m.track_id!r} has {m.acoustic_vector.shape[0]}, target "
-                f"{t.track_id!r} has {t.acoustic_vector.shape[0]}"
-            )
-        target_tracks += tracks
-        history_tracks += [index[r.track_id] for r in history]
-        skip_1 += [r.skip_1 for r in history]
-        skip_2 += [r.skip_2 for r in history]
-        last = history[-1]
-        context.append((last.premium, last.shuffle, last.hour, last.day, last.month))
-        n_targets.append(len(targets))
-        n_history.append(h)
-        labels += [r.skip_2 for r in targets]
-        positions += [r.position - h for r in targets]
-        sids += [r.session_id for r in targets]
-
-    x = np.zeros((len(target_tracks), FEATURE_COUNT))
-    if target_tracks:
+    history = ~target
+    skip_2 = log.column("skip_2") == 1
+    last = log.starts[:-1] + n_history - 1  # each session's last history row
+    x = np.zeros((int(n_targets.sum()), FEATURE_COUNT))
+    if len(x):
         _fill_features(
-            x, metas, np.array(target_tracks), np.array(history_tracks),
-            np.array(skip_1, dtype=np.int64), np.array(skip_2, dtype=bool),
-            np.array(context, dtype=np.float64), np.array(n_targets),
-            np.array(n_history),
+            x, metas, tracks[target], tracks[history], log.column("skip_1")[history],
+            skip_2[history], log.values[last][:, _CONTEXT_COLUMNS].astype(np.float64),
+            n_targets, n_history,
         )
     return FeatureTable(
         x=x,
-        labels=np.array(labels, dtype=np.int64),
-        positions=np.array(positions, dtype=np.int64),
-        session_ids=tuple(sids),
+        labels=skip_2[target].astype(np.int64),
+        positions=positions[target],
+        session_ids=tuple(chain.from_iterable(map(repeat, log.session_ids, n_targets.tolist()))),
+    )
+
+
+def _raise_first_failure(
+    session: Session, track_map: Mapping[str, TrackMetadata]
+) -> None:
+    """Raise the error of the first check that `session` fails, in the order
+    `assemble_corpus` documents; the session fails one."""
+    split = split_session(session)
+    for row in split.targets:
+        if not 1 <= row.position - split.h <= MAX_TARGET_POSITIONS:
+            raise IntegrityError(
+                f"target position {row.position - split.h} outside "
+                f"[1, {MAX_TARGET_POSITIONS}]; target row position "
+                f"{row.position} with history length {split.h}"
+            )
+    targets = [_checked_track(track_map, r) for r in split.targets]
+    members = [_checked_track(track_map, r) for r in split.history if r.skip_2]
+    members += [_checked_track(track_map, r) for r in split.history if not r.skip_2]
+    t, m = next(
+        (t, m) for t in targets for m in members
+        if len(m.acoustic_vector) != len(t.acoustic_vector)
+    )
+    raise IntegrityError(
+        f"acoustic vector dimension mismatch: track {m.track_id!r} has "
+        f"{len(m.acoustic_vector)}, target {t.track_id!r} has {len(t.acoustic_vector)}"
     )
 
 

@@ -391,6 +391,9 @@ class GBDTModel:
             raise SchemaError(f"corrupt model file {path}: {exc!r}") from exc
 
 
+# with lambda_ = 0 a gain may divide by a zero hessian sum: _scan handles
+# the NaN or inf that gives, and a leaf's score raises in _over
+@np.errstate(divide="ignore", invalid="ignore")
 def train(
     x: np.ndarray,
     y: np.ndarray,

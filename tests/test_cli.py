@@ -6,13 +6,18 @@ directories, with a corpus small enough to keep the whole file fast.
 
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import skipcast
+from skipcast import cli, datamodel
 from skipcast.cli import main
 from skipcast.config import (
     RunConfig,
@@ -323,6 +328,17 @@ class TestUsageErrors:
         assert "max_depth must be in [1, 64], got 5000" in capsys.readouterr().err
 
 
+# eta 1 drives margins far enough that some node's hessians are all 0
+ZERO_HESSIAN_CONF = (
+    "seed = 3\nn_sessions = 120\nn_tracks = 100\nnum_boost_round = 200\n"
+    "eta = 1.0\nlambda_ = 0.0\nmin_child_weight = 0.0\n"
+)
+ZERO_HESSIAN_ERROR = (
+    "skipcast: lambda_ = 0 and a node's hessian sum is 0: its score "
+    "divides by zero; set lambda_ > 0\n"
+)
+
+
 class TestDataErrors:
     def test_extract_before_synth(self, tmp_path, capsys):
         assert main(["extract", "--workdir", str(tmp_path / "w")]) == 2
@@ -545,20 +561,28 @@ class TestDataErrors:
         )
 
     def test_train_with_zero_hessian_and_lambda_0(self, tmp_path, capsys):
-        # eta 1 drives margins far enough that some node's hessians are all 0
-        conf = write_conf(tmp_path, (
-            "seed = 3\nn_sessions = 120\nn_tracks = 100\nnum_boost_round = 200\n"
-            "eta = 1.0\nlambda_ = 0.0\nmin_child_weight = 0.0\n"
-        ))
+        conf = write_conf(tmp_path, ZERO_HESSIAN_CONF)
         workdir = str(tmp_path / "w")
         for stage in ("synth", "extract"):
             assert main([stage, "--config", conf, "--workdir", workdir]) == 0
         capsys.readouterr()
         assert main(["train", "--config", conf, "--workdir", workdir]) == 1
-        assert capsys.readouterr().err == (
-            "skipcast: lambda_ = 0 and a node's hessian sum is 0: its score "
-            "divides by zero; set lambda_ > 0\n"
+        assert capsys.readouterr().err == ZERO_HESSIAN_ERROR
+
+    def test_zero_hessian_error_is_all_that_train_prints(self, tmp_path):
+        # the workers write to the process's own stderr, which capsys cannot
+        # see, so train runs in a process of its own
+        conf = write_conf(tmp_path, ZERO_HESSIAN_CONF)
+        workdir = str(tmp_path / "w")
+        for stage in ("synth", "extract"):
+            assert main([stage, "--config", conf, "--workdir", workdir]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(skipcast.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "skipcast.cli", "train", "--config", conf,
+             "--workdir", workdir],
+            capture_output=True, text=True, env=env, timeout=300,
         )
+        assert (done.returncode, done.stderr) == (1, ZERO_HESSIAN_ERROR)
 
     @pytest.mark.parametrize("stage", ["train", "tune"])
     def test_target_position_outside_1_10(self, pipeline, tmp_path, capsys, stage):
@@ -650,6 +674,62 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"skipcast: {path}: no stored decisions for session ")
         assert err.endswith("; re-run the predict stage\n")
+
+
+class TestColumnReaders:
+    """predict and evaluate read clean files as columns; odd ids survive."""
+
+    OUTPUTS = ["report.csv", "scores_solution_01.csv", "submission_solution_09.txt"]
+
+    def test_clean_corpus_never_runs_a_row_reader(self, pipeline, tmp_path, monkeypatch):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row reader ran on a clean file")
+
+        for module, name in [(datamodel, "_log_rows"), (datamodel, "_track_rows"),
+                             (datamodel, "SessionRow"), (cli, "_submission_lines")]:
+            monkeypatch.setattr(module, name, refuse)
+        conf = write_conf(tmp_path)
+        for stage in ("predict", "evaluate"):
+            assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
+        for name in self.OUTPUTS:
+            assert (workdir / name).read_bytes() == (pipeline / name).read_bytes()
+
+    def test_reordered_submission_scores_the_same(self, pipeline, tmp_path):
+        # the line reader takes what the whole-file check leaves to it
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        for path in workdir.glob("submission_solution_*.txt"):
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[::-1][:3] + [""] + lines[::-1][3:]))
+        conf = write_conf(tmp_path)
+        assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 0
+        assert (workdir / "report.csv").read_bytes() == (pipeline / "report.csv").read_bytes()
+
+    def test_ids_with_a_space_or_a_comma_round_trip(self, pipeline, tmp_path):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        log = workdir / "sessions.csv"
+        text = re.sub(r"^s000000,", "a b,", log.read_text(), flags=re.M)
+        log.write_text(re.sub(r"^s000001,", '"c,d",', text, flags=re.M))
+        conf = write_conf(tmp_path)
+        for stage in ("extract", "train", "predict", "evaluate"):
+            assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
+        # only the ids changed, so the decisions and their scores did not
+        assert (workdir / "report.csv").read_bytes() == (pipeline / "report.csv").read_bytes()
+        before = (pipeline / "submission_solution_01.txt").read_text().splitlines()
+        assert (workdir / "submission_solution_01.txt").read_text().splitlines() == [
+            "a b" + before[0].removeprefix("s000000"),
+            "c,d" + before[1].removeprefix("s000001"),
+        ] + before[2:]
+        for name in ("scores_solution_01.csv", "features.csv"):
+            with open(workdir / name, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len({len(row) for row in rows}) == 1, name
+            column = rows[0].index("session_id")
+            assert [row[column] for row in rows if row[column] in ("a b", "c,d")], name
 
 
 def _set_cell(index, value):

@@ -6,12 +6,14 @@ import io
 import numpy as np
 import pytest
 
+from skipcast import datamodel
 from skipcast.cli import _read
 from skipcast.datamodel import (
     MAX_TARGET_POSITIONS,
     SCALAR_FEATURE_NAMES,
     SESSION_LOG_LAYOUT,
     Session,
+    SessionLog,
     SessionRow,
     TrackMetadata,
     parse_session_log,
@@ -28,6 +30,7 @@ from skipcast.errors import (
     MalformedSessionError,
     RowParseError,
     SchemaError,
+    SkipcastError,
     UnknownTrackError,
 )
 from skipcast.features import assemble_corpus
@@ -464,3 +467,123 @@ class TestSessionLogCsv:
         for want, got in zip(sessions, parsed):
             assert want.rows == got.rows
         assert {r.track_id for s in parsed for r in s.rows} <= parsed_tracks.keys()
+
+
+# Cells that some readers take and others do not: ints with zeros, spaces,
+# signs and underscores, a float, a non-ASCII digit, non-finite numbers, an
+# empty cell, a quoted cell, a comment character, a separator that numpy
+# strips around a number but int() and float() do not, and characters that
+# str.splitlines() would break a line at.
+ODD_CELLS = ["1", "0", "-1", "150", "01", " 1", "+1", "1_0", "1.0", "\u0661", "nan",
+             "inf", "1e400", "", '"1"', "#1", "1\x1c", "1\x85", "1\u2028"]
+
+
+def _mutations(text, cells):
+    """`text` with one cell replaced, for each (line, column) of `cells` and
+    each of ODD_CELLS, then with its layout changed."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    cases = {"clean": text}
+    for line, column in cells:
+        for cell in ODD_CELLS:
+            row = lines[line - 1].split(",")
+            row[header.index(column)] = cell
+            edited = lines[: line - 1] + [",".join(row)] + lines[line:]
+            cases[f"line {line} {column}={cell!r}"] = "\n".join(edited) + "\n"
+    cases.update({
+        "crlf": text.replace("\n", "\r\n"),
+        "blank line": "\n".join(lines[:3] + [""] + lines[3:]) + "\n",
+        "trailing blank line": text + "\n",
+        "no final line end": text[:-1],
+        "extra cell": "\n".join(lines[:3] + [lines[3] + ",1"] + lines[4:]) + "\n",
+        "missing cell": "\n".join(lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:]) + "\n",
+        "repeated and extra columns": "\n".join(
+            [lines[0] + f",{cells[-1][1]},extra"] + [row + ",1,x" for row in lines[1:]]
+        ) + "\n",
+        "header only": lines[0] + "\n",
+        "empty": "",
+    })
+    return cases
+
+
+def _outcome(read, text):
+    """What `read` makes of `text`: a comparable result, or the error's
+    type, message and line."""
+    try:
+        result = read(io.StringIO(text))
+    except SkipcastError as exc:
+        return type(exc), str(exc), exc.line_num
+    if isinstance(result, SessionLog):
+        return (result.session_ids, result.starts.tolist(), result.track_ids,
+                result.tracks.dtype, result.tracks.tolist(), result.values.dtype,
+                result.values.tolist())
+    return [(t, m.duration_s, m.release_year, m.scalars.tobytes(),
+             m.acoustic_vector.tobytes()) for t, m in result.items()]
+
+
+def _log_text(*more):
+    buf = io.StringIO()
+    write_session_csv([make_session(n=3, sid="a"),
+                       make_session(n=4, sid="b", skips=[True, False, True, True]),
+                       *more], buf)
+    return buf.getvalue()
+
+
+def _track_text():
+    buf = io.StringIO()
+    write_track_csv({f"t{i}": make_track(f"t{i}", popularity=1.0 + i) for i in range(3)}, buf)
+    return buf.getvalue()
+
+
+# line 5 is session b's first row, a skip, and line 6 its second, not one
+LOG_CASES = _mutations(_log_text(), [
+    (5, "session_position"), (5, "session_length"), (5, "skip_2"), (5, "skip_3"),
+    (6, "skip_1"), (5, "hour_of_day"), (5, "track_id"), (6, "day"), (5, "month"),
+])
+TRACK_CASES = _mutations(_track_text(), [
+    (3, "duration"), (3, "release_year"), (3, "popularity"), (3, "acoustic_vector_2"),
+    (3, "track_id"), (4, "energy"),
+])
+_LOG_LINES = _log_text().splitlines(keepends=True)
+LOG_CASES.update({
+    "session reappears": "".join(_LOG_LINES + _LOG_LINES[1:4]),
+    "session of one row": "".join(_LOG_LINES) + "c,1,1,t0,0,0,0,1,0,14,11,6\n",
+    "session of 21 rows": _log_text(make_session(n=21, sid="c")),
+})
+TRACK_CASES["duplicate id"] = _track_text() + _track_text().splitlines(keepends=True)[1]
+
+
+class TestFastReaderAgainstRowReader:
+    """The fast readers return what the row readers return, or raise what
+    they raise at the same line, on files that differ by one odd cell or
+    one change of layout."""
+
+    @pytest.mark.parametrize("case", LOG_CASES)
+    def test_session_log(self, case):
+        text = LOG_CASES[case]
+        rows = _outcome(lambda s: SessionLog.from_sessions(datamodel._log_rows(s)), text)
+        assert _outcome(parse_session_log, text) == rows
+
+    @pytest.mark.parametrize("case", TRACK_CASES)
+    def test_track_features(self, case):
+        text = TRACK_CASES[case]
+        assert _outcome(parse_track_features, text) == _outcome(datamodel._track_rows, text)
+
+    def test_cases_take_both_paths(self, monkeypatch):
+        # without a row reader, the clean files and the harmless cells still load,
+        # and the cells that only the row reader reads do not
+        def refuse(stream):
+            raise AssertionError("row reader")
+
+        monkeypatch.setattr(datamodel, "_log_rows", refuse)
+        monkeypatch.setattr(datamodel, "_track_rows", refuse)
+        for cases, read, fast, slow in [
+            (LOG_CASES, parse_session_log, "line 5 hour_of_day=' 1'",
+             "line 5 hour_of_day='1_0'"),
+            (TRACK_CASES, parse_track_features, "line 4 energy='+1'", "line 4 energy='1_0'"),
+        ]:
+            for case in ("clean", fast, "repeated and extra columns"):
+                read(io.StringIO(cases[case]))
+            for case in (slow, "crlf"):
+                with pytest.raises(AssertionError, match="row reader"):
+                    read(io.StringIO(cases[case]))

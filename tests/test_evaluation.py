@@ -40,6 +40,16 @@ def loop_average_accuracy(decisions, truth):
     return total / decisions.size
 
 
+def report(truths, decisions, solutions):
+    """solutions_report of per-session truths and decisions, stacked."""
+    return solutions_report(
+        np.array([t.size for t in truths]),
+        np.concatenate(truths),
+        [np.concatenate(stored) for stored in decisions],
+        solutions=solutions,
+    )
+
+
 def all_bit_vectors(n):
     return list(itertools.product([False, True], repeat=n))
 
@@ -201,7 +211,7 @@ class TestSolutionsReport:
 
     def test_perfect_predictor_scores_one(self):
         truths = [session_truth(s) for s in self.sessions()]
-        rows = solutions_report(truths, [truths] * 3, solutions=[1, 2, 3])
+        rows = report(truths, [truths] * 3, solutions=[1, 2, 3])
         assert [r.solution for r in rows] == [1, 2, 3]
         assert all(r.maa == 1.0 and r.fpa == 1.0 for r in rows)
 
@@ -218,7 +228,7 @@ class TestSolutionsReport:
             [~t for t in truths],  # solution 1: always wrong
             [last_flipped(t) for t in truths],  # solution 3
         ]
-        rows = solutions_report(truths, decisions, solutions=[2, 1, 3])
+        rows = report(truths, decisions, solutions=[2, 1, 3])
         assert [r.solution for r in rows] == [1, 3, 2]
         maas = [r.maa for r in rows]
         assert maas == sorted(maas)
@@ -235,7 +245,7 @@ class TestSolutionsReport:
         second = [t.copy() for t in truths]
         for flipped in second:
             flipped[1] = ~flipped[1]
-        rows = solutions_report(truths, [second, first], solutions=[2, 1])
+        rows = report(truths, [second, first], solutions=[2, 1])
         assert [(r.solution, r.maa, r.fpa) for r in rows] == [
             (1, 0.5, 0.5),
             (2, 0.5, 1.0),
@@ -243,7 +253,7 @@ class TestSolutionsReport:
 
     def test_equal_scores_keep_request_order(self):
         truths = [session_truth(s) for s in self.sessions()]
-        rows = solutions_report(truths, [truths, truths], solutions=[7, 4])
+        rows = report(truths, [truths, truths], solutions=[7, 4])
         assert [r.solution for r in rows] == [7, 4]  # stable sort
 
     def test_report_csv_bytes(self):
@@ -314,7 +324,7 @@ class TestLoopOracle:
             stored[4].append(decisions)
             stored[7].append(truth ^ (rng.random(truth.size) < 0.3))
             stored[2].append(rng.random(truth.size) < 0.5)
-        rows = solutions_report(
+        rows = report(
             [session_truth(s) for s in sessions],
             [stored[k] for k in solutions],
             solutions=solutions,

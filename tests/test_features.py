@@ -19,6 +19,7 @@ from skipcast.errors import (
     IntegrityError,
     RowParseError,
     SchemaError,
+    SkipcastError,
     UnknownTrackError,
 )
 from skipcast.features import (
@@ -649,3 +650,66 @@ def test_error_precedence(case):
     assert str(exc_info.value) == message
     with pytest.raises(error):  # the per-session reference agrees
         reference_corpus(sessions, PRECEDENCE_TRACKS)
+
+
+def reference_first_error(sessions, track_map):
+    """The per-session check loop that assemble_corpus's array checks
+    replaced: the type and message of the first error, or None."""
+    for session in sessions:
+        split = split_session(session)
+        if not split.targets:
+            continue
+        for r in split.targets:
+            if not 1 <= r.position - split.h <= 10:
+                return IntegrityError, (
+                    f"target position {r.position - split.h} outside [1, 10]; target "
+                    f"row position {r.position} with history length {split.h}"
+                )
+        try:
+            targets = [_checked_track(track_map, r) for r in split.targets]
+            members = [_checked_track(track_map, r) for r in split.history if r.skip_2]
+            members += [_checked_track(track_map, r) for r in split.history if not r.skip_2]
+        except SkipcastError as exc:
+            return type(exc), str(exc)
+        for t in targets:
+            for m in members:
+                if m.acoustic_vector.shape != t.acoustic_vector.shape:
+                    return IntegrityError, (
+                        f"acoustic vector dimension mismatch: track {m.track_id!r} has "
+                        f"{m.acoustic_vector.shape[0]}, target {t.track_id!r} has "
+                        f"{t.acoustic_vector.shape[0]}"
+                    )
+    return None
+
+
+def test_first_error_matches_per_session_loop():
+    # random corpora with a few unknown tracks, narrow scalars, odd vector
+    # dimensions, shifted positions, one-row sessions and sessions of
+    # unknown tracks only
+    rng = np.random.default_rng(21)
+    tracks = {f"t{i}": random_track(rng, f"t{i}", 3) for i in range(12)}
+    tracks.update({"d2": random_track(rng, "d2", 2), "narrow": NARROW})
+    ids = list(tracks) + ["gone"]
+    outcomes = set()
+    for _ in range(400):
+        sessions = []
+        for k in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 9))
+            odd = rng.random(n) < 0.04  # per row: a track outside the clean twelve
+            tids = [str(rng.choice(ids[-3:] if o else ids[:12])) for o in odd]
+            if rng.random() < 0.03:  # no track of the session is known
+                tids = ["gone"] * n
+            positions = np.arange(1, n + 1) + (rng.random(n) < 0.03) * int(rng.integers(-3, 12))
+            sessions.append(Session(f"s{k}", tuple(
+                row(t, int(p), skip_2=bool(rng.random() < 0.5), sid=f"s{k}", length=n)
+                for t, p in zip(tids, positions)
+            )))
+        want = reference_first_error(sessions, tracks)
+        try:
+            assemble_corpus(sessions, tracks)
+            got = None
+        except SkipcastError as exc:
+            got = type(exc), str(exc)
+        assert got == want
+        outcomes.add(want[0] if want else None)
+    assert outcomes == {None, UnknownTrackError, DimensionError, IntegrityError}
