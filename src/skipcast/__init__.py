@@ -6,7 +6,7 @@ position) are combined by twelve scoring strategies and evaluated with
 sequence-aware accuracy metrics.
 """
 
-from .datamodel import Session, SessionRow, TrackMetadata
+from .datamodel import Session, SessionRow, TrackTable
 from .ensemble import combine, binarize
 from .evaluation import average_accuracy, compare, corpus_scores
 from .features import FEATURE_COUNT, FEATURE_NAMES, assemble_corpus
@@ -22,7 +22,7 @@ __all__ = [
     "ModelBank",
     "Session",
     "SessionRow",
-    "TrackMetadata",
+    "TrackTable",
     "TrainParams",
     "assemble_corpus",
     "auc",

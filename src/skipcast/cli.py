@@ -95,8 +95,8 @@ def _load_sessions(cfg: RunConfig):
 
 
 def _load_corpus(cfg: RunConfig):
-    track_map = _read(_require(cfg.tracks_path(), "synth"), parse_track_features)
-    return track_map, _load_sessions(cfg)
+    tracks = _read(_require(cfg.tracks_path(), "synth"), parse_track_features)
+    return tracks, _load_sessions(cfg)
 
 
 def _read_features(cfg: RunConfig) -> FeatureTable:
@@ -109,9 +109,9 @@ def _submission_name(solution: int) -> str:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
-    track_map, sessions = generate_synthetic_dataset(cfg.synth, cfg.seed)
+    tracks, sessions = generate_synthetic_dataset(cfg.synth, cfg.seed)
     with open(cfg.tracks_path(), "w", encoding="utf-8") as fh:
-        write_track_csv(track_map, fh)
+        write_track_csv(tracks, fh)
     with open(cfg.sessions_path(), "w", encoding="utf-8") as fh:
         write_session_csv(sessions, fh)
     summary = corpus_summary(sessions)
@@ -122,8 +122,8 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 
 def cmd_extract(cfg: RunConfig) -> None:
-    track_map, log = _load_corpus(cfg)
-    table = assemble_corpus(log, track_map)
+    tracks, log = _load_corpus(cfg)
+    table = assemble_corpus(log, tracks)
     with open(cfg.workdir / "features.csv", "w", encoding="utf-8") as fh:
         table.write_csv(fh)
     print(f"extract: {len(table)} examples from {len(log)} sessions")
@@ -159,9 +159,9 @@ def cmd_train(cfg: RunConfig) -> None:
 def cmd_predict(cfg: RunConfig) -> None:
     _require(cfg.workdir / "bank" / MANIFEST_NAME, "train")
     bank = ModelBank.load(cfg.workdir / "bank")
-    track_map, log = _load_corpus(cfg)
+    tracks, log = _load_corpus(cfg)
     # assemble_corpus emits each session's target rows contiguously, in order
-    matrix = bank.predict_matrix(assemble_corpus(log, track_map).x)
+    matrix = bank.predict_matrix(assemble_corpus(log, tracks).x)
     n_history, counts, _ = log.split()
     s0 = log.column("skip_2")[log.starts[:-1] + n_history - 1]  # the last history row's
     for solution in cfg.solutions:

@@ -5,9 +5,11 @@ File formats
 Track features: header-first CSV (UTF-8, ``.`` decimal separator) with
 columns ``track_id``, ``duration``, ``release_year``, the 16 scalar feature
 columns named in :data:`SCALAR_FEATURE_NAMES`, and dense vector columns
-``acoustic_vector_0 .. acoustic_vector_{D-1}``. The vector dimension D is
-inferred from the header and must match on every row. Unknown extra columns
-are ignored so files with a wider schema still load.
+``acoustic_vector_0 .. acoustic_vector_{D-1}``. The header fixes the vector
+dimension D, so every track of a file has the same one, a file of no rows
+included. Unknown extra columns are ignored so files with a wider schema
+still load. It parses into a :class:`TrackTable`, a column store with one
+dimension per table.
 
 Session log: CSV with the columns of :data:`SESSION_LOG_LAYOUT`. Boolean
 cells are encoded as ``0``/``1``. Rows must be contiguous per session and
@@ -95,8 +97,6 @@ MAX_SESSION_LENGTH = 20
 #: session leaves at most 10 rows to predict.
 MAX_TARGET_POSITIONS = 10
 
-DEFAULT_ACOUSTIC_DIM = 7
-
 #: The session log's columns in file order: (column, SessionRow field, kind).
 #: The fields come in SessionRow's order; the kind (str, int or bool) says
 #: how the cell is read and written.
@@ -121,21 +121,22 @@ _LOG_VALUE_KINDS = tuple(kind for _, _, kind in SESSION_LOG_LAYOUT if kind is no
 
 
 @dataclass(frozen=True, eq=False)
-class TrackMetadata:
-    """Per-track scalar features plus a dense acoustic vector.
+class TrackTable:
+    """Tracks as columns, in file order.
 
-    ``scalars`` holds the 16 values in :data:`SCALAR_FEATURE_NAMES` order.
+    Track i is ``track_ids[i]``. ``scalars`` holds its 16 values in
+    :data:`SCALAR_FEATURE_NAMES` order and ``vectors`` its acoustic vector;
+    every track of a table has the same vector dimension.
     """
 
-    track_id: str
-    duration_s: float
-    release_year: int
-    scalars: np.ndarray
-    acoustic_vector: np.ndarray
+    track_ids: list[str]
+    duration: np.ndarray  # (n,) float64, seconds
+    year: np.ndarray  # (n,) int64, the release year
+    scalars: np.ndarray  # (n, N_SCALAR_FEATURES) float64
+    vectors: np.ndarray  # (n, dim) float64
 
-    @property
-    def popularity(self) -> float:
-        return float(self.scalars[0])
+    def __len__(self) -> int:
+        return len(self.track_ids)
 
 
 @dataclass(frozen=True)
@@ -253,17 +254,11 @@ class SessionLog(Sequence):
 CONTEXT_RANGES = (("hour", 0, 23), ("day", 1, 31), ("month", 1, 12))
 
 
-def validate_session(session: Session) -> None:
-    """Check all Session invariants, raising a typed error on violation."""
-    _validate_layout(session)
-    for row in session.rows:
-        problem = _row_problem(row)
-        if problem:
-            raise IntegrityError(problem)
-
-
 def _validate_layout(session: Session) -> None:
-    """Length, ids, positions and declared length; not each row's values."""
+    """Length, positions and declared length; not each row's values.
+
+    The rows carry the session's id: the row reader groups them by it.
+    """
     n = session.length
     if not MIN_SESSION_LENGTH <= n <= MAX_SESSION_LENGTH:
         raise MalformedSessionError(
@@ -271,11 +266,6 @@ def _validate_layout(session: Session) -> None:
             f"[{MIN_SESSION_LENGTH}, {MAX_SESSION_LENGTH}]"
         )
     for expect, row in enumerate(session.rows, start=1):
-        if row.session_id != session.session_id:
-            raise MalformedSessionError(
-                f"session {session.session_id!r}: row carries foreign id "
-                f"{row.session_id!r}"
-            )
         if row.position != expect:
             raise MalformedSessionError(
                 f"session {session.session_id!r}: expected position {expect}, "
@@ -419,6 +409,9 @@ def _float_cell(value: str, column: str, line_num: int) -> float:
     return number
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _track_numbers(
     record: Mapping[str, str], line: int, vector_cols: list[str]
 ) -> tuple[list[float], int]:
@@ -430,6 +423,8 @@ def _track_numbers(
     if duration <= 0:
         raise IntegrityError("duration must be positive", line)
     year = parse_cell(int, record["release_year"], "release_year", line)
+    if not _INT64.min <= year <= _INT64.max:
+        raise RowParseError(f"release_year {year} outside the 64-bit integer range", line)
     scalars = [_float_cell(record[c], c, line) for c in SCALAR_FEATURE_NAMES]
     if not 0.0 <= scalars[0] <= 100.0:
         raise IntegrityError(f"popularity {scalars[0]} outside [0, 100]", line)
@@ -437,29 +432,36 @@ def _track_numbers(
     return [duration, *scalars, *vector], year
 
 
-def parse_track_features(stream: IO[str]) -> dict[str, TrackMetadata]:
-    """Read a track-feature CSV into a map keyed by track_id.
+def _track_table(track_ids: list[str], year: np.ndarray, numbers: np.ndarray) -> TrackTable:
+    """The table whose track i has `year[i]` and, in `numbers[i]`, its
+    duration, its 16 scalars and its vector; the columns are views."""
+    return TrackTable(
+        track_ids, numbers[:, 0], year, numbers[:, 1 : 1 + N_SCALAR_FEATURES],
+        numbers[:, 1 + N_SCALAR_FEATURES :],
+    )
 
-    The acoustic-vector dimension is inferred from the header and every
-    track in the returned map shares it. A column named twice is read from
-    its last copy. The fast reader reads a valid file; the row reader
-    reads any other, to report its first bad cell (see the module notes).
+
+def parse_track_features(stream: IO[str]) -> TrackTable:
+    """Read a track-feature CSV into a TrackTable, its tracks in file order.
+
+    The acoustic-vector dimension is the header's, also for a file of no
+    rows. A column named twice is read from its last copy. The fast reader
+    reads a valid file; the row reader reads any other, to report its first
+    bad cell (see the module notes).
     """
     text = stream.read()
     lines = _fast_lines(text)
     if lines is not None:
-        track_map = _track_columns(lines[0].split(","), lines[1:])
-        if track_map is not None:
-            return track_map
+        tracks = _track_columns(lines[0].split(","), lines[1:])
+        if tracks is not None:
+            return tracks
     return _track_rows(io.StringIO(text))
 
 
-def _track_columns(header: list[str], rows: list[str]) -> dict[str, TrackMetadata] | None:
-    """The fast reader's track map, or None to leave the file to the row reader."""
+def _track_columns(header: list[str], rows: list[str]) -> TrackTable | None:
+    """The fast reader's table, or None to leave the file to the row reader."""
     at, vector_cols = _track_layout(header)
-    if not rows:
-        return {}
-    if set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+    if not rows or set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
         return None
     id_at = at["track_id"]
     ids = [row.split(",", id_at + 1)[id_at] for row in rows]
@@ -481,49 +483,45 @@ def _track_columns(header: list[str], rows: list[str]) -> dict[str, TrackMetadat
         and ((0.0 <= popularity) & (popularity <= 100.0)).all()
     ):
         return None
-    return dict(zip(ids, map(
-        TrackMetadata, ids, duration.tolist(), table["year"].tolist(),
-        list(values[:, 1 : 1 + N_SCALAR_FEATURES]),  # row views of `values`
-        list(values[:, 1 + N_SCALAR_FEATURES :]),
-    )))
+    return _track_table(ids, np.ascontiguousarray(table["year"]), values)
 
 
-def _track_rows(stream: IO[str]) -> dict[str, TrackMetadata]:
+def _track_rows(stream: IO[str]) -> TrackTable:
     """The row reader: each row's cells in turn, so the first bad one raises."""
     rows = csv_rows(stream, "track feature file")
     _, header = next(rows)
     _, vector_cols = _track_layout(header)
-    track_map: dict[str, TrackMetadata] = {}
+    ids: list[str] = []
+    seen: set[str] = set()
+    years: list[int] = []
+    numbers: list[list[float]] = []
     for line, cells in rows:
         record = dict(zip(header, cells))  # the last copy of a repeated column
         track_id = record["track_id"]
-        if track_id in track_map:
+        if track_id in seen:
             raise DuplicateTrackError(f"duplicate track_id {track_id!r}", line)
+        seen.add(track_id)
         values, year = _track_numbers(record, line, vector_cols)
-        array = np.array(values)  # the scalars and the vector are views of it
-        track_map[track_id] = TrackMetadata(
-            track_id, values[0], year, array[1 : 1 + N_SCALAR_FEATURES],
-            array[1 + N_SCALAR_FEATURES :],
-        )
-    return track_map
+        ids.append(track_id)
+        years.append(year)
+        numbers.append(values)
+    width = 1 + N_SCALAR_FEATURES + len(vector_cols)
+    return _track_table(
+        ids, np.array(years, dtype=np.int64),
+        np.array(numbers, dtype=np.float64).reshape(-1, width),
+    )
 
 
-def _fmt(x: float) -> str:
-    # repr of a Python float round-trips exactly and stays compact.
-    return repr(float(x))
-
-
-def write_track_csv(track_map: Mapping[str, TrackMetadata], stream: IO[str]) -> None:
-    """Write tracks in map order using the canonical column layout."""
-    dims = {meta.acoustic_vector.shape[0] for meta in track_map.values()}
-    if len(dims) > 1:
-        raise IntegrityError(f"mixed acoustic vector dimensions {sorted(dims)}")
-    dim = dims.pop() if dims else DEFAULT_ACOUSTIC_DIM
-    stream.write(",".join(_track_header_columns(dim)) + "\n")
-    for meta in track_map.values():
-        cells = [meta.track_id, _fmt(meta.duration_s), str(meta.release_year)]
-        cells.extend(_fmt(v) for v in meta.scalars)
-        cells.extend(_fmt(v) for v in meta.acoustic_vector)
+def write_track_csv(tracks: TrackTable, stream: IO[str]) -> None:
+    """Write tracks in table order using the canonical column layout."""
+    stream.write(",".join(_track_header_columns(tracks.vectors.shape[1])) + "\n")
+    for track_id, duration, year, scalars, vector in zip(
+        tracks.track_ids, tracks.duration.tolist(), tracks.year.tolist(),
+        tracks.scalars.tolist(), tracks.vectors.tolist(),
+    ):
+        # repr of a Python float round-trips exactly and stays compact
+        cells = [csv_cell(track_id), repr(duration), str(year)]
+        cells += map(repr, scalars + vector)
         stream.write(",".join(cells) + "\n")
 
 
@@ -677,11 +675,24 @@ def _log_rows(stream: IO[str]) -> list[Session]:
 
 
 def write_session_csv(sessions: Iterable[Session], stream: IO[str]) -> None:
-    """Write sessions in order using the canonical session-log layout."""
+    """Write sessions in order using the canonical session-log layout.
+
+    Each row is written under its session's id; an id that holds a comma, a
+    quote or a line end is quoted.
+    """
     stream.write(",".join(column for column, _, _ in SESSION_LOG_LAYOUT) + "\n")
-    cells = operator.attrgetter(*(field for _, field, _ in SESSION_LOG_LAYOUT))
+    # the cells after the session id: two ints, the track id, then the rest;
     # %d writes a bool as 1 or 0
-    line = ",".join("%s" if kind is str else "%d" for _, _, kind in SESSION_LOG_LAYOUT)
+    rest = operator.attrgetter(*(field for _, field, _ in SESSION_LOG_LAYOUT[1:]))
+    tail = "".join(",%s" if kind is str else ",%d" for _, _, kind in SESSION_LOG_LAYOUT[1:])
+    track_cells: dict[str, str] = {}  # each track id's cell, quoted once
     for session in sessions:
+        line = csv_cell(session.session_id).replace("%", "%%") + tail + "\n"
         for row in session.rows:
-            stream.write(line % cells(row) + "\n")
+            cells = rest(row)
+            track = track_cells.get(row.track_id)
+            if track is None:
+                track = track_cells[row.track_id] = csv_cell(row.track_id)
+            if track != row.track_id:
+                cells = (*cells[:2], track, *cells[3:])
+            stream.write(line % cells)

@@ -20,6 +20,10 @@ A history group with no members contributes zeros for all of its entries;
 the ratio features let a model recognize that regime. All functions here
 are pure and never mutate their inputs.
 
+Tracks come from a :class:`~skipcast.datamodel.TrackTable`: each session
+row is joined to its track's table row by track id, and all tracks share
+the table's one vector dimension, so the dot products need no check.
+
 Summation order. `assemble_corpus` builds all rows at once, and each value
 is bit-identical to computing its session alone with numpy's reductions:
 
@@ -53,20 +57,13 @@ from .datamodel import (
     SCALAR_FEATURE_NAMES,
     Session,
     SessionLog,
-    SessionRow,
-    TrackMetadata,
+    TrackTable,
     csv_cell,
     csv_rows,
     parse_cell,
     split_session,
 )
-from .errors import (
-    DimensionError,
-    IntegrityError,
-    RowParseError,
-    SchemaError,
-    UnknownTrackError,
-)
+from .errors import IntegrityError, RowParseError, SchemaError, UnknownTrackError
 
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"track_{name}" for name in SCALAR_FEATURE_NAMES)
@@ -102,23 +99,6 @@ _READ_BLOCK = 128
 def feature_schema_hash() -> str:
     """Hash of the canonical feature-name list, stored in bank manifests."""
     return hashlib.sha256(",".join(FEATURE_NAMES).encode("utf-8")).hexdigest()
-
-
-def _checked_track(
-    track_map: Mapping[str, TrackMetadata], row: SessionRow
-) -> TrackMetadata:
-    meta = track_map.get(row.track_id)
-    if meta is None:
-        raise UnknownTrackError(
-            f"session {row.session_id!r} position {row.position}: "
-            f"unknown track_id {row.track_id!r}"
-        )
-    if meta.scalars.shape != (N_SCALAR_FEATURES,):
-        raise DimensionError(
-            f"track {meta.track_id!r}: expected {N_SCALAR_FEATURES} scalar "
-            f"features, got shape {meta.scalars.shape}"
-        )
-    return meta
 
 
 @dataclass(eq=False)
@@ -189,45 +169,30 @@ class FeatureTable:
         )
 
 
-def assemble_corpus(
-    sessions: SessionLog | Iterable[Session], track_map: Mapping[str, TrackMetadata]
-) -> FeatureTable:
+def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable) -> FeatureTable:
     """Extract the feature rows of every session's target half, in session order.
 
     Sessions that are not a SessionLog are converted into one first. A
     session of fewer than two rows has no targets: it adds no rows and is
     not checked. The checks run over all rows at once; the first session
     that fails one raises the error of its first failing check, in this
-    order: every target's position; the track of each target, then of
-    each skipped and each listened history row, in order (unknown id, then
-    scalar shape); then each target's vector dimension against each
-    history track's. The rest is array operations over the whole corpus;
-    they loop only over history slots, group sizes and the vector
-    dimensions in use.
+    order: every target's position, then the track id of each target, each
+    skipped and each listened history row, in order, against the track
+    table. The rest is array operations over the whole corpus; they loop
+    only over history slots and group sizes.
     """
     log = sessions if isinstance(sessions, SessionLog) else SessionLog.from_sessions(sessions)
     if (np.diff(log.starts) < 2).any():
         log = SessionLog.from_sessions(s for s in log if s.length > 1)
     n_history, n_targets, target = log.split()
-    tracks = log.tracks  # each row's place in the track tables
-    metas = [track_map.get(t) for t in log.track_ids]
-    bad = np.array(
-        [m is None or m.scalars.shape != (N_SCALAR_FEATURES,) for m in metas], dtype=bool
-    )
-    dims = np.array(
-        [0 if b else len(m.acoustic_vector) for m, b in zip(metas, bad)], dtype=np.intp
-    )[tracks]
+    index = dict(zip(tracks.track_ids, range(len(tracks))))
+    # each row's place in the track table, -1 for an id the table lacks
+    track_of = np.array([index.get(t, -1) for t in log.track_ids], dtype=np.intp)[log.tracks]
     positions = log.column("position") - np.repeat(n_history, n_history + n_targets)
-    failed = bad[tracks] | (
-        target & ((positions < 1) | (positions > MAX_TARGET_POSITIONS))
-    )
-    if len(log):
-        first = log.starts[:-1]
-        failed_session = np.logical_or.reduceat(failed, first) | (
-            np.minimum.reduceat(dims, first) != np.maximum.reduceat(dims, first)
-        )
-        if failed_session.any():
-            _raise_first_failure(log[int(np.argmax(failed_session))], track_map)
+    failed = (track_of < 0) | (target & ((positions < 1) | (positions > MAX_TARGET_POSITIONS)))
+    if failed.any():
+        session = np.searchsorted(log.starts, np.argmax(failed), side="right") - 1
+        _raise_first_failure(log[int(session)], index)
 
     history = ~target
     skip_2 = log.column("skip_2") == 1
@@ -235,7 +200,7 @@ def assemble_corpus(
     x = np.zeros((int(n_targets.sum()), FEATURE_COUNT))
     if len(x):
         _fill_features(
-            x, metas, tracks[target], tracks[history], log.column("skip_1")[history],
+            x, tracks, track_of[target], track_of[history], log.column("skip_1")[history],
             skip_2[history], log.values[last][:, _CONTEXT_COLUMNS].astype(np.float64),
             n_targets, n_history,
         )
@@ -247,9 +212,7 @@ def assemble_corpus(
     )
 
 
-def _raise_first_failure(
-    session: Session, track_map: Mapping[str, TrackMetadata]
-) -> None:
+def _raise_first_failure(session: Session, index: Mapping[str, int]) -> None:
     """Raise the error of the first check that `session` fails, in the order
     `assemble_corpus` documents; the session fails one."""
     split = split_session(session)
@@ -260,22 +223,18 @@ def _raise_first_failure(
                 f"[1, {MAX_TARGET_POSITIONS}]; target row position "
                 f"{row.position} with history length {split.h}"
             )
-    targets = [_checked_track(track_map, r) for r in split.targets]
-    members = [_checked_track(track_map, r) for r in split.history if r.skip_2]
-    members += [_checked_track(track_map, r) for r in split.history if not r.skip_2]
-    t, m = next(
-        (t, m) for t in targets for m in members
-        if len(m.acoustic_vector) != len(t.acoustic_vector)
-    )
-    raise IntegrityError(
-        f"acoustic vector dimension mismatch: track {m.track_id!r} has "
-        f"{len(m.acoustic_vector)}, target {t.track_id!r} has {len(t.acoustic_vector)}"
+    skipped = [r for r in split.history if r.skip_2]
+    listened = [r for r in split.history if not r.skip_2]
+    row = next(r for r in chain(split.targets, skipped, listened) if r.track_id not in index)
+    raise UnknownTrackError(
+        f"session {row.session_id!r} position {row.position}: "
+        f"unknown track_id {row.track_id!r}"
     )
 
 
 def _fill_features(
     x: np.ndarray,
-    metas: list[TrackMetadata],
+    tracks: TrackTable,
     target_tracks: np.ndarray,
     history_tracks: np.ndarray,
     skip_1: np.ndarray,
@@ -286,24 +245,17 @@ def _fill_features(
 ) -> None:
     """Write the 63 columns of every target row of the corpus into `x`.
 
-    Tracks are rows of `metas`; `history_tracks`, `skip_1` and `skip_2` hold
-    every session's history rows back to back, `n_history` of them each.
+    Tracks are rows of `tracks`; `history_tracks`, `skip_1` and `skip_2`
+    hold every session's history rows back to back, `n_history` of them each.
     """
     n_sessions, h_max = len(n_history), int(n_history.max())
     session = np.repeat(np.arange(n_sessions), n_targets)  # of each target row
     owner = np.repeat(np.arange(n_sessions), n_history)  # of each history row
     start = np.cumsum(n_history) - n_history  # each session's first history row
 
-    scalars = np.array([m.scalars for m in metas], dtype=np.float64)
-    attrs = np.array(  # what the differences of columns 55-60 are taken of
-        [(m.duration_s, m.release_year, m.popularity) for m in metas],
-        dtype=np.float64,
-    )
-    vectors = [m.acoustic_vector for m in metas]
-    dims = np.array([len(v) for v in vectors])
-    flat = np.concatenate(vectors).astype(np.float64, copy=False)
-    offsets = np.cumsum(dims) - dims
-    vector_dims = sorted(set(dims.tolist()))  # in use; usually one
+    scalars, vectors = tracks.scalars, tracks.vectors
+    # what the differences of columns 55-60 are taken of
+    attrs = np.column_stack((tracks.duration, tracks.year, scalars[:, 0]))
 
     x[:, :16] = scalars[target_tracks]
     x[:, 48:53] = context[session]
@@ -315,15 +267,10 @@ def _fill_features(
     row_h = n_history[session]
     for k in range(h_max):
         rows = np.flatnonzero(row_h > k)
-        t = target_tracks[rows]
-        m = history_tracks[start[session[rows]] + k]
-        for d in vector_dims:  # one dimension per session, checked above
-            at = np.flatnonzero(dims[t] == d)
-            span = np.arange(d)
-            u = flat[offsets[t[at], None] + span]
-            v = flat[offsets[m[at], None] + span]
-            # a stacked (1, d) @ (d, 1) product is one ddot, like `u[i] @ v[i]`
-            dots[rows[at], k] = np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+        u = vectors[target_tracks[rows]]
+        v = vectors[history_tracks[start[session[rows]] + k]]
+        # a stacked (1, d) @ (d, 1) product is one ddot, like `u[i] @ v[i]`
+        dots[rows, k] = np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
     for g, in_group in enumerate((skip_2, ~skip_2)):
         # member[s, j]: the history row of the j-th member of session s's group

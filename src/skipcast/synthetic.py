@@ -20,13 +20,12 @@ from typing import Mapping
 import numpy as np
 
 from .datamodel import (
-    DEFAULT_ACOUSTIC_DIM,
     MAX_SESSION_LENGTH,
     MIN_SESSION_LENGTH,
     SCALAR_FEATURE_NAMES,
     Session,
     SessionRow,
-    TrackMetadata,
+    TrackTable,
 )
 from .errors import ConfigError
 
@@ -54,7 +53,7 @@ class SynthConfig:
     n_sessions: int = 1000
     session_length_min: int = MIN_SESSION_LENGTH
     session_length_max: int = MAX_SESSION_LENGTH
-    acoustic_dim: int = DEFAULT_ACOUSTIC_DIM
+    acoustic_dim: int = 7
     skip_bias: float = -0.8
     skip_energy_weight: float = 1.2
     skip_tempo_weight: float = 0.6
@@ -87,9 +86,7 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def _generate_tracks(
-    config: SynthConfig, rng: np.random.Generator
-) -> dict[str, TrackMetadata]:
+def _generate_tracks(config: SynthConfig, rng: np.random.Generator) -> TrackTable:
     n = config.n_tracks
     duration = rng.uniform(60.0, 420.0, n)
     year = rng.integers(1960, 2021, n)
@@ -98,32 +95,20 @@ def _generate_tracks(
         lo, hi = _SCALAR_RANGES.get(name, (0.0, 1.0))
         scalars[:, j] = rng.uniform(lo, hi, n)
     vectors = rng.standard_normal((n, config.acoustic_dim))
-
-    track_map: dict[str, TrackMetadata] = {}
-    for i in range(n):
-        tid = f"t{i:06d}"
-        track_map[tid] = TrackMetadata(
-            track_id=tid,
-            duration_s=float(duration[i]),
-            release_year=int(year[i]),
-            scalars=scalars[i].copy(),
-            acoustic_vector=vectors[i].copy(),
-        )
-    return track_map
+    return TrackTable([f"t{i:06d}" for i in range(n)], duration, year, scalars, vectors)
 
 
 def generate_synthetic_dataset(
     config: SynthConfig, seed: int
-) -> tuple[dict[str, TrackMetadata], list[Session]]:
-    """Generate a track map and session list; deterministic for a seed."""
+) -> tuple[TrackTable, list[Session]]:
+    """Generate a track table and session list; deterministic for a seed."""
     config.validate()
     rng = np.random.default_rng(seed)
-    track_map = _generate_tracks(config, rng)
-    track_ids = list(track_map.keys())
+    tracks = _generate_tracks(config, rng)
+    track_ids = tracks.track_ids
 
-    energy_idx = SCALAR_FEATURE_NAMES.index("energy")
-    tempo_idx = SCALAR_FEATURE_NAMES.index("tempo")
-    tempos = np.array([track_map[t].scalars[tempo_idx] for t in track_ids])
+    energy = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("energy")].tolist()
+    tempos = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("tempo")]
     tempo_mean = float(tempos.mean())
     tempo_std = float(tempos.std())
     if tempo_std == 0.0:
@@ -148,12 +133,11 @@ def generate_synthetic_dataset(
         rows = []
         prev_skip = 0.0
         for pos in range(1, length + 1):
-            meta = track_map[track_ids[int(chosen[pos - 1])]]
-            energy = float(meta.scalars[energy_idx])
-            tempo_z = (float(meta.scalars[tempo_idx]) - tempo_mean) / tempo_std
+            track = int(chosen[pos - 1])
+            tempo_z = (float(tempos[track]) - tempo_mean) / tempo_std
             z = (
                 config.skip_bias
-                + config.skip_energy_weight * (energy - 0.5)
+                + config.skip_energy_weight * (energy[track] - 0.5)
                 + config.skip_tempo_weight * tempo_z
                 + config.skip_prev_weight * prev_skip
             )
@@ -166,7 +150,7 @@ def generate_synthetic_dataset(
                     session_id=sid,
                     position=pos,
                     session_length=length,
-                    track_id=meta.track_id,
+                    track_id=track_ids[track],
                     skip_1=skip_1,
                     skip_2=skip_2,
                     skip_3=skip_3,
@@ -179,7 +163,7 @@ def generate_synthetic_dataset(
             )
             prev_skip = 1.0 if skip_2 else 0.0
         sessions.append(Session(session_id=sid, rows=tuple(rows)))
-    return track_map, sessions
+    return tracks, sessions
 
 
 def corpus_summary(sessions: list[Session]) -> Mapping[str, float]:

@@ -15,11 +15,10 @@ from skipcast.datamodel import (
     Session,
     SessionLog,
     SessionRow,
-    TrackMetadata,
+    TrackTable,
     parse_session_log,
     parse_track_features,
     split_session,
-    validate_session,
     write_session_csv,
     write_track_csv,
 )
@@ -37,16 +36,27 @@ from skipcast.features import assemble_corpus
 from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 
 
-def make_track(track_id="t0", popularity=50.0, dim=3):
-    scalars = np.linspace(0.1, 0.9, len(SCALAR_FEATURE_NAMES))
-    scalars[0] = popularity
-    return TrackMetadata(
-        track_id=track_id,
-        duration_s=200.0,
-        release_year=2005,
+def make_tracks(*track_ids, popularity=50.0, dim=3):
+    """A TrackTable of `track_ids` (t0 alone by default), alike but for
+    `popularity`: one value for all, or one per track."""
+    track_ids = list(track_ids or ["t0"])
+    n = len(track_ids)
+    scalars = np.tile(np.linspace(0.1, 0.9, len(SCALAR_FEATURE_NAMES)), (n, 1))
+    scalars[:, 0] = popularity
+    return TrackTable(
+        track_ids=track_ids,
+        duration=np.full(n, 200.0),
+        year=np.full(n, 2005, dtype=np.int64),
         scalars=scalars,
-        acoustic_vector=np.arange(dim, dtype=np.float64) / 10.0,
+        vectors=np.tile(np.arange(dim, dtype=np.float64) / 10.0, (n, 1)),
     )
+
+
+def assert_same_tracks(got, want):
+    assert got.track_ids == want.track_ids
+    for column in ("duration", "year", "scalars", "vectors"):
+        assert getattr(got, column).dtype == getattr(want, column).dtype
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
 
 
 def make_row(sid="s0", position=1, length=4, track_id="t0", skip_2=False, **kw):
@@ -80,24 +90,28 @@ def make_session(n=4, sid="s0", skips=None):
 
 class TestTrackCsv:
     def test_round_trip(self):
-        track_map = {f"t{i}": make_track(f"t{i}", popularity=10.0 * i) for i in range(5)}
+        tracks = make_tracks(*(f"t{i}" for i in range(5)), popularity=10.0 * np.arange(5))
         buf = io.StringIO()
-        write_track_csv(track_map, buf)
-        parsed = parse_track_features(io.StringIO(buf.getvalue()))
-        assert list(parsed) == list(track_map)
-        for tid, meta in track_map.items():
-            got = parsed[tid]
-            assert got.duration_s == meta.duration_s
-            assert got.release_year == meta.release_year
-            np.testing.assert_array_equal(got.scalars, meta.scalars)
-            np.testing.assert_array_equal(got.acoustic_vector, meta.acoustic_vector)
+        write_track_csv(tracks, buf)
+        assert_same_tracks(parse_track_features(io.StringIO(buf.getvalue())), tracks)
 
     def test_write_is_deterministic(self):
-        track_map = {"a": make_track("a"), "b": make_track("b", popularity=3.0)}
+        tracks = make_tracks("a", "b", popularity=[50.0, 3.0])
         first, second = io.StringIO(), io.StringIO()
-        write_track_csv(track_map, first)
-        write_track_csv(track_map, second)
+        write_track_csv(tracks, first)
+        write_track_csv(tracks, second)
         assert first.getvalue() == second.getvalue()
+
+    def test_header_only_file_keeps_its_vector_dimension(self):
+        text = ",".join(
+            ["track_id", "duration", "release_year", *SCALAR_FEATURE_NAMES]
+            + [f"acoustic_vector_{k}" for k in range(3)]
+        ) + "\n"
+        parsed = parse_track_features(io.StringIO(text))
+        assert len(parsed) == 0 and parsed.vectors.shape == (0, 3)
+        buf = io.StringIO()
+        write_track_csv(parsed, buf)
+        assert buf.getvalue() == text
 
     def test_missing_scalar_column(self):
         header = "track_id,duration,release_year," + ",".join(SCALAR_FEATURE_NAMES[:-1])
@@ -124,7 +138,7 @@ class TestTrackCsv:
 
     def test_duplicate_track_id(self):
         buf = io.StringIO()
-        write_track_csv({"dup": make_track("dup")}, buf)
+        write_track_csv(make_tracks("dup"), buf)
         text = buf.getvalue()
         doubled = text + text.splitlines()[1] + "\n"
         with pytest.raises(
@@ -141,7 +155,7 @@ class TestTrackCsv:
     )
     def test_row_width_must_match_header(self, edit, got):
         buf = io.StringIO()
-        write_track_csv({"a": make_track("a", dim=1), "b": make_track("b", dim=1)}, buf)
+        write_track_csv(make_tracks("a", "b", dim=1), buf)
         lines = buf.getvalue().splitlines()
         lines[2] = edit(lines[2])
         with pytest.raises(
@@ -152,7 +166,7 @@ class TestTrackCsv:
 
     def test_bad_number_reports_line(self):
         buf = io.StringIO()
-        write_track_csv({"t0": make_track()}, buf)
+        write_track_csv(make_tracks(), buf)
         text = buf.getvalue().replace("200.0", "not-a-number")
         with pytest.raises(RowParseError) as exc_info:
             parse_track_features(io.StringIO(text))
@@ -163,7 +177,7 @@ class TestTrackCsv:
     )
     def test_non_finite_number_reports_line(self, column, value):
         buf = io.StringIO()
-        write_track_csv({"t0": make_track("t0"), "t1": make_track("t1")}, buf)
+        write_track_csv(make_tracks("t0", "t1"), buf)
         lines = buf.getvalue().splitlines()
         cells = lines[2].split(",")
         cells[lines[0].split(",").index(column)] = value
@@ -182,13 +196,15 @@ class TestTrackCsv:
             ({2: {"release_year": "x", "popularity": "nan"}}, 2,
              "cannot parse release_year='x' as an integer"),
             ({2: {"duration": "0", "energy": "abc"}}, 2, "duration must be positive"),
+            ({3: {"release_year": "9223372036854775808", "energy": "nan"}}, 3,
+             "release_year 9223372036854775808 outside the 64-bit integer range"),
         ],
         ids=["earlier line", "earlier column", "year before scalars",
-             "duration before scalars"],
+             "duration before scalars", "year beyond int64"],
     )
     def test_first_bad_cell_is_reported(self, edits, line, problem):
         buf = io.StringIO()
-        write_track_csv({f"t{i}": make_track(f"t{i}") for i in range(3)}, buf)
+        write_track_csv(make_tracks("t0", "t1", "t2"), buf)
         lines = buf.getvalue().splitlines()
         header = lines[0].split(",")
         for number, cells in edits.items():
@@ -203,101 +219,34 @@ class TestTrackCsv:
 
     def test_repeated_column_is_read_from_its_last_copy(self):
         buf = io.StringIO()
-        write_track_csv({"t0": make_track("t0")}, buf)
+        write_track_csv(make_tracks(), buf)
         header, row = buf.getvalue().splitlines()
         text = f"{header},energy,track_id\n{row},0.25,renamed\n"
         parsed = parse_track_features(io.StringIO(text))
-        assert list(parsed) == ["renamed"]
-        assert parsed["renamed"].scalars[SCALAR_FEATURE_NAMES.index("energy")] == 0.25
+        assert parsed.track_ids == ["renamed"]
+        assert parsed.scalars[0, SCALAR_FEATURE_NAMES.index("energy")] == 0.25
 
     def test_nonpositive_duration_rejected(self):
         buf = io.StringIO()
-        write_track_csv({"t0": make_track()}, buf)
+        write_track_csv(make_tracks(), buf)
         text = buf.getvalue().replace("200.0", "-5.0")
         with pytest.raises(IntegrityError, match="duration"):
             parse_track_features(io.StringIO(text))
 
     def test_popularity_out_of_range(self):
-        track = make_track(popularity=150.0)
         buf = io.StringIO()
-        write_track_csv({"t0": track}, buf)
+        write_track_csv(make_tracks(popularity=150.0), buf)
         with pytest.raises(IntegrityError, match="popularity"):
             parse_track_features(io.StringIO(buf.getvalue()))
 
     def test_extra_columns_ignored(self):
         buf = io.StringIO()
-        write_track_csv({"t0": make_track()}, buf)
+        write_track_csv(make_tracks(), buf)
         lines = buf.getvalue().splitlines()
         lines[0] += ",comment"
         lines[1] += ",hello"
         parsed = parse_track_features(io.StringIO("\n".join(lines) + "\n"))
-        assert "t0" in parsed
-
-    def test_mixed_dimensions_rejected_on_write(self):
-        track_map = {"a": make_track("a", dim=3), "b": make_track("b", dim=5)}
-        with pytest.raises(IntegrityError, match="dimension"):
-            write_track_csv(track_map, io.StringIO())
-
-
-class TestSessionValidation:
-    def test_valid_session_passes(self):
-        validate_session(make_session(n=5))
-
-    def test_length_bounds(self):
-        with pytest.raises(MalformedSessionError, match="length"):
-            validate_session(Session(session_id="s0", rows=(make_row(length=1),)))
-        too_long = make_session(n=21)
-        with pytest.raises(MalformedSessionError, match="length"):
-            validate_session(too_long)
-
-    def test_position_gap(self):
-        rows = (make_row(position=1, length=2), make_row(position=3, length=2))
-        with pytest.raises(MalformedSessionError, match="position"):
-            validate_session(Session(session_id="s0", rows=rows))
-
-    def test_declared_length_mismatch(self):
-        rows = (make_row(position=1, length=9), make_row(position=2, length=9))
-        with pytest.raises(MalformedSessionError, match="declared length"):
-            validate_session(Session(session_id="s0", rows=rows))
-
-    def test_skip1_requires_skip2(self):
-        bad = Session(
-            session_id="s0",
-            rows=(
-                make_row(position=1, length=2, skip_1=True, skip_2=False, skip_3=False),
-                make_row(position=2, length=2),
-            ),
-        )
-        with pytest.raises(IntegrityError, match="skip_1"):
-            validate_session(bad)
-
-    def test_skip2_requires_skip3(self):
-        bad = Session(
-            session_id="s0",
-            rows=(
-                make_row(position=1, length=2, skip_2=True, skip_3=False),
-                make_row(position=2, length=2),
-            ),
-        )
-        with pytest.raises(IntegrityError, match="skip_2"):
-            validate_session(bad)
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("hour", 24), ("hour", -1), ("day", 0), ("day", 32), ("month", 13)],
-    )
-    def test_context_ranges(self, field, value):
-        bad = Session(
-            session_id="s0",
-            rows=(
-                make_row(position=1, length=2, **{field: value}),
-                make_row(position=2, length=2),
-            ),
-        )
-        with pytest.raises(
-            IntegrityError, match=rf"^session 's0' position 1: {field} {value} outside "
-        ):
-            validate_session(bad)
+        assert parsed.track_ids == ["t0"]
 
 
 class TestSplitSession:
@@ -340,7 +289,7 @@ class TestSessionLogCsv:
             UnknownTrackError,
             match=r"^session 's0' position 2: unknown track_id 'missing'$",
         ):
-            assemble_corpus(sessions, {"t0": make_track("t0")})
+            assemble_corpus(sessions, make_tracks())
 
     def test_session_reappearing_rejected(self):
         buf = io.StringIO()
@@ -364,27 +313,33 @@ class TestSessionLogCsv:
             parse_session_log(io.StringIO("\n".join(lines) + "\n"))
 
     @pytest.mark.parametrize(
-        "cells,problem",
+        "cells,problem,n",
         [
-            ({4: "1"}, "session 'b' position 1: skip_1 set without skip_2"),
-            ({5: "1", 6: "0"}, "session 'b' position 1: skip_2 set without skip_3"),
-            ({9: "24"}, "session 'b' position 1: hour 24 outside [0, 23]"),
-            ({10: "0"}, "session 'b' position 1: day 0 outside [1, 31]"),
-            ({10: "32"}, "session 'b' position 1: day 32 outside [1, 31]"),
-            ({11: "13"}, "session 'b' position 1: month 13 outside [1, 12]"),
-            ({2: "9"}, "session 'b': declared length 9 does not match row count 3"),
+            ({4: "1"}, "session 'b' position 1: skip_1 set without skip_2", 3),
+            ({5: "1", 6: "0"}, "session 'b' position 1: skip_2 set without skip_3", 3),
+            ({9: "24"}, "session 'b' position 1: hour 24 outside [0, 23]", 3),
+            ({9: "-1"}, "session 'b' position 1: hour -1 outside [0, 23]", 3),
+            ({10: "0"}, "session 'b' position 1: day 0 outside [1, 31]", 3),
+            ({10: "32"}, "session 'b' position 1: day 32 outside [1, 31]", 3),
+            ({11: "13"}, "session 'b' position 1: month 13 outside [1, 12]", 3),
+            ({2: "9"}, "session 'b': declared length 9 does not match row count 3", 3),
+            ({1: "2"}, "session 'b': expected position 1, found 2", 3),
+            # the row leaves session b for a session of its own
+            ({0: "c"}, "session 'c': length 1 outside [2, 20]", 3),
+            ({}, "session 'b': length 21 outside [2, 20]", 21),
             # the first bad cell in column order is the one reported
             ({11: "june", 4: "2", 1: "first"},
-             "cannot parse session_position='first' as an integer"),
+             "cannot parse session_position='first' as an integer", 3),
         ],
         ids=[
-            "skip_1", "skip_2", "hour 24", "day 0", "day 32", "month 13",
-            "session_length", "first bad cell",
+            "skip_1", "skip_2", "hour 24", "hour -1", "day 0", "day 32", "month 13",
+            "session_length", "position gap", "length 1", "length 21", "first bad cell",
         ],
     )
-    def test_bad_row_reports_line(self, cells, problem):
+    def test_bad_row_reports_line(self, cells, problem, n):
+        # each error is at line 4, the first row of session b, which has n rows
         buf = io.StringIO()
-        write_session_csv([make_session(n=2, sid="a"), make_session(n=3, sid="b")], buf)
+        write_session_csv([make_session(n=2, sid="a"), make_session(n=n, sid="b")], buf)
         lines = buf.getvalue().splitlines()
         row = lines[3].split(",")  # session b, position 1
         for column, cell in cells.items():
@@ -456,9 +411,9 @@ class TestSessionLogCsv:
 
     def test_synthetic_corpus_round_trips(self):
         config = SynthConfig(n_tracks=40, n_sessions=25)
-        track_map, sessions = generate_synthetic_dataset(config, seed=3)
+        tracks, sessions = generate_synthetic_dataset(config, seed=3)
         track_buf = io.StringIO()
-        write_track_csv(track_map, track_buf)
+        write_track_csv(tracks, track_buf)
         parsed_tracks = parse_track_features(io.StringIO(track_buf.getvalue()))
         session_buf = io.StringIO()
         write_session_csv(sessions, session_buf)
@@ -466,7 +421,20 @@ class TestSessionLogCsv:
         assert len(parsed) == len(sessions)
         for want, got in zip(sessions, parsed):
             assert want.rows == got.rows
-        assert {r.track_id for s in parsed for r in s.rows} <= parsed_tracks.keys()
+        assert set(parsed.track_ids) <= set(parsed_tracks.track_ids)
+
+    def test_ids_with_commas_round_trip(self):
+        tracks = make_tracks("a,b", "t0")
+        sessions = [make_session(n=2, sid="c,d"), make_session(n=3, sid='say "5%"')]
+        sessions[0] = dataclasses.replace(sessions[0], rows=tuple(
+            dataclasses.replace(row, track_id="a,b") for row in sessions[0].rows
+        ))
+        track_buf, log_buf = io.StringIO(), io.StringIO()
+        write_track_csv(tracks, track_buf)
+        write_session_csv(sessions, log_buf)
+        assert_same_tracks(parse_track_features(io.StringIO(track_buf.getvalue())), tracks)
+        parsed = parse_session_log(io.StringIO(log_buf.getvalue()))
+        assert [s.rows for s in parsed] == [s.rows for s in sessions]
 
 
 # Cells that some readers take and others do not: ints with zeros, spaces,
@@ -517,8 +485,9 @@ def _outcome(read, text):
         return (result.session_ids, result.starts.tolist(), result.track_ids,
                 result.tracks.dtype, result.tracks.tolist(), result.values.dtype,
                 result.values.tolist())
-    return [(t, m.duration_s, m.release_year, m.scalars.tobytes(),
-             m.acoustic_vector.tobytes()) for t, m in result.items()]
+    return (result.track_ids, result.duration.tobytes(), result.year.dtype,
+            result.year.tolist(), result.scalars.tobytes(), result.vectors.shape,
+            result.vectors.tobytes())
 
 
 def _log_text(*more):
@@ -531,7 +500,7 @@ def _log_text(*more):
 
 def _track_text():
     buf = io.StringIO()
-    write_track_csv({f"t{i}": make_track(f"t{i}", popularity=1.0 + i) for i in range(3)}, buf)
+    write_track_csv(make_tracks("t0", "t1", "t2", popularity=[1.0, 2.0, 3.0]), buf)
     return buf.getvalue()
 
 

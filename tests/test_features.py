@@ -2,6 +2,7 @@
 
 import io
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from skipcast.datamodel import (
     SCALAR_FEATURE_NAMES,
     Session,
     SessionRow,
-    TrackMetadata,
+    TrackTable,
     split_session,
 )
 from skipcast.errors import (
-    DimensionError,
     IntegrityError,
     RowParseError,
     SchemaError,
@@ -27,7 +27,6 @@ from skipcast.features import (
     FEATURE_NAMES,
     FeatureTable,
     assemble_corpus,
-    _checked_track,
     feature_schema_hash,
 )
 from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
@@ -35,15 +34,57 @@ from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 ENERGY = SCALAR_FEATURE_NAMES.index("energy")
 
 
+@dataclass(frozen=True)
+class Track:
+    """One track's values, as the oracles read them."""
+
+    track_id: str
+    duration_s: float
+    release_year: int
+    scalars: np.ndarray
+    acoustic_vector: np.ndarray
+
+    @property
+    def popularity(self):
+        return float(self.scalars[0])
+
+
 def track(tid, duration, year, scalars, vector):
-    scalars = np.asarray(scalars, dtype=np.float64)
-    return TrackMetadata(
-        track_id=tid,
-        duration_s=float(duration),
-        release_year=year,
-        scalars=scalars,
-        acoustic_vector=np.asarray(vector, dtype=np.float64),
+    return Track(tid, float(duration), year, np.asarray(scalars, dtype=np.float64),
+                 np.asarray(vector, dtype=np.float64))
+
+
+def table_of(tracks):
+    """The TrackTable of a {track id: Track} map, in its order."""
+    records = list(tracks.values())
+    return TrackTable(
+        track_ids=[t.track_id for t in records],
+        duration=np.array([t.duration_s for t in records]),
+        year=np.array([t.release_year for t in records], dtype=np.int64),
+        scalars=np.array([t.scalars for t in records]),
+        vectors=np.array([t.acoustic_vector for t in records]),
     )
+
+
+def records_of(table):
+    """The {track id: Track} map of a TrackTable's rows."""
+    return {
+        tid: Track(tid, duration, year, scalars, vector)
+        for tid, duration, year, scalars, vector in zip(
+            table.track_ids, table.duration.tolist(), table.year.tolist(),
+            table.scalars, table.vectors,
+        )
+    }
+
+
+def known(track_map, row):
+    """The Track of `row`, or the error assemble_corpus raises for its id."""
+    if row.track_id not in track_map:
+        raise UnknownTrackError(
+            f"session {row.session_id!r} position {row.position}: "
+            f"unknown track_id {row.track_id!r}"
+        )
+    return track_map[row.track_id]
 
 
 def row(tid, position, skip_2, skip_1=False, premium=True, shuffle=False,
@@ -91,7 +132,7 @@ def block(history, *targets, tracks=TRACKS):
     """The feature rows of the session made of `history` then `targets`."""
     rows = tuple(history) + targets
     assert (len(rows) + 1) // 2 == len(history)  # the split keeps this history
-    return assemble_corpus([Session(session_id="s0", rows=rows)], tracks).x
+    return assemble_corpus([Session(session_id="s0", rows=rows)], table_of(tracks)).x
 
 
 def reference_block(session, track_map):
@@ -109,15 +150,11 @@ def reference_block(session, track_map):
     for r in split.targets:
         if not 1 <= r.position - h <= 10:
             raise IntegrityError(f"target position {r.position - h} outside")
-    targets = [_checked_track(track_map, r) for r in split.targets]
+    targets = [known(track_map, r) for r in split.targets]
     groups = (
-        [_checked_track(track_map, r) for r in split.history if r.skip_2],
-        [_checked_track(track_map, r) for r in split.history if not r.skip_2],
+        [known(track_map, r) for r in split.history if r.skip_2],
+        [known(track_map, r) for r in split.history if not r.skip_2],
     )
-    for t in targets:
-        for m in groups[0] + groups[1]:
-            if m.acoustic_vector.shape != t.acoustic_vector.shape:
-                raise IntegrityError("acoustic vector dimension mismatch")
     out[:, :16] = np.stack([t.scalars for t in targets])
     last = split.history[-1]
     out[:, 48:53] = [last.premium, last.shuffle, last.hour, last.day, last.month]
@@ -210,12 +247,6 @@ class TestTrackFeatures:
         first[0, 0] = -1.0  # the block does not share memory with the tracks
         assert TA.scalars[0] == TA.popularity
 
-    def test_wrong_scalar_count(self):
-        narrow = track("n", 100.0, 2000, [0.0] * 15, [0.0])
-        with pytest.raises(DimensionError, match="scalar"):
-            block((row("n", 1, skip_2=False),), row("n", 2, skip_2=True),
-                  tracks={"n": narrow})
-
     def test_unknown_track(self):
         with pytest.raises(
             UnknownTrackError, match=r"^session 's0' position 2: unknown track_id 'missing'$"
@@ -288,12 +319,6 @@ class TestSessionTrackFeatures:
                     tracks={"a": a, "b": b, "t": target})[0, 55:]
         assert out[0] == 0.0
 
-    def test_dimension_mismatch(self):
-        short = track("short", 100.0, 2000, spread(1.0), [1.0, 2.0])
-        with pytest.raises(IntegrityError, match="dimension"):
-            block((row("short", 1, skip_2=True),), row("ta", 2, skip_2=True),
-                  tracks={"short": short, "ta": TA})
-
 
 class TestAssembleExample:
     """Each target's full 63-column example row, assembled per session."""
@@ -306,7 +331,7 @@ class TestAssembleExample:
         np.testing.assert_allclose(out[1], naive_vector(TB, HISTORY, TRACKS),
                                    rtol=0, atol=1e-12)
         session = Session(session_id="s0", rows=HISTORY + (TARGET, OTHER_TARGET))
-        table = assemble_corpus([session], TRACKS)
+        table = assemble_corpus([session], table_of(TRACKS))
         assert table.labels.tolist() == [1, 0]
         assert table.positions.tolist() == [1, 2]
 
@@ -336,7 +361,7 @@ class TestAssembleExample:
 
     def test_no_targets_gives_empty_block(self):
         session = Session(session_id="s0", rows=(row("ta", 1, skip_2=False),))
-        assert assemble_corpus([session], TRACKS).x.shape == (0, FEATURE_COUNT)
+        assert assemble_corpus([session], table_of(TRACKS)).x.shape == (0, FEATURE_COUNT)
 
     def test_group_permutation_invariance(self):
         base = block(HISTORY, TARGET, OTHER_TARGET)[0]
@@ -376,35 +401,36 @@ def test_skip1_ratio_never_exceeds_skip2_ratio(flags):
 class TestCorpusAssembly:
     def setup_method(self):
         config = SynthConfig(n_tracks=50, n_sessions=30)
-        self.track_map, self.sessions = generate_synthetic_dataset(config, seed=5)
+        self.tracks, self.sessions = generate_synthetic_dataset(config, seed=5)
 
     def test_row_count(self):
-        table = assemble_corpus(self.sessions, self.track_map)
+        table = assemble_corpus(self.sessions, self.tracks)
         assert len(table) == sum(s.length // 2 for s in self.sessions)
         assert table.x.shape == (len(table), FEATURE_COUNT)
 
     def test_every_vector_is_63_wide(self):
         for session in self.sessions:
-            out = assemble_corpus([session], self.track_map).x
+            out = assemble_corpus([session], self.tracks).x
             assert out.shape == (len(split_session(session).targets), FEATURE_COUNT)
 
     def test_weighted_mean_consistency(self):
         # skipped-count * skipped-mean + listened-count * listened-mean
         # reproduces the plain history sum, feature by feature
+        records = records_of(self.tracks)
         for session in self.sessions[:10]:
             h = (session.length + 1) // 2
             history = session.rows[:h]
-            out = assemble_corpus([session], self.track_map).x[0, 16:55]
+            out = assemble_corpus([session], self.tracks).x[0, 16:55]
             n_skip = sum(r.skip_2 for r in history)
             n_listen = len(history) - n_skip
             total = np.zeros(16)
             for r in history:
-                total += self.track_map[r.track_id].scalars
+                total += records[r.track_id].scalars
             recombined = n_skip * out[:16] + n_listen * out[16:32]
             np.testing.assert_allclose(recombined, total, rtol=1e-9)
 
     def test_csv_round_trip_is_exact(self):
-        table = assemble_corpus(self.sessions, self.track_map)
+        table = assemble_corpus(self.sessions, self.tracks)
         buf = io.StringIO()
         table.write_csv(buf)
         back = FeatureTable.read_csv(io.StringIO(buf.getvalue()))
@@ -415,7 +441,7 @@ class TestCorpusAssembly:
 
     def test_csv_short_row_reports_line(self):
         buf = io.StringIO()
-        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        assemble_corpus(self.sessions, self.tracks).write_csv(buf)
         lines = buf.getvalue().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0]
         with pytest.raises(
@@ -426,7 +452,7 @@ class TestCorpusAssembly:
 
     def test_csv_label_outside_0_1_reports_line(self):
         buf = io.StringIO()
-        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        assemble_corpus(self.sessions, self.tracks).write_csv(buf)
         lines = buf.getvalue().splitlines()
         cells = lines[2].split(",")
         cells[FEATURE_COUNT] = "7"
@@ -438,7 +464,7 @@ class TestCorpusAssembly:
     @pytest.mark.parametrize("position", ["0", "11"])
     def test_csv_position_outside_1_10_reports_line(self, position):
         buf = io.StringIO()
-        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        assemble_corpus(self.sessions, self.tracks).write_csv(buf)
         lines = buf.getvalue().splitlines()
         cells = lines[2].split(",")
         cells[-1] = position
@@ -452,7 +478,7 @@ class TestCorpusAssembly:
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_csv_non_finite_cell_reports_line(self, cell):
         buf = io.StringIO()
-        assemble_corpus(self.sessions, self.track_map).write_csv(buf)
+        assemble_corpus(self.sessions, self.tracks).write_csv(buf)
         lines = buf.getvalue().splitlines()
         cells = lines[2].split(",")
         cells[5] = cell
@@ -513,8 +539,9 @@ class TestCorpusOracle:
 
     def test_rows_labels_and_positions(self):
         config = SynthConfig(n_tracks=60, n_sessions=200)
-        track_map, sessions = generate_synthetic_dataset(config, seed=11)
-        table = assemble_corpus(sessions, track_map)
+        tracks, sessions = generate_synthetic_dataset(config, seed=11)
+        table = assemble_corpus(sessions, tracks)
+        records = records_of(tracks)
         i = 0
         empty_skipped = empty_listened = 0
         for session in sessions:
@@ -523,9 +550,7 @@ class TestCorpusOracle:
             empty_skipped += n_skipped == 0
             empty_listened += n_skipped == len(split.history)
             for target in split.targets:
-                expected = naive_vector(
-                    track_map[target.track_id], split.history, track_map
-                )
+                expected = naive_vector(records[target.track_id], split.history, records)
                 np.testing.assert_allclose(table.x[i], expected, rtol=0, atol=1e-12)
                 assert table.labels[i] == int(target.skip_2)
                 assert table.positions[i] == target.position - len(split.history)
@@ -570,7 +595,7 @@ class TestCorpusMatchesReference:
         for k in range(6):
             sessions.append(session_of(f"s{k}", list(rng.choice(ids, 2)), [k % 2, 0]))
         rng.shuffle(sessions)
-        table = assemble_corpus(sessions, tracks)
+        table = assemble_corpus(sessions, table_of(tracks))
         assert table.x.tobytes() == reference_corpus(sessions, tracks).tobytes()
         targets = [split_session(s).targets for s in sessions]
         assert table.labels.tolist() == [int(r.skip_2) for t in targets for r in t]
@@ -580,27 +605,11 @@ class TestCorpusMatchesReference:
 
     def test_synthetic_corpus(self):
         config = SynthConfig(n_tracks=80, n_sessions=300)
-        track_map, sessions = generate_synthetic_dataset(config, seed=13)
-        table = assemble_corpus(sessions, track_map)
-        assert table.x.tobytes() == reference_corpus(sessions, track_map).tobytes()
-
-    def test_sessions_may_differ_in_vector_dimension(self):
-        rng = np.random.default_rng(3)
-        tracks = {}
-        for dim in (2, 7, 40):
-            tracks.update({f"d{dim}_{i}": random_track(rng, f"d{dim}_{i}", dim)
-                           for i in range(8)})
-        sessions = []
-        for k, dim in enumerate((7, 40, 2, 7, 40)):
-            tids = list(rng.choice([t for t in tracks if t.startswith(f"d{dim}_")], 12))
-            sessions.append(session_of(f"m{k}", tids, rng.integers(0, 2, 12)))
+        tracks, sessions = generate_synthetic_dataset(config, seed=13)
         table = assemble_corpus(sessions, tracks)
-        assert table.x.tobytes() == reference_corpus(sessions, tracks).tobytes()
+        assert table.x.tobytes() == reference_corpus(sessions, records_of(tracks)).tobytes()
 
 
-NARROW = track("narrow", 100.0, 2000, [0.0] * 15, [0.0, 0.0, 0.0])
-SHORT = track("short", 100.0, 2000, spread(5.0), [1.0, 2.0])
-PRECEDENCE_TRACKS = {**TRACKS, "narrow": NARROW, "short": SHORT}
 FAR_TARGET = Session("far", (row("ta", 1, False, sid="far", length=2),
                              row("tb", 14, False, sid="far", length=2)))
 
@@ -609,12 +618,6 @@ PRECEDENCE = {
     "first bad session wins": (
         [session_of("s1", ["tb", "gone", "ta", "tc"], [1, 0, 0, 0]), FAR_TARGET],
         UnknownTrackError, "session 's1' position 2: unknown track_id 'gone'",
-    ),
-    "earlier dimension error wins": (
-        [session_of("s1", ["short", "ta"], [1, 0]),
-         session_of("s2", ["ta", "gone"], [0, 0])],
-        IntegrityError,
-        "acoustic vector dimension mismatch: track 'short' has 2, target 'ta' has 3",
     ),
     "position before tracks": (
         [Session("far", (row("gone", 1, False, sid="far", length=2),
@@ -631,14 +634,6 @@ PRECEDENCE = {
         [session_of("s0", ["gone_l", "gone_s", "ta", "tb"], [0, 1, 0, 0])],
         UnknownTrackError, "session 's0' position 2: unknown track_id 'gone_s'",
     ),
-    "history scalar shape after target": (
-        [session_of("s0", ["narrow", "gone"], [1, 0])],
-        UnknownTrackError, "session 's0' position 2: unknown track_id 'gone'",
-    ),
-    "scalar shape of an earlier target": (
-        [session_of("s0", ["ta", "tb", "narrow", "gone"], [0, 1, 0, 0])],
-        DimensionError, "track 'narrow': expected 16 scalar features, got shape (15,)",
-    ),
 }
 
 
@@ -646,10 +641,10 @@ PRECEDENCE = {
 def test_error_precedence(case):
     sessions, error, message = PRECEDENCE[case]
     with pytest.raises(error) as exc_info:
-        assemble_corpus(sessions, PRECEDENCE_TRACKS)
+        assemble_corpus(sessions, table_of(TRACKS))
     assert str(exc_info.value) == message
     with pytest.raises(error):  # the per-session reference agrees
-        reference_corpus(sessions, PRECEDENCE_TRACKS)
+        reference_corpus(sessions, TRACKS)
 
 
 def reference_first_error(sessions, track_map):
@@ -665,38 +660,30 @@ def reference_first_error(sessions, track_map):
                     f"target position {r.position - split.h} outside [1, 10]; target "
                     f"row position {r.position} with history length {split.h}"
                 )
+        skipped = [r for r in split.history if r.skip_2]
+        listened = [r for r in split.history if not r.skip_2]
         try:
-            targets = [_checked_track(track_map, r) for r in split.targets]
-            members = [_checked_track(track_map, r) for r in split.history if r.skip_2]
-            members += [_checked_track(track_map, r) for r in split.history if not r.skip_2]
+            for r in [*split.targets, *skipped, *listened]:
+                known(track_map, r)
         except SkipcastError as exc:
             return type(exc), str(exc)
-        for t in targets:
-            for m in members:
-                if m.acoustic_vector.shape != t.acoustic_vector.shape:
-                    return IntegrityError, (
-                        f"acoustic vector dimension mismatch: track {m.track_id!r} has "
-                        f"{m.acoustic_vector.shape[0]}, target {t.track_id!r} has "
-                        f"{t.acoustic_vector.shape[0]}"
-                    )
     return None
 
 
 def test_first_error_matches_per_session_loop():
-    # random corpora with a few unknown tracks, narrow scalars, odd vector
-    # dimensions, shifted positions, one-row sessions and sessions of
-    # unknown tracks only
+    # random corpora with a few unknown tracks, shifted positions, one-row
+    # sessions and sessions of unknown tracks only
     rng = np.random.default_rng(21)
     tracks = {f"t{i}": random_track(rng, f"t{i}", 3) for i in range(12)}
-    tracks.update({"d2": random_track(rng, "d2", 2), "narrow": NARROW})
-    ids = list(tracks) + ["gone"]
+    table = table_of(tracks)
+    ids = list(tracks)
     outcomes = set()
     for _ in range(400):
         sessions = []
         for k in range(int(rng.integers(1, 6))):
             n = int(rng.integers(1, 9))
-            odd = rng.random(n) < 0.04  # per row: a track outside the clean twelve
-            tids = [str(rng.choice(ids[-3:] if o else ids[:12])) for o in odd]
+            unknown = rng.random(n) < 0.02  # per row
+            tids = ["gone" if u else str(rng.choice(ids)) for u in unknown]
             if rng.random() < 0.03:  # no track of the session is known
                 tids = ["gone"] * n
             positions = np.arange(1, n + 1) + (rng.random(n) < 0.03) * int(rng.integers(-3, 12))
@@ -706,10 +693,10 @@ def test_first_error_matches_per_session_loop():
             )))
         want = reference_first_error(sessions, tracks)
         try:
-            assemble_corpus(sessions, tracks)
+            assemble_corpus(sessions, table)
             got = None
         except SkipcastError as exc:
             got = type(exc), str(exc)
         assert got == want
         outcomes.add(want[0] if want else None)
-    assert outcomes == {None, UnknownTrackError, DimensionError, IntegrityError}
+    assert outcomes == {None, UnknownTrackError, IntegrityError}
