@@ -249,6 +249,74 @@ class TestTrackCsv:
         assert parsed.track_ids == ["t0"]
 
 
+class TestSessionValidation:
+    """Each session check, on a session the parser reads back from its log."""
+
+    def parse(self, *sessions):
+        buf = io.StringIO()
+        write_session_csv(sessions, buf)
+        return parse_session_log(io.StringIO(buf.getvalue()))
+
+    def test_valid_session_passes(self):
+        session = make_session(n=5)
+        assert self.parse(session)[0].rows == session.rows
+
+    def test_length_bounds(self):
+        with pytest.raises(RowParseError, match="length"):
+            self.parse(Session(session_id="s0", rows=(make_row(length=1),)))
+        with pytest.raises(RowParseError, match="length"):
+            self.parse(make_session(n=21))
+
+    def test_position_gap(self):
+        rows = (make_row(position=1, length=2), make_row(position=3, length=2))
+        with pytest.raises(RowParseError, match="position"):
+            self.parse(Session(session_id="s0", rows=rows))
+
+    def test_declared_length_mismatch(self):
+        rows = (make_row(position=1, length=9), make_row(position=2, length=9))
+        with pytest.raises(RowParseError, match="declared length"):
+            self.parse(Session(session_id="s0", rows=rows))
+
+    def test_skip1_requires_skip2(self):
+        bad = Session(
+            session_id="s0",
+            rows=(
+                make_row(position=1, length=2, skip_1=True, skip_2=False, skip_3=False),
+                make_row(position=2, length=2),
+            ),
+        )
+        with pytest.raises(RowParseError, match="skip_1"):
+            self.parse(bad)
+
+    def test_skip2_requires_skip3(self):
+        bad = Session(
+            session_id="s0",
+            rows=(
+                make_row(position=1, length=2, skip_2=True, skip_3=False),
+                make_row(position=2, length=2),
+            ),
+        )
+        with pytest.raises(RowParseError, match="skip_2"):
+            self.parse(bad)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("hour", 24), ("hour", -1), ("day", 0), ("day", 32), ("month", 13)],
+    )
+    def test_context_ranges(self, field, value):
+        bad = Session(
+            session_id="s0",
+            rows=(
+                make_row(position=1, length=2, **{field: value}),
+                make_row(position=2, length=2),
+            ),
+        )
+        with pytest.raises(
+            RowParseError, match=rf"^session 's0' position 1: {field} {value} outside "
+        ):
+            self.parse(bad)
+
+
 class TestSplitSession:
     @pytest.mark.parametrize(
         "n,expected_history", [(2, 1), (3, 2), (4, 2), (5, 3), (19, 10), (20, 10)]
