@@ -55,7 +55,7 @@ from .modelbank import (
     sample_sessions,
     train_bank,
 )
-from .synthetic import corpus_summary, generate_synthetic_dataset
+from .synthetic import generate_synthetic_dataset
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -114,11 +114,9 @@ def cmd_synth(cfg: RunConfig) -> None:
         write_track_csv(tracks, fh)
     with open(cfg.sessions_path(), "w", encoding="utf-8") as fh:
         write_session_csv(sessions, fh)
-    summary = corpus_summary(sessions)
-    print(
-        f"synth: sessions={summary['sessions']} rows={summary['rows']} "
-        f"skip2_prevalence={summary['skip_2_prevalence']:.4f}"
-    )
+    rows = sum(s.length for s in sessions)  # >= 1: a session has 2 rows at least
+    skips = sum(r.skip_2 for s in sessions for r in s.rows)
+    print(f"synth: sessions={len(sessions)} rows={rows} skip2_prevalence={skips / rows:.4f}")
 
 
 def cmd_extract(cfg: RunConfig) -> None:
@@ -185,14 +183,13 @@ class _SubmissionLayout:
 
     `template` is the UTF-8 file with every decision "0" and `at` the
     offset of each decision in it, sessions in log order. The template is
-    None when an id holds a line break, which would split its line.
+    None when an id holds a newline, which would split its line.
     """
 
     def __init__(self, ids: list[str], counts: np.ndarray) -> None:
         self.ids, self.counts = ids, counts
         self.template = self.at = None
-        joined = "".join(ids)
-        if joined.splitlines() == [joined]:
+        if "\n" not in "".join(ids):
             heads = [f"{sid} ".encode("utf-8") for sid in ids]
             widths = np.array([len(head) for head in heads])
             lines = widths + counts + 1
@@ -233,7 +230,8 @@ def _submission_lines(text: str, ids: list[str], counts: list[int]) -> np.ndarra
     """
     index = {sid: k for k, sid in enumerate(ids)}
     out: list[np.ndarray | None] = [None] * len(ids)
-    for number, line in enumerate(text.splitlines(), start=1):
+    # a line ends at "\n" alone, as `write_submission` ends it
+    for number, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         sid, bits = line.rsplit(" ", 1) if " " in line else (line, "")

@@ -67,8 +67,6 @@ def parse_solutions(raw: str) -> tuple[int, ...]:
         if value in out:
             raise ConfigError(f"solution {value} listed twice")
         out.append(value)
-    if not out:
-        raise ConfigError("solutions list is empty")
     return tuple(out)
 
 
@@ -151,12 +149,14 @@ def load_config(
     values: dict[str, str] = {}
     if config_path is not None:
         path = Path(config_path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: {exc}")
+        except OSError as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc.strerror}")
         values.update(parse_kv_text(text))
     values.update({k: v for k, v in overrides.items() if v is not None})
     return build_config(values)

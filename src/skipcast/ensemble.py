@@ -15,13 +15,14 @@ through the continuous previous score, never the binarized decision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .datamodel import MAX_TARGET_POSITIONS, csv_cell
-from .errors import DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 
 SOLUTION_IDS = tuple(range(1, 13))
 SOFT_SOLUTIONS = frozenset({3, 5})
@@ -35,6 +36,17 @@ class EnsembleWeights:
     alpha_scale: float = 0.5
     fixed_prior: float = 0.2
     exp_base: float = 2.0
+
+    def __post_init__(self) -> None:
+        # the bounds under which strategies 9, 10 and 12 blend convexly
+        if not 9.0 <= self.linear_offset < math.inf:
+            raise ConfigError(f"linear_offset must be finite and >= 9, got {self.linear_offset}")
+        if not 0.0 <= self.alpha_scale <= 1.0:
+            raise ConfigError(f"alpha_scale must be in [0, 1], got {self.alpha_scale}")
+        if not 0.0 <= self.fixed_prior <= 1.0:
+            raise ConfigError(f"fixed_prior must be in [0, 1], got {self.fixed_prior}")
+        if not 0.0 < self.exp_base < math.inf:
+            raise ConfigError(f"exp_base must be finite and > 0, got {self.exp_base}")
 
 
 DEFAULT_WEIGHTS = EnsembleWeights()

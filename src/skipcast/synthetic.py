@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -107,12 +106,19 @@ def generate_synthetic_dataset(
     tracks = _generate_tracks(config, rng)
     track_ids = tracks.track_ids
 
-    energy = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("energy")].tolist()
+    energy = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("energy")]
     tempos = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("tempo")]
     tempo_mean = float(tempos.mean())
     tempo_std = float(tempos.std())
     if tempo_std == 0.0:
         tempo_std = 1.0
+    # each track's part of a row's logit: float64 arrays round as Python floats do
+    track_logit = (
+        config.skip_bias
+        + config.skip_energy_weight * (energy - 0.5)
+        + config.skip_tempo_weight * ((tempos - tempo_mean) / tempo_std)
+    ).tolist()
+    prev_weight = config.skip_prev_weight
 
     sessions: list[Session] = []
     for s in range(config.n_sessions):
@@ -125,53 +131,22 @@ def generate_synthetic_dataset(
         hour = int(rng.integers(0, 24))
         day = int(rng.integers(1, 32))
         month = int(rng.integers(1, 13))
-        chosen = rng.integers(0, len(track_ids), length)
+        chosen = rng.integers(0, len(track_ids), length).tolist()
         # Three uniforms per row regardless of outcome keeps the draw
         # sequence independent of the sampled flags.
-        draws = rng.random((length, 3))
+        draws = rng.random((length, 3)).tolist()
 
         rows = []
-        prev_skip = 0.0
-        for pos in range(1, length + 1):
-            track = int(chosen[pos - 1])
-            tempo_z = (float(tempos[track]) - tempo_mean) / tempo_std
-            z = (
-                config.skip_bias
-                + config.skip_energy_weight * (energy[track] - 0.5)
-                + config.skip_tempo_weight * tempo_z
-                + config.skip_prev_weight * prev_skip
-            )
-            u2, u1, u3 = draws[pos - 1]
-            skip_2 = bool(u2 < _sigmoid(z))
-            skip_1 = skip_2 and bool(u1 < _P_SKIP1_GIVEN_SKIP2)
-            skip_3 = skip_2 or bool(u3 < _P_SKIP3_GIVEN_NOT_SKIP2)
-            rows.append(
-                SessionRow(
-                    session_id=sid,
-                    position=pos,
-                    session_length=length,
-                    track_id=track_ids[track],
-                    skip_1=skip_1,
-                    skip_2=skip_2,
-                    skip_3=skip_3,
-                    premium=premium,
-                    shuffle=shuffle,
-                    hour=hour,
-                    day=day,
-                    month=month,
-                )
-            )
-            prev_skip = 1.0 if skip_2 else 0.0
+        skip_2 = False
+        for pos, track, (u2, u1, u3) in zip(range(1, length + 1), chosen, draws):
+            z = track_logit[track] + prev_weight * (1.0 if skip_2 else 0.0)
+            skip_2 = u2 < _sigmoid(z)
+            rows.append(SessionRow(
+                sid, pos, length, track_ids[track],
+                skip_2 and u1 < _P_SKIP1_GIVEN_SKIP2, skip_2,
+                skip_2 or u3 < _P_SKIP3_GIVEN_NOT_SKIP2,
+                premium, shuffle, hour, day, month,
+            ))
         sessions.append(Session(session_id=sid, rows=tuple(rows)))
     return tracks, sessions
 
-
-def corpus_summary(sessions: list[Session]) -> Mapping[str, float]:
-    """Row count and skip_2 prevalence over a corpus."""
-    rows = sum(s.length for s in sessions)
-    skips = sum(1 for s in sessions for r in s.rows if r.skip_2)
-    return {
-        "sessions": len(sessions),
-        "rows": rows,
-        "skip_2_prevalence": skips / rows if rows else 0.0,
-    }

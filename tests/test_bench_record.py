@@ -2,9 +2,12 @@
 
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,3 +31,10 @@ def test_records_one_toy_workload(tmp_path):
     assert re.fullmatch(r"[0-9a-f]{64}", score["output_fingerprint"])
     for name in ("setup_s", "wall_s", "sessions_per_s", "peak_rss_mb", "maa_s9"):
         assert score["metrics"][name] > 0, name
+    # the spread beside the medians
+    setups = score["setup_s_each"]
+    assert setups and all(t > 0 for t in setups)
+    assert statistics.median(setups) == score["metrics"]["setup_s"]
+    q1, q2, q3 = score["wall_s_quartiles"]
+    assert 0 < q1 <= q2 <= q3
+    assert q2 == pytest.approx(score["metrics"]["wall_s"], rel=1e-12)

@@ -290,6 +290,11 @@ class TestUsageErrors:
         assert main(["synth", "--config", str(tmp_path / "nope.conf")]) == 1
         assert "config file not found" in capsys.readouterr().err
 
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["synth", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"skipcast: config file {tmp_path} cannot be read: Is a directory\n"
+
     def test_unknown_config_key(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "frobnication = 3\n")
         assert main(["synth", "--config", conf]) == 1
@@ -311,8 +316,9 @@ class TestUsageErrors:
                 "2 <= min <= max <= 20, got [9, 8]",
             ),
             ("acoustic_dim = 0\n", "acoustic_dim must be >= 1"),
+            ("exp_base = 0\n", "exp_base must be finite and > 0, got 0.0"),
         ],
-        ids=["n_tracks 0", "min 1", "max 21", "min > max", "acoustic_dim 0"],
+        ids=["n_tracks 0", "min 1", "max 21", "min > max", "acoustic_dim 0", "exp_base 0"],
     )
     def test_synth_config_out_of_bounds(self, tmp_path, capsys, body, reason):
         conf = write_conf(tmp_path, body)
@@ -712,24 +718,27 @@ class TestColumnReaders:
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
         log = workdir / "sessions.csv"
-        text = re.sub(r"^s000000,", "a b,", log.read_text(), flags=re.M)
-        log.write_text(re.sub(r"^s000001,", '"c,d",', text, flags=re.M))
+        # a submission line ends at "\n" only, so other line separators are id text
+        ids = ["a b", "c,d", "e\x85f", "g\u2028h", "i\x0bj", "k\x1cl"]
+        text = log.read_text()
+        for k, sid in enumerate(ids):
+            text = re.sub(f"^s{k:06d},", f'"{sid}",', text, flags=re.M)
+        log.write_text(text)
         conf = write_conf(tmp_path)
         for stage in ("extract", "train", "predict", "evaluate"):
             assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
         # only the ids changed, so the decisions and their scores did not
         assert (workdir / "report.csv").read_bytes() == (pipeline / "report.csv").read_bytes()
-        before = (pipeline / "submission_solution_01.txt").read_text().splitlines()
-        assert (workdir / "submission_solution_01.txt").read_text().splitlines() == [
-            "a b" + before[0].removeprefix("s000000"),
-            "c,d" + before[1].removeprefix("s000001"),
-        ] + before[2:]
+        before = (pipeline / "submission_solution_01.txt").read_text().split("\n")
+        assert (workdir / "submission_solution_01.txt").read_text().split("\n") == [
+            sid + line.removeprefix(f"s{k:06d}") for k, (sid, line) in enumerate(zip(ids, before))
+        ] + before[len(ids):]
         for name in ("scores_solution_01.csv", "features.csv"):
             with open(workdir / name, encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))
             assert len({len(row) for row in rows}) == 1, name
             column = rows[0].index("session_id")
-            assert [row[column] for row in rows if row[column] in ("a b", "c,d")], name
+            assert {row[column] for row in rows} >= set(ids), name
 
 
 def _set_cell(index, value):

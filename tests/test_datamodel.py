@@ -136,6 +136,18 @@ class TestTrackCsv:
         with pytest.raises(SchemaError, match="contiguously"):
             parse_track_features(io.StringIO(header + "\n"))
 
+    def test_acoustic_column_with_a_non_integer_index(self):
+        header = (
+            "track_id,duration,release_year,"
+            + ",".join(SCALAR_FEATURE_NAMES)
+            + ",acoustic_vector_0,acoustic_vector_x"
+        )
+        with pytest.raises(
+            SchemaError, match=r"^malformed acoustic vector column 'acoustic_vector_x'$"
+        ) as exc_info:
+            parse_track_features(io.StringIO(header + "\n"))
+        assert exc_info.value.line_num == 1
+
     def test_duplicate_track_id(self):
         buf = io.StringIO()
         write_track_csv(make_tracks("dup"), buf)
@@ -490,6 +502,12 @@ class TestSessionLogCsv:
         for want, got in zip(sessions, parsed):
             assert want.rows == got.rows
         assert set(parsed.track_ids) <= set(parsed_tracks.track_ids)
+
+    def test_synthetic_corpus_of_one_track_still_skips(self):
+        # one track has no tempo spread, so its tempo z-score must be 0
+        _, sessions = generate_synthetic_dataset(SynthConfig(n_tracks=1, n_sessions=20), seed=3)
+        skips = [row.skip_2 for session in sessions for row in session.rows]
+        assert any(skips) and not all(skips)
 
     def test_ids_with_commas_round_trip(self):
         tracks = make_tracks("a,b", "t0")

@@ -25,7 +25,7 @@ from skipcast.ensemble import (
     write_scores,
     write_submission,
 )
-from skipcast.errors import DimensionError, DomainError
+from skipcast.errors import ConfigError, DimensionError, DomainError
 
 
 def ref_scores(solution, m, s0_hard, weights=DEFAULT_WEIGHTS):
@@ -381,6 +381,37 @@ class TestValidation:
     def test_corpus_session_without_targets(self):
         with pytest.raises(DimensionError, match="got 0"):
             combine_corpus(1, np.full((4, 10), 0.5), [4, 0], [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"linear_offset": 8.99},
+            {"linear_offset": float("inf")},
+            {"linear_offset": float("nan")},
+            {"alpha_scale": -0.01},
+            {"alpha_scale": 1.01},
+            {"alpha_scale": float("nan")},
+            {"fixed_prior": -0.01},
+            {"fixed_prior": 1.01},
+            {"fixed_prior": float("nan")},
+            {"exp_base": 0.0},
+            {"exp_base": float("inf")},
+            {"exp_base": float("nan")},
+        ],
+    )
+    def test_weights_outside_their_bounds_are_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            EnsembleWeights(**kwargs)
+
+    def test_weights_at_their_bounds_blend_convexly(self):
+        m = np.random.default_rng(0).uniform(0.0, 1.0, (10, 10))
+        for weights in (
+            EnsembleWeights(linear_offset=9.0, alpha_scale=0.0, fixed_prior=0.0, exp_base=1e-3),
+            EnsembleWeights(alpha_scale=1.0, fixed_prior=1.0, exp_base=1e3),
+        ):
+            for solution in (9, 10, 12):
+                scores = combine_corpus(solution, m, [10], [1.0], weights)
+                assert np.isfinite(scores).all(), solution
 
 
 class TestLastAction:

@@ -116,6 +116,13 @@ class TestTrainBank:
         got = bank.models[9].predict_proba(np.zeros((1, 4)))[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_every_position_falling_back_starts_no_pool(self):
+        table = make_table()
+        table.labels[:] = 1
+        with pytest.warns(RuntimeWarning):
+            bank = train_bank(table, SMALL_PARAMS, seed=5)
+        assert bank.fallback_positions == tuple(range(1, 11))
+
     def test_two_starved_positions_warn_once_each(self):
         table = make_table()
         table.labels[table.positions == 2] = 0
@@ -353,6 +360,13 @@ class TestGridSearch:
         table = grid_table(n_sessions=1)
         with pytest.raises(DegenerateSampleError, match="2 sessions"):
             grid_search(table, seed=1, num_boost_round=1)
+
+    def test_two_sessions_hold_one_out(self):
+        # 80% of two sessions rounds to both; one must stay out for validation
+        report = grid_search(grid_table(n_sessions=2, rows_per_session=10), seed=1,
+                             num_boost_round=1)
+        assert len(report.rows) == 54
+        assert all(0.0 <= r.val_auc <= 1.0 for r in report.rows)
 
     def test_deterministic_for_seed(self):
         a, b = io.StringIO(), io.StringIO()

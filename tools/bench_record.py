@@ -9,8 +9,10 @@ Runs `bench/run.py --workload <w> --seed 1017 --trace 0` for each workload
 `.bench_runs/<w>-seed1017-trace0/record.json` it keeps the end-to-end
 metrics (medians over the timed passes, as bench/run.py reports them), the
 pass and failure counts, and the output fingerprint, the digest that
-bench/run.py prints. The record also holds the `src/` line count and the
-Python and numpy versions of the runs.
+bench/run.py prints. Beside the medians it keeps their spread: the seconds
+of each set-up (`setup_s_each`) and the quartiles of the timed passes'
+walls (`wall_s_quartiles`, inclusive method). The record also holds the
+`src/` line count and the Python and numpy versions of the runs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +73,8 @@ def main(argv=None) -> int:
         digests = json.dumps(run["fingerprints"], sort_keys=True).encode()
         record["workloads"][name] = {
             "metrics": {metric: m["value"] for metric, m in run["metrics"].items()},
+            "setup_s_each": run["setup_s"],
+            "wall_s_quartiles": statistics.quantiles(run["walls"], n=4, method="inclusive"),
             "passes": len(run["walls"]),
             "attempted": run["attempted"],
             "failed": run["failed"],
