@@ -318,12 +318,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    overrides = {
-        "seed": args.seed,
-        "workdir": args.workdir,
-        "solutions": args.solutions,
-        "sample": args.sample,
-    }
+    # every flag but these two is a config key
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, overrides)
         cfg.workdir.mkdir(parents=True, exist_ok=True)

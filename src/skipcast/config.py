@@ -13,7 +13,7 @@ file values, which override the built-in defaults listed in README.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -22,16 +22,12 @@ from .errors import ConfigError
 from .gbdt import TrainParams
 from .synthetic import SynthConfig
 
-#: RunConfig's nested dataclass sections, each with its field names.
-_SECTIONS = {
-    "synth": {f.name for f in fields(SynthConfig)},
-    "params": {f.name for f in fields(TrainParams)},
-    "weights": {f.name for f in fields(EnsembleWeights)},
-}
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
+    """The run options. Its config keys are its fields other than the three
+    sections, and the fields of those sections."""
+
     workdir: Path = Path("work")
     seed: int = 7
     solutions: tuple[int, ...] = SOLUTION_IDS
@@ -43,6 +39,14 @@ class RunConfig:
     # desk-scale round count; the library default of 200 suits overnight runs
     params: TrainParams = field(default_factory=lambda: TrainParams(num_boost_round=60))
     weights: EnsembleWeights = field(default_factory=EnsembleWeights)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.sample <= 1.0:
+            raise ConfigError(f"sample must be in (0, 1], got {self.sample}")
+        if self.tune_rounds < 1:
+            raise ConfigError(f"tune_rounds must be >= 1, got {self.tune_rounds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def tracks_path(self) -> Path:
         return self.tracks_csv if self.tracks_csv else self.workdir / "tracks.csv"
@@ -87,59 +91,44 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _to_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}")
-
-
-def _to_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
-
-
-#: RunConfig's own keys, each with its converter from (key, raw string).
-_TOP_KEYS = {
-    "workdir": lambda _key, raw: Path(raw),
-    "seed": _to_int,
-    "solutions": lambda _key, raw: parse_solutions(raw),
-    "sample": _to_float,
-    "tune_rounds": _to_int,
-    "tracks_csv": lambda _key, raw: Path(raw),
-    "sessions_csv": lambda _key, raw: Path(raw),
+_DEFAULTS = RunConfig()
+_SECTIONS = [f.name for f in fields(RunConfig) if is_dataclass(getattr(_DEFAULTS, f.name))]
+#: each config key, with the RunConfig section that holds it (None: RunConfig)
+_KEYS = {f.name: None for f in fields(RunConfig) if f.name not in _SECTIONS} | {
+    f.name: section for section in _SECTIONS for f in fields(getattr(_DEFAULTS, section))
 }
 
 
-def _convert(key: str, raw: str, current):
-    return _to_int(key, raw) if isinstance(current, int) else _to_float(key, raw)
+def _convert(key: str, raw: str, default):
+    """`raw` as a value of the kind of `default`: a number, solution ids or a path."""
+    if isinstance(default, tuple):
+        return parse_solutions(raw)
+    if not isinstance(default, (int, float)):  # a Path, or None for an unset one
+        return Path(raw)
+    kind, noun = (int, "an integer") if isinstance(default, int) else (float, "a number")
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be {noun}, got {raw!r}")
 
 
 def build_config(values: Mapping[str, str]) -> RunConfig:
-    """Construct a validated RunConfig from raw string key/value pairs."""
-    cfg = RunConfig()
-    changes: dict[str, dict] = {}
+    """Construct a validated RunConfig from raw string key/value pairs.
+
+    Each section is built, and so checked, before RunConfig itself.
+    """
+    changes: dict[str | None, dict] = {}
     for key, raw in values.items():
         name = "lambda_" if key == "lambda" else key
-        section = next((s for s, names in _SECTIONS.items() if name in names), None)
-        if name in _TOP_KEYS:
-            setattr(cfg, name, _TOP_KEYS[name](name, raw))
-        elif section is None:
+        if name not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        else:
-            current = getattr(getattr(cfg, section), name)
-            changes.setdefault(section, {})[name] = _convert(name, raw, current)
+        section = _KEYS[name]
+        holder = _DEFAULTS if section is None else getattr(_DEFAULTS, section)
+        changes.setdefault(section, {})[name] = _convert(name, raw, getattr(holder, name))
+    own = changes.pop(None, {})
     for section, kwargs in changes.items():
-        setattr(cfg, section, replace(getattr(cfg, section), **kwargs))
-    if not 0.0 < cfg.sample <= 1.0:
-        raise ConfigError(f"sample must be in (0, 1], got {cfg.sample}")
-    if cfg.tune_rounds < 1:
-        raise ConfigError(f"tune_rounds must be >= 1, got {cfg.tune_rounds}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    return cfg
+        own[section] = replace(getattr(_DEFAULTS, section), **kwargs)
+    return replace(_DEFAULTS, **own)
 
 
 def load_config(

@@ -26,6 +26,8 @@ from .errors import ConfigError, DimensionError, DomainError
 
 SOLUTION_IDS = tuple(range(1, 13))
 SOFT_SOLUTIONS = frozenset({3, 5})
+#: the least exp_base whose weight at distance 9, exp_base ** -9, is a finite float
+MIN_EXP_BASE = 5.616633020792315e-35
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,11 @@ class EnsembleWeights:
             raise ConfigError(f"fixed_prior must be in [0, 1], got {self.fixed_prior}")
         if not 0.0 < self.exp_base < math.inf:
             raise ConfigError(f"exp_base must be finite and > 0, got {self.exp_base}")
+        if self.exp_base < MIN_EXP_BASE:
+            raise ConfigError(
+                f"exp_base must be >= {MIN_EXP_BASE!r} (exp_base ** -9 is not "
+                f"finite below), got {self.exp_base}"
+            )
 
 
 DEFAULT_WEIGHTS = EnsembleWeights()

@@ -14,7 +14,7 @@ and the CSVs written from them are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,7 @@ _P_SKIP1_GIVEN_SKIP2 = 0.6
 _P_SKIP3_GIVEN_NOT_SKIP2 = 0.25
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Knobs for the synthetic corpus.
 
@@ -58,7 +58,7 @@ class SynthConfig:
     skip_tempo_weight: float = 0.6
     skip_prev_weight: float = 2.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_tracks < 1:
             raise ConfigError("n_tracks must be >= 1")
         if self.n_sessions < 1:
@@ -76,6 +76,11 @@ class SynthConfig:
             )
         if self.acoustic_dim < 1:
             raise ConfigError("acoustic_dim must be >= 1")
+        # a NaN or inf logit term makes every row skip alike
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("skip_") and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 def _sigmoid(z: float) -> float:
@@ -101,7 +106,6 @@ def generate_synthetic_dataset(
     config: SynthConfig, seed: int
 ) -> tuple[TrackTable, list[Session]]:
     """Generate a track table and session list; deterministic for a seed."""
-    config.validate()
     rng = np.random.default_rng(seed)
     tracks = _generate_tracks(config, rng)
     track_ids = tracks.track_ids

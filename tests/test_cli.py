@@ -11,7 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -317,14 +317,36 @@ class TestUsageErrors:
             ),
             ("acoustic_dim = 0\n", "acoustic_dim must be >= 1"),
             ("exp_base = 0\n", "exp_base must be finite and > 0, got 0.0"),
+            ("n_sessions = 0\n", "n_sessions must be >= 1"),
+            ("skip_bias = nan\n", "skip_bias must be finite, got nan"),
+            ("skip_energy_weight = inf\n", "skip_energy_weight must be finite, got inf"),
+            ("skip_tempo_weight = -inf\n", "skip_tempo_weight must be finite, got -inf"),
+            ("skip_prev_weight = nan\n", "skip_prev_weight must be finite, got nan"),
         ],
-        ids=["n_tracks 0", "min 1", "max 21", "min > max", "acoustic_dim 0", "exp_base 0"],
+        ids=[
+            "n_tracks 0", "min 1", "max 21", "min > max", "acoustic_dim 0", "exp_base 0",
+            "n_sessions 0", "skip_bias nan", "skip_energy_weight inf",
+            "skip_tempo_weight -inf", "skip_prev_weight nan",
+        ],
     )
     def test_synth_config_out_of_bounds(self, tmp_path, capsys, body, reason):
         conf = write_conf(tmp_path, body)
         workdir = str(tmp_path / "w")
         assert main(["synth", "--config", conf, "--workdir", workdir]) == 1
         assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["extract", "tune", "train", "predict", "evaluate"])
+    def test_every_stage_checks_every_section(self, tmp_path, capsys, stage):
+        conf = write_conf(tmp_path, "n_tracks = 0\n")
+        workdir = tmp_path / "w"
+        assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 1
+        assert capsys.readouterr().err == "skipcast: n_tracks must be >= 1\n"
+        assert not workdir.exists()
+
+    def test_section_error_comes_before_run_config_error(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "sample = 2\neta = 2\n")
+        assert main(["tune", "--config", conf, "--workdir", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == "skipcast: eta must be in (0, 1], got 2.0\n"
 
     def test_max_depth_above_bound(self, tmp_path, capsys):
         # deeper trees would overflow the recursion of tree growth
@@ -886,8 +908,15 @@ ROUTED_SECTIONS = {
     "weights": EnsembleWeights,
 }
 
-# a valid non-default value for every field of the three config sections
+# a valid non-default value for every field of RunConfig and its three sections
 ROUTED_VALUES = {
+    "workdir": Path("elsewhere"),
+    "seed": 11,
+    "solutions": (1, 9, 12),
+    "sample": 0.5,
+    "tune_rounds": 5,
+    "tracks_csv": Path("/x/t.csv"),
+    "sessions_csv": Path("/x/s.csv"),
     "n_tracks": 40,
     "n_sessions": 30,
     "session_length_min": 3,
@@ -959,15 +988,22 @@ class TestConfigParsing:
             (section, f.name)
             for section, cls in ROUTED_SECTIONS.items()
             for f in fields(cls)
-        ],
+        ]
+        + [("run", f.name) for f in fields(RunConfig) if f.name not in ROUTED_SECTIONS],
     )
     def test_build_config_routes_each_field(self, section, name):
         value = ROUTED_VALUES[name]
         key = "lambda" if name == "lambda_" else name
-        cfg, default = build_config({key: str(value)}), RunConfig()
+        raw = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        cfg, default = build_config({key: raw}), RunConfig()
         for f in fields(RunConfig):
-            if f.name not in ROUTED_SECTIONS:
-                assert getattr(cfg, f.name) == getattr(default, f.name)
+            if f.name in ROUTED_SECTIONS:
+                continue
+            got, want = getattr(cfg, f.name), getattr(default, f.name)
+            if ("run", f.name) == (section, name):
+                assert want != value and got == value and type(got) is type(value)
+            else:
+                assert got == want, f.name
         for sec in ROUTED_SECTIONS:
             for f in fields(getattr(default, sec)):
                 got = getattr(getattr(cfg, sec), f.name)
@@ -977,6 +1013,22 @@ class TestConfigParsing:
                     assert want != value and got == value
                 else:
                     assert got == want, f"{sec}.{f.name}"
+
+    @pytest.mark.parametrize("key", ["synth", "params", "weights", "tracks_path"])
+    def test_sections_and_methods_are_not_keys(self, key):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            build_config({key: "1"})
+
+    def test_built_config_cannot_change(self):
+        cfg = build_config({"n_tracks": "40"})
+        for obj, name in [(cfg, "seed"), (cfg.synth, "n_tracks"), (cfg.params, "eta"),
+                          (cfg.weights, "exp_base")]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
+
+    def test_negative_generator_weights_are_valid(self):
+        cfg = build_config({"skip_bias": "-3", "skip_prev_weight": "-2.5"})
+        assert (cfg.synth.skip_bias, cfg.synth.skip_prev_weight) == (-3.0, -2.5)
 
     def test_build_config_type_errors(self):
         with pytest.raises(ConfigError, match="integer"):

@@ -5,6 +5,7 @@ its formula, plus hand-worked examples with known outputs.
 """
 
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from skipcast.ensemble import (
     DEFAULT_WEIGHTS,
+    MIN_EXP_BASE,
     SOLUTION_IDS,
     CorpusPrediction,
     EnsembleWeights,
@@ -397,21 +399,33 @@ class TestValidation:
             {"exp_base": 0.0},
             {"exp_base": float("inf")},
             {"exp_base": float("nan")},
+            {"exp_base": 1e-35},
         ],
     )
     def test_weights_outside_their_bounds_are_rejected(self, kwargs):
         with pytest.raises(ConfigError, match=next(iter(kwargs))):
             EnsembleWeights(**kwargs)
 
+    @pytest.mark.filterwarnings("error")
     def test_weights_at_their_bounds_blend_convexly(self):
         m = np.random.default_rng(0).uniform(0.0, 1.0, (10, 10))
         for weights in (
             EnsembleWeights(linear_offset=9.0, alpha_scale=0.0, fixed_prior=0.0, exp_base=1e-3),
             EnsembleWeights(alpha_scale=1.0, fixed_prior=1.0, exp_base=1e3),
+            EnsembleWeights(exp_base=1e-34),
+            EnsembleWeights(exp_base=MIN_EXP_BASE),
         ):
             for solution in (9, 10, 12):
                 scores = combine_corpus(solution, m, [10], [1.0], weights)
                 assert np.isfinite(scores).all(), solution
+
+    def test_min_exp_base_is_the_least_with_a_finite_far_weight(self):
+        assert math.isfinite(MIN_EXP_BASE ** -9)
+        below = float(np.nextafter(MIN_EXP_BASE, 0.0))
+        with pytest.raises(OverflowError):
+            below ** -9
+        with pytest.raises(ConfigError, match=r"^exp_base must be >= 5\.616633020792315e-35 "):
+            EnsembleWeights(exp_base=below)
 
 
 class TestLastAction:

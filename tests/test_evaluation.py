@@ -251,6 +251,19 @@ class TestSolutionsReport:
             (2, 0.5, 1.0),
         ]
 
+    @pytest.mark.parametrize(
+        "truth, stored, match",
+        [
+            (np.zeros(4, dtype=bool), np.zeros(5, dtype=bool), r"truth shape \(4,\) for 5 slots"),
+            (np.zeros(5, dtype=bool), np.zeros(4, dtype=bool), r"decisions shape \(4,\) !="),
+            (np.zeros(5, dtype=bool), np.zeros((5, 1), dtype=bool), r"decisions shape \(5, 1\) !="),
+        ],
+        ids=["truth short", "decisions short", "decisions 2-D"],
+    )
+    def test_shapes_rejected(self, truth, stored, match):
+        with pytest.raises(DimensionError, match=match):
+            solutions_report(np.array([2, 3]), truth, [stored], [1])
+
     def test_equal_scores_keep_request_order(self):
         truths = [session_truth(s) for s in self.sessions()]
         rows = report(truths, [truths, truths], solutions=[7, 4])

@@ -135,6 +135,19 @@ class TestGradHess:
 
 
 class TestBestSplit:
+    @pytest.mark.parametrize(
+        "x, g, h, match",
+        [
+            (np.zeros(4), np.zeros(4), np.zeros(4), "x must be 2-dimensional"),
+            (np.zeros((4, 2)), np.zeros(3), np.zeros(4), r"g/h must have shape \(4,\)"),
+            (np.zeros((4, 2)), np.zeros(4), np.zeros((4, 1)), r"g/h must have shape \(4,\)"),
+        ],
+        ids=["x 1-D", "g short", "h 2-D"],
+    )
+    def test_shapes_rejected(self, x, g, h, match):
+        with pytest.raises(DimensionError, match=match):
+            best_split(x, g, h, TrainParams())
+
     def test_toy_four_rows(self):
         # gradients of labels [0,0,1,1] at margin 0; hand gain:
         # GL=1, HL=0.5 -> 1/1.5 per side, parent 0 => 0.5*(2/1.5) = 2/3
@@ -500,6 +513,19 @@ class TestTrain:
         with pytest.raises(DegenerateLabelsError):
             train(x, np.zeros(10), TrainParams(num_boost_round=1))
 
+    @pytest.mark.parametrize(
+        "x, y, match",
+        [
+            (np.zeros(4), np.array([0.0, 1.0, 0.0, 1.0]), "x must be 2-dimensional"),
+            (np.zeros((4, 2)), np.array([0.0, 1.0, 0.0]), r"y must have shape \(4,\)"),
+            (np.zeros((4, 2)), np.zeros((4, 1)), r"y must have shape \(4,\)"),
+        ],
+        ids=["x 1-D", "y short", "y 2-D"],
+    )
+    def test_shapes_rejected(self, x, y, match):
+        with pytest.raises(DimensionError, match=match):
+            train(x, y, TrainParams(num_boost_round=1))
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(DegenerateLabelsError):
             train(np.zeros((1, 3)), np.array([1.0]), TrainParams(num_boost_round=1))
@@ -830,6 +856,10 @@ class TestAuc:
 
     def test_all_ties(self):
         assert auc(np.ones(6), np.array([0, 1, 0, 1, 0, 1])) == 0.5
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError, match="equal-length vectors"):
+            auc(np.array([0.1, 0.2, 0.3]), np.array([0, 1, 0, 1]))
 
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
