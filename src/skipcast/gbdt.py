@@ -9,11 +9,26 @@ with the standard regularized gain
 and leaf values -G/(H+lambda). The learning rate is applied when a tree's
 output is accumulated into the margin, not baked into the leaves.
 
+A boundary between two neighbours lo <= hi of a sorted column is valid
+when lo < hi and their midpoint threshold lies above lo (_boundaries):
+between adjacent doubles the midpoint can round down to lo, and a threshold
+equal to lo would send lo's rows right.
+
 Each train() call sorts x.T once into a (features, rows) block of row
 indices, kept as argsort's intp, the index type numpy gathers with, so no
-gather converts it. A node carries that block restricted to its rows, and
-a split cuts it into the children's blocks with one stable gather, so no
-node sorts; the result equals sorting each node's own values.
+gather converts it. Beside it, it keeps an int32 block of boundary codes:
+runs[f, j] counts the valid boundaries of feature f's whole sorted column
+before slot j. A node carries both blocks restricted to its rows, and a
+split cuts them into the children's blocks with the same stable masks, so
+no node sorts; the result equals sorting each node's own values. A scan
+reads a node's boundary as valid where its two codes differ, without
+gathering a feature value: a midpoint rounds down only between adjacent
+doubles whose lower value has an even mantissa, and two such pairs never
+follow each other, so between two distinct values of a node the column
+holds either that one invalid boundary alone or a valid one. This needs
+lo + hi to be finite; train() ensures it by refusing a matrix with NaN or
+any |x| >= 2**1023 (IntegrityError), which also keeps every threshold, and
+so every model file, finite.
 
 Tree growth decides whether a child is scanned before it cuts the parent's
 block, and gathers a block only for a child that will be: one below
@@ -131,14 +146,11 @@ def _checked_tree(node: dict, n_features: int) -> dict:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, evaluated branch-wise."""
+    """Numerically stable logistic function: 1 / (1 + e^-z) for z >= 0 and
+    e^z / (1 + e^z) below, both from e = exp(-|z|), which cannot overflow."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_grad_hess(
@@ -195,7 +207,19 @@ def best_split(
         _over(total_g * total_g, total_h, params.lambda_)  # raises as a scan would
         return None
     block = np.argsort(x.T[cols], axis=1, kind="stable")
-    return _scan(x, _packed(g, h), block, cols, total_g, total_h, params)
+    rb = _boundaries(x[block, cols[:, None]])
+    return _scan(x, _packed(g, h), block, rb, cols, total_g, total_h, params)
+
+
+def _boundaries(sv: np.ndarray) -> np.ndarray:
+    """The int32 boundary codes of the sorted rows of `sv`: entry j counts
+    the valid boundaries before slot j. A boundary is valid where a
+    midpoint threshold separates its neighbours; one that rounds down to
+    the left value would send the left value's rows right."""
+    lo, hi = sv[:, :-1], sv[:, 1:]
+    runs = np.zeros(sv.shape, dtype=np.int32)
+    np.cumsum((lo < hi) & (lo < (lo + hi) / 2.0), axis=1, dtype=np.int32, out=runs[:, 1:])
+    return runs
 
 
 def _over(numerator: float, total_h: float, lambda_: float) -> float:
@@ -229,6 +253,7 @@ def _scan(
     x: np.ndarray,
     gh: np.ndarray,
     block: np.ndarray,
+    rb: np.ndarray,
     cols: np.ndarray,
     total_g: float,
     total_h: float,
@@ -236,28 +261,23 @@ def _scan(
 ) -> Optional[Split]:
     """best_split's search over one node's sorted row-index block.
 
-    Row i of `block` lists the node's rows in stable order of x[:, cols[i]];
-    gh is _packed(g, h) over all rows; total_g and total_h are the node's
+    Row i of `block` lists the node's rows in stable order of x[:, cols[i]],
+    and the same row of `rb` their boundary codes (_boundaries); gh is
+    _packed(g, h) over all rows; total_g and total_h are the node's
     gradient and hessian sums. The caller checks _scanned first.
     """
     lam = params.lambda_
     parent_score = _over(total_g * total_g, total_h, lam)
     k, n = block.shape
 
-    # one row per candidate feature keeps each prefix sum contiguous
-    sv = x[block, cols[:, None]]
-    lo, hi = sv[:, :-1], sv[:, 1:]
-    # a midpoint that rounds down to the left value would misroute rows
-    mid = (lo + hi) / 2.0
-    valid = (lo < hi) & (lo < mid)
-    del sv, lo, hi  # the chosen threshold is read back from x
+    valid = rb[:, 1:] != rb[:, :-1]
+    # one row per candidate feature keeps each prefix sum contiguous;
     # complex addition sums the real and imaginary parts separately, in
     # the same order, so both prefix sums equal their own cumsum bit for bit
     ghl = gh[block]
     np.cumsum(ghl, axis=1, out=ghl)
     gl = ghl.real[:, :-1].copy()
-    hl = mid
-    np.copyto(hl, ghl.imag[:, :-1])
+    hl = ghl.imag[:, :-1].copy()
     del ghl
     valid &= hl >= params.min_child_weight
     hr, gr = total_h - hl, total_g - gl
@@ -293,12 +313,13 @@ def _scan(
     return Split(int(cols[i]), float((lo + hi) / 2.0), gain)
 
 
-def _cut(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The entries of `block` where the same-shaped mask `keep` holds, which
-    picks as many in every row; each row keeps its order, so a sorted block
-    stays sorted. np.compress is several times faster than block[keep] from
-    about 48 rows up."""
-    return np.compress(keep.ravel(), block).reshape(block.shape[0], -1)
+def _cut(blocks: tuple, keep: np.ndarray) -> tuple:
+    """The entries of each block of `blocks` where the same-shaped mask
+    `keep` holds, which picks as many in every row; each row keeps its
+    order, so a sorted block stays sorted. np.compress is several times
+    faster than block[keep] from about 48 rows up."""
+    keep = keep.ravel()
+    return tuple(np.compress(keep, b).reshape(b.shape[0], -1) for b in blocks)
 
 
 def _tree_predict(node: dict, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -410,8 +431,13 @@ def train(
         raise DimensionError(f"y must have shape ({n},), got {y.shape}")
     if n < 2:
         raise DegenerateLabelsError(f"need at least 2 training rows, got {n}")
-    if np.isnan(x).any():
-        raise IntegrityError("training matrix contains NaN")
+    # max and min propagate NaN, and the comparisons then fail
+    bound = 2.0**1023
+    if not (x.max(initial=-np.inf) < bound and x.min(initial=np.inf) > -bound):
+        raise IntegrityError(
+            "training matrix contains NaN, inf or a value of magnitude 2**1023 "
+            "or more; a midpoint threshold needs |x| < 2**1023"
+        )
     prevalence = float(y.mean())
     if prevalence <= 0.0 or prevalence >= 1.0:
         raise DegenerateLabelsError(
@@ -429,6 +455,7 @@ def train(
     # a node's rows stay in ascending index order, so this stable order
     # restricted to them is the stable order of the node's own values
     order = np.argsort(x.T, axis=1, kind="stable")
+    runs = _boundaries(np.take_along_axis(x.T, order, axis=1))
 
     def totals(rows: np.ndarray, depth: int) -> tuple[float, float, bool]:
         """The gradient and hessian sums of a node and whether to scan it."""
@@ -438,17 +465,19 @@ def train(
         )
         return total_g, total_h, scan
 
-    def grow(rows, total_g, total_h, block, depth: int) -> dict:
+    def grow(rows, total_g, total_h, blocks, depth: int) -> dict:
         """The subtree of the node holding `rows` (ascending), from totals().
 
-        `block` is the node's sorted block if totals() chose to scan it,
-        else None. It reads the g, h and features of the round being grown.
-        The caller hands `block` over: once this node has cut it into its
-        children's blocks it drops it, so only pending siblings' blocks,
-        which cover disjoint rows, stay alive down the recursion.
+        `blocks` is the node's sorted block and its codes if totals() chose
+        to scan it, else None. It reads the g, h and features of the round
+        being grown. The caller hands `blocks` over: once this node has cut
+        them into its children's blocks it drops them, so only pending
+        siblings' blocks, which cover disjoint rows, stay alive down the
+        recursion.
         """
-        if block is not None:
-            split = _scan(x, gh, block, features, total_g, total_h, params)
+        if blocks is not None:
+            block, rb = blocks
+            split = _scan(x, gh, block, rb, features, total_g, total_h, params)
             if split is not None:
                 goes_left = x[:, split.feature] < split.threshold
                 mask = goes_left[rows]
@@ -456,9 +485,9 @@ def train(
                 left_g, left_h, scan_left = totals(left, depth + 1)
                 right_g, right_h, scan_right = totals(right, depth + 1)
                 side = goes_left[block] if scan_left or scan_right else None
-                pending = [_cut(block, ~side) if scan_right else None,
-                           _cut(block, side) if scan_left else None]
-                del block, side
+                pending = [_cut(blocks, ~side) if scan_right else None,
+                           _cut(blocks, side) if scan_left else None]
+                del blocks, block, rb, side
                 return {
                     "feature": split.feature,
                     "threshold": split.threshold,
@@ -478,17 +507,17 @@ def train(
         if params.colsample < 1.0:
             k = max(1, int(params.colsample * n_features))
             features = np.sort(rng.choice(n_features, size=k, replace=False))
-            block = order[features]
+            blocks = (order[features], runs[features])
         else:
-            features, block = all_features, order
+            features, blocks = all_features, (order, runs)
         total_g, total_h, scan = totals(rows, 0)
         if not scan:
-            block = None
+            blocks = None
         elif rows.size < n:
             kept = np.zeros(n, dtype=bool)
             kept[rows] = True
-            block = _cut(block, kept[block])
-        tree = grow(rows, total_g, total_h, block, 0)
+            blocks = _cut(blocks, kept[blocks[0]])
+        tree = grow(rows, total_g, total_h, blocks, 0)
         model.trees.append(tree)
         margins += params.eta * tree_values(tree, x)
     return model

@@ -28,7 +28,7 @@ def test_medians_spread_and_wins():
     assert wall == {
         "metric": "wall_s", "unit": "s", "base": 3.0, "change": 2.5,
         "base_q1": 2.0, "base_q3": 4.0, "wins": 3, "ties": 0, "pairs": 5,
-        "worse": False,
+        "worse": False, "noisy": True,
     }
     assert (maa["base"], maa["change"], maa["wins"], maa["ties"]) == (0.7, 0.7, 0, 5)
     assert not maa["worse"]
@@ -51,6 +51,25 @@ def test_worse_than_the_bound_is_marked(metric, base, change, worse):
     )
     assert row["worse"] is worse
     assert ("WORSE" in bench_ab.format_rows("fit", [row])) is worse
+
+
+@pytest.mark.parametrize(
+    "base_walls, noisy",
+    [
+        ((0.9, 1.0, 1.0, 1.1, 1.2), False),
+        ((0.8, 0.9, 1.0, 1.15, 1.2), False),  # IQR 0.25 at the bound
+        ((0.8, 0.85, 1.0, 1.15, 1.2), True),
+        ((0.5, 0.6, 1.0, 1.4, 1.5), True),
+    ],
+)
+def test_base_spread_wider_than_the_bound_is_noisy(base_walls, noisy):
+    base = [record(wall_s=w) for w in base_walls]
+    change = [record(wall_s=w * 1.5) for w in base_walls]
+    (row,) = bench_ab.summarize(base, change, METRICS)
+    assert row["noisy"] is noisy
+    assert row["worse"]  # the two marks are independent
+    line = bench_ab.format_rows("fit", [row]).splitlines()[1]
+    assert line.endswith("WORSE  NOISY" if noisy else "WORSE")
 
 
 def test_metric_a_record_lacks_is_left_out():

@@ -263,6 +263,23 @@ class TestUsageErrors:
     def test_missing_command(self, capsys):
         assert main([]) == 1
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        errors = []
+        for argv in (["frobnicate"], ["synth", "--bogus"]) * 2:
+            assert main(argv) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[:2] == errors[2:]
+        assert errors[0] == (
+            "usage: skipcast [-h] COMMAND ...\n"
+            "skipcast: error: argument COMMAND: invalid choice: 'frobnicate' (choose "
+            "from 'synth', 'extract', 'tune', 'train', 'predict', 'evaluate', 'run-all')\n"
+        )
+        assert errors[1].endswith("skipcast: error: unrecognized arguments: --bogus\n")
+        conf = write_conf(tmp_path)
+        assert main(["synth", "--config", conf, "--workdir", str(tmp_path / "w")]) == 0
+        assert (tmp_path / "w" / "sessions.csv").exists()
+
     def test_bad_solution_id(self, tmp_path, capsys):
         workdir = str(tmp_path / "w")
         assert main(["synth", "--workdir", workdir, "--solutions", "0"]) == 1

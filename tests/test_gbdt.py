@@ -22,6 +22,7 @@ from skipcast.gbdt import (
     GBDTModel,
     Split,
     TrainParams,
+    _boundaries,
     auc,
     best_split,
     logistic_grad_hess,
@@ -111,6 +112,40 @@ def assert_agrees_with_brute_force(mine, candidates, tol=1e-9):
     others = [c[2] for c in candidates if (c[0], c[1]) != (ref[0], ref[1])]
     if not others or max(others) < ref[2] - tol:
         assert (mine.feature, mine.threshold) == (ref[0], ref[1])
+
+
+def masked_sigmoid(z):
+    """The logistic function as it was once computed, with boolean-mask
+    gathers of each branch; an oracle for the branch-free one."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, 745.0,
+                 -745.0, 746.0, -746.0, 1e308, -1e308, math.inf, -math.inf]
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.lists(st.floats(allow_nan=False), max_size=40))
+    @example(z=SIGMOID_EDGES)
+    def test_bit_identical_to_masked_gathers(self, z):
+        assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+    def test_dense_sweep_and_shape(self):
+        z = np.concatenate([np.linspace(-800.0, 800.0, 200_001), SIGMOID_EDGES])
+        assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+        grid = z[:200_000].reshape(400, 500)
+        assert sigmoid(grid).shape == grid.shape
+        assert sigmoid(grid).tobytes() == masked_sigmoid(grid).tobytes()
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid([math.nan, 0.0])).tolist() == [True, False]
 
 
 class TestGradHess:
@@ -445,11 +480,79 @@ def wide_train_problem():
     return x, y, params, 3
 
 
+SUBNORMAL = 5e-324
+BELOW_TOP = float(np.nextafter(2.0**1023, 0.0))  # the largest |x| train() takes
+# chain starts: 1.0, both zeros, the least normals, subnormals, and large
+# magnitudes, where lo + hi is the nearest to overflowing
+CHAIN_ANCHORS = [1.0, 0.0, -0.0, 2.0**-1022, -(2.0**-1022), 3 * SUBNORMAL,
+                 -3 * SUBNORMAL, 2.0**1022, -(2.0**1022), BELOW_TOP, -BELOW_TOP]
+
+
+def double_chain(anchor, steps, toward):
+    """`anchor` and the `steps` doubles after it toward `toward`, each the
+    next double of the one before, kept below 2**1023 in magnitude."""
+    chain = [anchor]
+    for _ in range(steps):
+        chain.append(float(np.nextafter(chain[-1], toward)))
+    return [v for v in chain if abs(v) < 2.0**1023]
+
+
+@st.composite
+def chain_columns(draw):
+    """A sorted column of adjacent-double chains, some values repeated, and
+    masks that pick node subsets of it."""
+    values = []
+    for _ in range(draw(st.integers(1, 3))):
+        values += double_chain(
+            draw(st.sampled_from(CHAIN_ANCHORS)),
+            draw(st.integers(0, 12)),
+            draw(st.sampled_from([-math.inf, math.inf])),
+        )
+    values += draw(st.lists(st.sampled_from(values), max_size=6))
+    column = np.sort(np.asarray(values), kind="stable")
+    mask = st.lists(st.booleans(), min_size=column.size, max_size=column.size)
+    return column, draw(st.lists(mask.map(np.asarray), min_size=1, max_size=6))
+
+
+ONE_CHAIN = np.asarray(double_chain(1.0, 6, math.inf))
+
+
+@settings(max_examples=500, deadline=None)
+@given(problem=chain_columns())
+@example(problem=(ONE_CHAIN, [np.ones(7, bool), np.arange(7) % 2 == 0, np.arange(7) < 2]))
+def test_boundary_codes_mark_each_nodes_valid_boundaries(problem):
+    """train() codes a column once; a node's boundary between two of its
+    sorted values is valid exactly where their codes differ, which must
+    equal the per-node midpoint rule on the node's own values."""
+    column, masks = problem
+    with np.errstate(over="raise"):
+        codes = _boundaries(column[None, :])[0]
+        for keep in masks:
+            node, node_codes = column[keep], codes[keep]
+            lo, hi = node[:-1], node[1:]
+            want = (lo < hi) & (lo < (lo + hi) / 2.0)
+            assert np.array_equal(node_codes[1:] != node_codes[:-1], want), (node, keep)
+
+
+def chain_train_problem():
+    """Columns drawn from adjacent-double chains, where some midpoints round
+    down; row subsampling leaves nodes holding every kind of subset."""
+    rng = np.random.default_rng(10)
+    chains = [double_chain(1.0, 7, math.inf), double_chain(-3 * SUBNORMAL, 7, math.inf),
+              double_chain(2.0**-1022, 7, -math.inf), double_chain(BELOW_TOP, 7, 0.0)]
+    x = np.column_stack([rng.choice(c, size=60) for c in chains])
+    y = (rng.uniform(size=60) < 0.3 + 0.4 * (x[:, 0] > 1.0 + 3 * 2.0**-52)).astype(float)
+    params = TrainParams(num_boost_round=3, max_depth=8, min_child_weight=0.0,
+                         subsample=0.7)
+    return x, y, params, 11
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(problem=train_problems())
 @example(problem=large_train_problem())
 @example(problem=wide_train_problem())
+@example(problem=chain_train_problem())
 def test_train_trees_match_per_node_best_split(problem):
     x, y, params, seed = problem
     want = trees_json(lambda: reference_trees(x, y, params, seed))
@@ -535,6 +638,27 @@ class TestTrain:
         x[3, 1] = np.nan
         with pytest.raises(IntegrityError, match="NaN"):
             train(x, y, TrainParams(num_boost_round=1))
+
+    @pytest.mark.parametrize(
+        "column",
+        [[0.0, 1.0, 2.0, math.inf], [-math.inf, 0.0, 1.0, 2.0], [0.0, 1.0, 1.5e308, 1.7e308],
+         [-(2.0**1023), 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 2.0**1023]],
+        ids=["inf", "-inf", "1.5e308", "-2**1023", "2**1023"],
+    )
+    def test_magnitudes_from_2_1023_rejected(self, column):
+        # a midpoint of these overflows to inf, a threshold no model file holds
+        x = np.column_stack([np.zeros(4), column])
+        with pytest.raises(IntegrityError, match=r"NaN, inf or a value of magnitude 2\*\*1023"):
+            train(x, np.array([0.0, 1.0, 0.0, 1.0]), TrainParams(num_boost_round=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_magnitudes_give_a_loadable_model(self, tmp_path):
+        x = np.array([[-BELOW_TOP], [-BELOW_TOP / 2], [BELOW_TOP / 2], [BELOW_TOP]])
+        params = TrainParams(num_boost_round=2, max_depth=2, min_child_weight=0.0)
+        model = train(x, np.array([1.0, 0.0, 0.0, 1.0]), params, seed=0)
+        assert model.trees[0]["threshold"] == -0.75 * BELOW_TOP
+        model.save(tmp_path / "m.json")
+        assert GBDTModel.load(tmp_path / "m.json").trees == model.trees
 
     def test_stump_beats_prior(self):
         x, y = separable_data(100, seed=4)

@@ -11,8 +11,10 @@ from one pair to the next, and reads each run's
 
 For each workload and each end-to-end metric of BENCHMARK.json it prints
 the median of the base's runs and of the change's, the base's quartile
-spread, how many pairs the change won (and tied), and `WORSE` where the
-change's median is worse than the base's by more than the metric's bound.
+spread, how many pairs the change won (and tied), `WORSE` where the
+change's median is worse than the base's by more than the metric's bound,
+and `NOISY` where the base's own quartiles lie further apart than that
+bound, so that a single run of either side may cross it on noise alone.
 """
 
 from __future__ import annotations
@@ -104,6 +106,7 @@ def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list
             "ties": sum(c == b for b, c in pairs),
             "pairs": len(pairs),
             "worse": loss > metric["bound"] * abs(b_med),
+            "noisy": q3 - q1 > metric["bound"] * abs(b_med),
         })
     return rows
 
@@ -111,7 +114,7 @@ def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list
 def format_rows(workload: str, rows: list[dict]) -> str:
     lines = [f"{workload}:"]
     for r in rows:
-        mark = "  WORSE" if r["worse"] else ""
+        mark = "  WORSE" * r["worse"] + "  NOISY" * r["noisy"]
         lines.append(
             f"  {r['metric']:<15} base {r['base']:.4g} (IQR {r['base_q1']:.4g}-"
             f"{r['base_q3']:.4g})  change {r['change']:.4g} {r['unit']}  "
