@@ -9,16 +9,13 @@ with the standard regularized gain
 and leaf values -G/(H+lambda). The learning rate is applied when a tree's
 output is accumulated into the margin, not baked into the leaves.
 
-A boundary between two neighbours lo <= hi of a sorted column is valid
-when lo < hi and their midpoint threshold lies above lo (_boundaries):
-between adjacent doubles the midpoint can round down to lo, and a threshold
-equal to lo would send lo's rows right.
-
 Each train() call sorts x.T once into a (features, rows) block of row
 indices, kept as argsort's intp, the index type numpy gathers with, so no
-gather converts it. Beside it, it keeps an int32 block of boundary codes:
-runs[f, j] counts the valid boundaries of feature f's whole sorted column
-before slot j. A node carries both blocks restricted to its rows, and a
+gather converts it. Beside it, it keeps an int32 block of boundary codes
+(_boundaries): runs[f, j] counts the valid boundaries of feature f's whole
+sorted column before slot j. A boundary is valid when the midpoint of its
+two values lies above the lower one; between adjacent doubles it can round
+down onto it. A node carries both blocks restricted to its rows, and a
 split cuts them into the children's blocks with the same stable masks, so
 no node sorts; the result equals sorting each node's own values. A scan
 reads a node's boundary as valid where its two codes differ, without
