@@ -646,7 +646,8 @@ class TestTrain:
         ids=["inf", "-inf", "1.5e308", "-2**1023", "2**1023"],
     )
     def test_magnitudes_from_2_1023_rejected(self, column):
-        # a midpoint of these overflows to inf, a threshold no model file holds
+        # from 2**1023 up, lo + hi can overflow: a threshold of inf, which no
+        # model file may hold
         x = np.column_stack([np.zeros(4), column])
         with pytest.raises(IntegrityError, match=r"NaN, inf or a value of magnitude 2\*\*1023"):
             train(x, np.array([0.0, 1.0, 0.0, 1.0]), TrainParams(num_boost_round=1))
