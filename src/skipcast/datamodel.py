@@ -51,7 +51,6 @@ import io
 import math
 import operator
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Mapping
@@ -117,7 +116,6 @@ SESSION_LOG_LAYOUT = (
 #: The int and bool fields of SESSION_LOG_LAYOUT, in its order: the columns
 #: of SessionLog.values.
 LOG_VALUE_FIELDS = tuple(field for _, field, kind in SESSION_LOG_LAYOUT if kind is not str)
-_LOG_VALUE_KINDS = tuple(kind for _, _, kind in SESSION_LOG_LAYOUT if kind is not str)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,20 +178,17 @@ class SessionSplit:
     history: tuple[SessionRow, ...]
     targets: tuple[SessionRow, ...]
 
-    @property
-    def h(self) -> int:
-        return len(self.history)
-
 
 @dataclass(frozen=True, eq=False)
-class SessionLog(Sequence):
+class SessionLog:
     """A session log as columns, its sessions in file order.
 
     Session k owns rows ``starts[k]`` up to ``starts[k + 1]``. Row i plays
     track ``track_ids[tracks[i]]``; ``track_ids`` lists each track once, in
     the order the rows first name it. ``values`` holds every row's int and
-    bool cells as int64, one column per :data:`LOG_VALUE_FIELDS` entry. As
-    a sequence it holds one :class:`Session` per session, built when read.
+    bool cells as int64, one column per :data:`LOG_VALUE_FIELDS` entry.
+    :meth:`from_sessions` builds one from :class:`Session` objects; nothing
+    turns it back into them. Its length is its number of sessions.
     """
 
     session_ids: list[str]
@@ -223,17 +218,6 @@ class SessionLog(Sequence):
     def __len__(self) -> int:
         return len(self.session_ids)
 
-    def __getitem__(self, k: int) -> Session:
-        k = range(len(self))[k]
-        sid = self.session_ids[k]
-        a, b = self.starts[k], self.starts[k + 1]
-        rows = []
-        for track, cells in zip(self.tracks[a:b].tolist(), self.values[a:b].tolist()):
-            # SessionRow's order: the id, two ints, the track id, the rest
-            position, length, *rest = [kind(v) for kind, v in zip(_LOG_VALUE_KINDS, cells)]
-            rows.append(SessionRow(sid, position, length, self.track_ids[track], *rest))
-        return Session(session_id=sid, rows=tuple(rows))
-
     def column(self, field: str) -> np.ndarray:
         """The cells of one LOG_VALUE_FIELDS field, one per row."""
         return self.values[:, LOG_VALUE_FIELDS.index(field)]
@@ -250,45 +234,38 @@ class SessionLog(Sequence):
         return h, n - h, rank >= np.repeat(h, n)
 
 
-#: (SessionRow attribute, lowest, highest) of each bounded context column
+#: (LOG_VALUE_FIELDS field, lowest, highest) of each bounded context column
 CONTEXT_RANGES = (("hour", 0, 23), ("day", 1, 31), ("month", 1, 12))
 
 
-def _validate_layout(session: Session) -> None:
-    """Length, positions and declared length; not each row's values.
-
-    The rows carry the session's id: the row reader groups them by it.
-    """
-    n = session.length
+def _layout_problem(session_id: str, rows: list[tuple[int, ...]]) -> str | None:
+    """What is wrong with a session's length, positions or declared length,
+    if anything; `rows` hold its cells in LOG_VALUE_FIELDS order, which
+    begins with position and session_length."""
+    n = len(rows)
+    where = f"session {session_id!r}: "
     if not MIN_SESSION_LENGTH <= n <= MAX_SESSION_LENGTH:
-        raise MalformedSessionError(
-            f"session {session.session_id!r}: length {n} outside "
-            f"[{MIN_SESSION_LENGTH}, {MAX_SESSION_LENGTH}]"
-        )
-    for expect, row in enumerate(session.rows, start=1):
-        if row.position != expect:
-            raise MalformedSessionError(
-                f"session {session.session_id!r}: expected position {expect}, "
-                f"found {row.position}"
-            )
-        if row.session_length != n:
-            raise MalformedSessionError(
-                f"session {session.session_id!r}: declared length "
-                f"{row.session_length} does not match row count {n}"
-            )
+        return where + f"length {n} outside [{MIN_SESSION_LENGTH}, {MAX_SESSION_LENGTH}]"
+    for expect, (position, declared, *_) in enumerate(rows, start=1):
+        if position != expect:
+            return where + f"expected position {expect}, found {position}"
+        if declared != n:
+            return where + f"declared length {declared} does not match row count {n}"
+    return None
 
 
-def _row_problem(row: SessionRow) -> str | None:
-    """What is wrong with one row's skip nesting or context ranges, if anything."""
-    where = f"session {row.session_id!r} position {row.position}: "
-    if row.skip_1 and not row.skip_2:
+def _row_problem(session_id: str, row: tuple[int, ...]) -> str | None:
+    """What is wrong with one row's skip nesting or context ranges, if
+    anything; `row` holds its cells in LOG_VALUE_FIELDS order."""
+    cell = dict(zip(LOG_VALUE_FIELDS, row))
+    where = f"session {session_id!r} position {cell['position']}: "
+    if cell["skip_1"] and not cell["skip_2"]:
         return where + "skip_1 set without skip_2"
-    if row.skip_2 and not row.skip_3:
+    if cell["skip_2"] and not cell["skip_3"]:
         return where + "skip_2 set without skip_3"
     for column, low, high in CONTEXT_RANGES:
-        value = getattr(row, column)
-        if not low <= value <= high:
-            return where + f"{column} {value} outside [{low}, {high}]"
+        if not low <= cell[column] <= high:
+            return where + f"{column} {cell[column]} outside [{low}, {high}]"
     return None
 
 
@@ -563,7 +540,7 @@ def parse_session_log(stream: IO[str]) -> SessionLog:
         log = _log_columns(lines[0].split(","), lines[1:])
         if log is not None:
             return log
-    return SessionLog.from_sessions(_log_rows(io.StringIO(text)))
+    return _log_rows(io.StringIO(text))
 
 
 def _log_columns(header: list[str], rows: list[str]) -> SessionLog | None:
@@ -624,54 +601,58 @@ def _holds_row_checks(log: SessionLog) -> bool:
     )
 
 
-def _log_rows(stream: IO[str]) -> list[Session]:
-    """The row reader: each row's cells in turn, so the first bad one raises."""
+def _log_rows(stream: IO[str]) -> SessionLog:
+    """The row reader: each row's cells in turn, so the first bad one raises,
+    and each session's layout once its last row is read, at its first line."""
     rows = csv_rows(stream, "session log")
     _, header = next(rows)
     at = _log_layout(header)
-    cells_of = operator.itemgetter(*(at[c] for c, _, _ in SESSION_LOG_LAYOUT))
-    sessions: list[Session] = []
+    sid_at, track_at = at["session_id"], at["track_id"]
+    value_cells = [(at[c], c, kind) for c, _, kind in SESSION_LOG_LAYOUT if kind is not str]
+    session_ids: list[str] = []
     seen: set[str] = set()
-    current_id: str | None = None
-    current_rows: list[SessionRow] = []
+    first: list[int] = []  # each session's first row
     first_line = 0
+    index: dict[str, int] = {}  # track id -> its place in track_ids
+    tracks: list[int] = []
+    values: list[tuple[int, ...]] = []  # each row's cells in LOG_VALUE_FIELDS order
 
-    def finalize() -> None:
-        if current_id is None:
-            return
-        session = Session(session_id=current_id, rows=tuple(current_rows))
-        try:
-            _validate_layout(session)  # each row was checked as it was read
-        except MalformedSessionError as exc:
-            raise RowParseError(str(exc), first_line)
-        sessions.append(session)
+    def check_layout() -> None:  # of the last session read
+        problem = _layout_problem(session_ids[-1], values[first[-1]:]) if session_ids else None
+        if problem:
+            raise RowParseError(problem, first_line)
 
     for line, cells in rows:
-        cells = cells_of(cells)  # in SESSION_LOG_LAYOUT order, which is SessionRow's
-        if cells[0] != current_id:
-            finalize()
-            if cells[0] in seen:
+        sid = cells[sid_at]
+        if not session_ids or sid != session_ids[-1]:
+            check_layout()
+            if sid in seen:
                 raise MalformedSessionError(
-                    f"session {cells[0]!r} reappears after other sessions; "
+                    f"session {sid!r} reappears after other sessions; "
                     "rows must be contiguous",
                     line,
                 )
-            seen.add(cells[0])
-            current_id = cells[0]
-            current_rows = []
+            seen.add(sid)
+            session_ids.append(sid)
+            first.append(len(values))
             first_line = line
-        row = SessionRow(*[
-            parse_cell(kind, cell, column, line)
-            for cell, (column, _, kind) in zip(cells, SESSION_LOG_LAYOUT)
-        ])
-        problem = _row_problem(row)
+        # only int and flag cells can be bad, so the first bad one is the row's
+        row = tuple(parse_cell(kind, cells[i], column, line) for i, column, kind in value_cells)
+        problem = _row_problem(sid, row)
         if problem:
             raise RowParseError(problem, line)
-        current_rows.append(row)
-    finalize()
-    if not sessions:
+        values.append(row)
+        tracks.append(index.setdefault(cells[track_at], len(index)))
+    check_layout()
+    if not session_ids:
         raise DegenerateSampleError("session log holds no sessions")
-    return sessions
+    return SessionLog(
+        session_ids=session_ids,
+        starts=np.array(first + [len(values)]),
+        track_ids=list(index),
+        tracks=np.array(tracks, dtype=np.intp),
+        values=np.array(values, dtype=np.int64),
+    )
 
 
 def write_session_csv(sessions: Iterable[Session], stream: IO[str]) -> None:

@@ -18,7 +18,6 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import Session, split_session
 from .errors import DimensionError
 
 
@@ -97,10 +96,6 @@ class SolutionRow:
     solution: int
     maa: float
     fpa: float
-
-
-def session_truth(session: Session) -> np.ndarray:
-    return np.array([r.skip_2 for r in split_session(session).targets], dtype=bool)
 
 
 def solutions_report(

@@ -61,9 +61,9 @@ from .datamodel import (
     csv_cell,
     csv_rows,
     parse_cell,
-    split_session,
 )
 from .errors import IntegrityError, RowParseError, SchemaError, UnknownTrackError
+from .gbdt import MAGNITUDE_BOUND
 
 FEATURE_NAMES: tuple[str, ...] = (
     tuple(f"track_{name}" for name in SCALAR_FEATURE_NAMES)
@@ -125,7 +125,8 @@ class FeatureTable:
 
     @classmethod
     def read_csv(cls, stream: IO[str]) -> "FeatureTable":
-        """Parse `write_csv`'s layout; an error's ``line_num`` is its line."""
+        """Parse `write_csv`'s layout; an error's ``line_num`` is its line.
+        Feature cells must be finite and below gbdt.MAGNITUDE_BOUND in magnitude."""
         lines = csv_rows(stream, "feature matrix file")
         if tuple(next(lines)[1]) != MATRIX_COLUMNS:
             raise SchemaError(
@@ -143,11 +144,14 @@ class FeatureTable:
             except ValueError:
                 for column, kind, cell in zip(MATRIX_COLUMNS, _MATRIX_KINDS, cells):
                     parse_cell(kind, cell, column, line)  # the first bad cell raises
-            if not all(map(math.isfinite, rows[-1])):
-                k = next(k for k, v in enumerate(rows[-1]) if not math.isfinite(v))
-                raise RowParseError(
-                    f"{FEATURE_NAMES[k]}={cells[k]!r} is not a finite number", line
-                )
+            values = rows[-1]
+            if not all(map(math.isfinite, values)) or max(map(abs, values)) >= MAGNITUDE_BOUND:
+                # the first cell that is NaN, infinite or too large
+                k = next(k for k, v in enumerate(values) if not abs(v) < MAGNITUDE_BOUND)
+                problem = "is not a finite number"
+                if math.isfinite(values[k]):
+                    problem = "has a magnitude of 2**1023 or more, which training refuses"
+                raise RowParseError(f"{FEATURE_NAMES[k]}={cells[k]!r} {problem}", line)
             if labels[-1] not in (0, 1):
                 raise RowParseError(f"label {labels[-1]} is not 0 or 1", line)
             if not 1 <= positions[-1] <= MAX_TARGET_POSITIONS:
@@ -172,18 +176,19 @@ class FeatureTable:
 def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable) -> FeatureTable:
     """Extract the feature rows of every session's target half, in session order.
 
-    Sessions that are not a SessionLog are converted into one first. A
-    session of fewer than two rows has no targets: it adds no rows and is
-    not checked. The checks run over all rows at once; the first session
-    that fails one raises the error of its first failing check, in this
-    order: every target's position, then the track id of each target, each
-    skipped and each listened history row, in order, against the track
+    Sessions that are not a SessionLog are converted into one first, and one
+    of fewer than two rows has no targets: it adds no rows and is not
+    checked. A parsed log has no such session: the readers check that each
+    has 2 to 20 rows. The checks run over all rows at once; the first
+    session that fails one raises the error of its first failing check, in
+    this order: every target's position, then the track id of each target,
+    each skipped and each listened history row, in order, against the track
     table. The rest is array operations over the whole corpus; they loop
     only over history slots and group sizes.
     """
-    log = sessions if isinstance(sessions, SessionLog) else SessionLog.from_sessions(sessions)
-    if (np.diff(log.starts) < 2).any():
-        log = SessionLog.from_sessions(s for s in log if s.length > 1)
+    log = sessions if isinstance(sessions, SessionLog) else SessionLog.from_sessions(
+        s for s in sessions if s.length > 1
+    )
     n_history, n_targets, target = log.split()
     index = dict(zip(tracks.track_ids, range(len(tracks))))
     # each row's place in the track table, -1 for an id the table lacks
@@ -192,7 +197,7 @@ def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable
     failed = (track_of < 0) | (target & ((positions < 1) | (positions > MAX_TARGET_POSITIONS)))
     if failed.any():
         session = np.searchsorted(log.starts, np.argmax(failed), side="right") - 1
-        _raise_first_failure(log[int(session)], index)
+        _raise_first_failure(log, int(session), index)
 
     history = ~target
     skip_2 = log.column("skip_2") == 1
@@ -212,23 +217,25 @@ def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable
     )
 
 
-def _raise_first_failure(session: Session, index: Mapping[str, int]) -> None:
-    """Raise the error of the first check that `session` fails, in the order
-    `assemble_corpus` documents; the session fails one."""
-    split = split_session(session)
-    for row in split.targets:
-        if not 1 <= row.position - split.h <= MAX_TARGET_POSITIONS:
+def _raise_first_failure(log: SessionLog, k: int, index: Mapping[str, int]) -> None:
+    """Raise the error of the first check that session `k` of `log` fails,
+    in the order `assemble_corpus` documents; the session fails one."""
+    a, b = log.starts[k : k + 2].tolist()
+    h = int(log.split()[0][k])  # the history length
+    position = log.column("position")[a:b].tolist()
+    for p in position[h:]:
+        if not 1 <= p - h <= MAX_TARGET_POSITIONS:
             raise IntegrityError(
-                f"target position {row.position - split.h} outside "
-                f"[1, {MAX_TARGET_POSITIONS}]; target row position "
-                f"{row.position} with history length {split.h}"
+                f"target position {p - h} outside [1, {MAX_TARGET_POSITIONS}]; "
+                f"target row position {p} with history length {h}"
             )
-    skipped = [r for r in split.history if r.skip_2]
-    listened = [r for r in split.history if not r.skip_2]
-    row = next(r for r in chain(split.targets, skipped, listened) if r.track_id not in index)
+    skip_2 = log.column("skip_2")[a:b].tolist()
+    track_ids = [log.track_ids[t] for t in log.tracks[a:b]]
+    history = sorted(range(h), key=lambda i: not skip_2[i])  # skipped, then listened (stable)
+    i = next(i for i in chain(range(h, b - a), history) if track_ids[i] not in index)
     raise UnknownTrackError(
-        f"session {row.session_id!r} position {row.position}: "
-        f"unknown track_id {row.track_id!r}"
+        f"session {log.session_ids[k]!r} position {position[i]}: "
+        f"unknown track_id {track_ids[i]!r}"
     )
 
 

@@ -23,9 +23,9 @@ gathering a feature value: a midpoint rounds down only between adjacent
 doubles whose lower value has an even mantissa, and two such pairs never
 follow each other, so between two distinct values of a node the column
 holds either that one invalid boundary alone or a valid one. This needs
-lo + hi to be finite; train() ensures it by refusing a matrix with NaN or
-any |x| >= 2**1023 (IntegrityError), which also keeps every threshold, and
-so every model file, finite.
+lo + hi to be finite; train() and best_split() ensure it by refusing a
+matrix with NaN or any |x| >= MAGNITUDE_BOUND = 2**1023 (IntegrityError),
+which also keeps every threshold, and so every model file, finite.
 
 Tree growth decides whether a child is scanned before it cuts the parent's
 block, and gathers a block only for a child that will be: one below
@@ -72,6 +72,9 @@ from .errors import (
 )
 
 _P_EPS = 1e-15
+#: Every value that training reads has a magnitude below this: from it up,
+#: the sum of two values can overflow into an infinite midpoint threshold.
+MAGNITUDE_BOUND = 2.0**1023
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,16 @@ def _finite(raw, what: str) -> float:
     if not math.isfinite(value):
         raise SchemaError(f"{what} {value} is not finite")
     return value
+
+
+def _check_magnitudes(x: np.ndarray) -> None:
+    """Raise IntegrityError unless every |value| in `x` is below MAGNITUDE_BOUND."""
+    # max and min propagate NaN, and the comparisons then fail
+    if not (x.max(initial=-np.inf) < MAGNITUDE_BOUND and x.min(initial=np.inf) > -MAGNITUDE_BOUND):
+        raise IntegrityError(
+            "training matrix contains NaN, inf or a value of magnitude 2**1023 "
+            "or more; a midpoint threshold needs |x| < 2**1023"
+        )
 
 
 def _integer(raw, what: str) -> int:
@@ -183,8 +196,9 @@ def best_split(
     Returns the split with the highest gain, or None when no candidate has
     strictly positive gain while satisfying min_child_weight on both sides.
     Ties go to the feature listed first, then the lowest threshold. Rows
-    with value < threshold fall left. With lambda_ = 0 and a zero hessian
-    sum the node's score divides by 0, which raises ConfigError.
+    with value < threshold fall left. As in train(), NaN or |x| >=
+    MAGNITUDE_BOUND raises IntegrityError, and with lambda_ = 0 a zero
+    hessian sum, which the node's score divides by, raises ConfigError.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -196,6 +210,7 @@ def best_split(
         raise DimensionError(
             f"g/h must have shape ({n},), got {g.shape} and {h.shape}"
         )
+    _check_magnitudes(x)
     if feature_indices is None:
         feature_indices = range(n_features)
     cols = np.asarray(feature_indices, dtype=np.intp)
@@ -428,13 +443,7 @@ def train(
         raise DimensionError(f"y must have shape ({n},), got {y.shape}")
     if n < 2:
         raise DegenerateLabelsError(f"need at least 2 training rows, got {n}")
-    # max and min propagate NaN, and the comparisons then fail
-    bound = 2.0**1023
-    if not (x.max(initial=-np.inf) < bound and x.min(initial=np.inf) > -bound):
-        raise IntegrityError(
-            "training matrix contains NaN, inf or a value of magnitude 2**1023 "
-            "or more; a midpoint threshold needs |x| < 2**1023"
-        )
+    _check_magnitudes(x)
     prevalence = float(y.mean())
     if prevalence <= 0.0 or prevalence >= 1.0:
         raise DegenerateLabelsError(

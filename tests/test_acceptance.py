@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from skipcast.cli import main
-from skipcast.datamodel import parse_session_log, split_session
+from skipcast.config import load_config
+from skipcast.datamodel import split_session
 from skipcast.ensemble import (
     combine,
     exponential_weights,
@@ -29,7 +30,6 @@ from skipcast.evaluation import (
     average_accuracy,
     compare,
     corpus_scores,
-    session_truth,
 )
 from skipcast.features import FEATURE_COUNT, assemble_corpus
 from skipcast.gbdt import (
@@ -327,9 +327,9 @@ def test_criterion_07_pipeline_beats_baselines_held_out(announce, tmp_path):
 
     maa = read_report(eval_dir / "report.csv")
 
-    with open(eval_dir / "sessions.csv", encoding="utf-8") as fh:
-        sessions = parse_session_log(fh)
-    truths = [session_truth(s) for s in sessions]
+    eval_cfg = load_config(str(eval_conf), {})
+    _, sessions = generate_synthetic_dataset(eval_cfg.synth, eval_cfg.seed)  # synth's draw
+    truths = [np.array([r.skip_2 for r in split_session(s).targets]) for s in sessions]
     all_skip = corpus_scores([(np.ones_like(t), t) for t in truths]).maa
     all_listen = corpus_scores([(np.zeros_like(t), t) for t in truths]).maa
     majority = max(all_skip, all_listen)

@@ -26,13 +26,13 @@ from skipcast.config import (
     parse_kv_text,
     parse_solutions,
 )
-from skipcast.datamodel import parse_session_log, parse_track_features, split_session
+from skipcast.datamodel import parse_track_features, split_session
 from skipcast.ensemble import SOLUTION_IDS, EnsembleWeights
 from skipcast.errors import ConfigError
 from skipcast.features import FEATURE_COUNT, assemble_corpus
 from skipcast.gbdt import TrainParams
 from skipcast.modelbank import ModelBank
-from skipcast.synthetic import SynthConfig
+from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 from test_ensemble import per_session_combine
 
 SMALL_CONF = """\
@@ -162,8 +162,7 @@ class TestPredictOracle:
         cfg = load_config(conf, {})
         with open(workdir / "tracks.csv", encoding="utf-8") as fh:
             track_map = parse_track_features(fh)
-        with open(workdir / "sessions.csv", encoding="utf-8") as fh:
-            sessions = parse_session_log(fh)
+        _, sessions = generate_synthetic_dataset(cfg.synth, cfg.seed)  # synth's draw
         bank = ModelBank.load(workdir / "bank")
         priors = []
         matrices = []
@@ -830,6 +829,10 @@ LINE_ERRORS = {
     ),
     ("features.csv", "bad cell"): (
         5, _set_cell(0, "abc"), "cannot parse track_popularity='abc' as a number"
+    ),
+    ("features.csv", "huge cell"): (
+        5, _set_cell(0, "1.5e308"),
+        "track_popularity='1.5e308' has a magnitude of 2**1023 or more, which training refuses",
     ),
     ("features.csv", "bad label"): (
         5, _set_cell(FEATURE_COUNT, "x"), "cannot parse label='x' as an integer"

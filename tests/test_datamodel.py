@@ -59,6 +59,12 @@ def assert_same_tracks(got, want):
         np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
 
 
+def log_columns(log):
+    """A SessionLog's columns, dtypes included, in a comparable form."""
+    return (log.session_ids, log.starts.tolist(), log.track_ids, log.tracks.dtype,
+            log.tracks.tolist(), log.values.dtype, log.values.tolist())
+
+
 def make_row(sid="s0", position=1, length=4, track_id="t0", skip_2=False, **kw):
     defaults = dict(
         skip_1=False,
@@ -271,7 +277,7 @@ class TestSessionValidation:
 
     def test_valid_session_passes(self):
         session = make_session(n=5)
-        assert self.parse(session)[0].rows == session.rows
+        assert log_columns(self.parse(session)) == log_columns(SessionLog.from_sessions([session]))
 
     def test_length_bounds(self):
         with pytest.raises(RowParseError, match="length"):
@@ -335,7 +341,7 @@ class TestSplitSession:
     )
     def test_history_takes_ceiling_half(self, n, expected_history):
         split = split_session(make_session(n=n))
-        assert split.h == expected_history
+        assert len(split.history) == expected_history
         assert len(split.targets) == n - expected_history
 
     def test_targets_never_exceed_ten(self):
@@ -354,22 +360,21 @@ class TestSessionLogCsv:
     def test_round_trip(self):
         sessions = [make_session(n=3, sid="a"), make_session(n=7, sid="b")]
         parsed = self.roundtrip(sessions)
-        assert [s.session_id for s in parsed] == ["a", "b"]
-        assert parsed[0].rows == sessions[0].rows
-        assert parsed[1].rows == sessions[1].rows
+        assert parsed.session_ids == ["a", "b"]
+        assert log_columns(parsed) == log_columns(SessionLog.from_sessions(sessions))
 
     def test_unknown_track(self):
         # the log parses on its own; the join with the tracks rejects the id
         buf = io.StringIO()
         write_session_csv([make_session(n=2)], buf)
         text = buf.getvalue().replace("t0", "missing")
-        sessions = parse_session_log(io.StringIO(text))
-        assert [r.track_id for r in sessions[0].rows] == ["missing", "missing"]
+        log = parse_session_log(io.StringIO(text))
+        assert [log.track_ids[t] for t in log.tracks] == ["missing", "missing"]
         with pytest.raises(
             UnknownTrackError,
             match=r"^session 's0' position 2: unknown track_id 'missing'$",
         ):
-            assemble_corpus(sessions, make_tracks())
+            assemble_corpus(log, make_tracks())
 
     def test_session_reappearing_rejected(self):
         buf = io.StringIO()
@@ -404,6 +409,7 @@ class TestSessionLogCsv:
             ({11: "13"}, "session 'b' position 1: month 13 outside [1, 12]", 3),
             ({2: "9"}, "session 'b': declared length 9 does not match row count 3", 3),
             ({1: "2"}, "session 'b': expected position 1, found 2", 3),
+            ({1: "2", 2: "9"}, "session 'b': expected position 1, found 2", 3),
             # the row leaves session b for a session of its own
             ({0: "c"}, "session 'c': length 1 outside [2, 20]", 3),
             ({}, "session 'b': length 21 outside [2, 20]", 21),
@@ -413,7 +419,8 @@ class TestSessionLogCsv:
         ],
         ids=[
             "skip_1", "skip_2", "hour 24", "hour -1", "day 0", "day 32", "month 13",
-            "session_length", "position gap", "length 1", "length 21", "first bad cell",
+            "session_length", "position gap", "position before declared length",
+            "length 1", "length 21", "first bad cell",
         ],
     )
     def test_bad_row_reports_line(self, cells, problem, n):
@@ -498,9 +505,7 @@ class TestSessionLogCsv:
         session_buf = io.StringIO()
         write_session_csv(sessions, session_buf)
         parsed = parse_session_log(io.StringIO(session_buf.getvalue()))
-        assert len(parsed) == len(sessions)
-        for want, got in zip(sessions, parsed):
-            assert want.rows == got.rows
+        assert log_columns(parsed) == log_columns(SessionLog.from_sessions(sessions))
         assert set(parsed.track_ids) <= set(parsed_tracks.track_ids)
 
     def test_synthetic_corpus_of_one_track_still_skips(self):
@@ -520,7 +525,7 @@ class TestSessionLogCsv:
         write_session_csv(sessions, log_buf)
         assert_same_tracks(parse_track_features(io.StringIO(track_buf.getvalue())), tracks)
         parsed = parse_session_log(io.StringIO(log_buf.getvalue()))
-        assert [s.rows for s in parsed] == [s.rows for s in sessions]
+        assert log_columns(parsed) == log_columns(SessionLog.from_sessions(sessions))
 
 
 # Cells that some readers take and others do not: ints with zeros, spaces,
@@ -568,9 +573,7 @@ def _outcome(read, text):
     except SkipcastError as exc:
         return type(exc), str(exc), exc.line_num
     if isinstance(result, SessionLog):
-        return (result.session_ids, result.starts.tolist(), result.track_ids,
-                result.tracks.dtype, result.tracks.tolist(), result.values.dtype,
-                result.values.tolist())
+        return log_columns(result)
     return (result.track_ids, result.duration.tobytes(), result.year.dtype,
             result.year.tolist(), result.scalars.tobytes(), result.vectors.shape,
             result.vectors.tobytes())
@@ -616,8 +619,7 @@ class TestFastReaderAgainstRowReader:
     @pytest.mark.parametrize("case", LOG_CASES)
     def test_session_log(self, case):
         text = LOG_CASES[case]
-        rows = _outcome(lambda s: SessionLog.from_sessions(datamodel._log_rows(s)), text)
-        assert _outcome(parse_session_log, text) == rows
+        assert _outcome(parse_session_log, text) == _outcome(datamodel._log_rows, text)
 
     @pytest.mark.parametrize("case", TRACK_CASES)
     def test_track_features(self, case):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skipcast.datamodel import Session, SessionRow
+from skipcast.datamodel import Session, SessionLog, SessionRow
 from skipcast.errors import DimensionError
 from skipcast.evaluation import (
     SolutionRow,
@@ -16,7 +16,6 @@ from skipcast.evaluation import (
     corpus_scores,
     CorpusScore,
     format_report_text,
-    session_truth,
     solutions_report,
     write_report_csv,
 )
@@ -197,6 +196,13 @@ def make_session(sid, flags):
     return Session(session_id=sid, rows=rows)
 
 
+def session_truths(sessions):
+    """Each session's target skip_2 flags, read from its columns as evaluate does."""
+    log = SessionLog.from_sessions(sessions)
+    _, counts, target = log.split()
+    return np.split(log.column("skip_2")[target] == 1, np.cumsum(counts)[:-1])
+
+
 class TestSolutionsReport:
     def sessions(self):
         return [
@@ -205,18 +211,18 @@ class TestSolutionsReport:
             make_session("s3", [True, True]),
         ]
 
-    def test_session_truth_reads_target_half(self):
-        truth = session_truth(make_session("s1", [True, False, True, False]))
-        assert truth.tolist() == [True, False]  # ceiling half is history
+    def test_truth_reads_target_half(self):
+        truths = session_truths([make_session("s1", [True, False, True, False])])
+        assert [t.tolist() for t in truths] == [[True, False]]  # ceiling half is history
 
     def test_perfect_predictor_scores_one(self):
-        truths = [session_truth(s) for s in self.sessions()]
+        truths = session_truths(self.sessions())
         rows = report(truths, [truths] * 3, solutions=[1, 2, 3])
         assert [r.solution for r in rows] == [1, 2, 3]
         assert all(r.maa == 1.0 and r.fpa == 1.0 for r in rows)
 
     def test_rows_sorted_by_maa_ascending(self):
-        truths = [session_truth(s) for s in self.sessions()]
+        truths = session_truths(self.sessions())
 
         def last_flipped(truth):
             flipped = truth.copy()
@@ -238,7 +244,7 @@ class TestSolutionsReport:
             make_session("s1", [True, False, True, False]),
             make_session("s2", [False, True, False, True]),
         ]
-        truths = [session_truth(s) for s in sessions]
+        truths = session_truths(sessions)
         # solution 1: AA 1.0 on s1, 0.0 on s2: MAA 0.5, FPA 0.5
         first = [truths[0], ~truths[1]]
         # solution 2: AA 0.5 on both: MAA 0.5, FPA 1.0
@@ -265,7 +271,7 @@ class TestSolutionsReport:
             solutions_report(np.array([2, 3]), truth, [stored], [1])
 
     def test_equal_scores_keep_request_order(self):
-        truths = [session_truth(s) for s in self.sessions()]
+        truths = session_truths(self.sessions())
         rows = report(truths, [truths, truths], solutions=[7, 4])
         assert [r.solution for r in rows] == [7, 4]  # stable sort
 
@@ -338,7 +344,7 @@ class TestLoopOracle:
             stored[7].append(truth ^ (rng.random(truth.size) < 0.3))
             stored[2].append(rng.random(truth.size) < 0.5)
         rows = report(
-            [session_truth(s) for s in sessions],
+            session_truths(sessions),
             [stored[k] for k in solutions],
             solutions=solutions,
         )

@@ -146,7 +146,7 @@ def reference_block(session, track_map):
     out = np.zeros((len(split.targets), FEATURE_COUNT))
     if not split.targets:
         return out
-    h = split.h
+    h = len(split.history)
     for r in split.targets:
         if not 1 <= r.position - h <= 10:
             raise IntegrityError(f"target position {r.position - h} outside")
@@ -362,6 +362,12 @@ class TestAssembleExample:
     def test_no_targets_gives_empty_block(self):
         session = Session(session_id="s0", rows=(row("ta", 1, skip_2=False),))
         assert assemble_corpus([session], table_of(TRACKS)).x.shape == (0, FEATURE_COUNT)
+        # a one-row session is not checked, even beside a valid session
+        unchecked = Session(session_id="s1", rows=(row("gone", 1, False, sid="s1", length=1),))
+        valid = Session(session_id="s0", rows=HISTORY + (TARGET, OTHER_TARGET))
+        table = assemble_corpus([unchecked, valid], table_of(TRACKS))
+        assert table.session_ids == ("s0", "s0")
+        assert table.x.tobytes() == block(HISTORY, TARGET, OTHER_TARGET).tobytes()
 
     def test_group_permutation_invariance(self):
         base = block(HISTORY, TARGET, OTHER_TARGET)[0]
@@ -489,6 +495,32 @@ class TestCorpusAssembly:
         assert str(exc_info.value) == (
             f"{FEATURE_NAMES[5]}={cell!r} is not a finite number"
         )
+
+    @pytest.mark.parametrize("cell", ["1.5e308", repr(-(2.0**1023))], ids=["1.5e308", "-2**1023"])
+    def test_csv_cell_of_magnitude_2_1023_reports_line(self, cell):
+        # training refuses such a value, so the reader names its cell first
+        buf = io.StringIO()
+        assemble_corpus(self.sessions, self.tracks).write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        cells = lines[2].split(",")
+        cells[5], cells[7] = cell, "nan"
+        lines[2] = ",".join(cells)
+        with pytest.raises(RowParseError) as exc_info:
+            FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 3
+        assert str(exc_info.value) == (
+            f"{FEATURE_NAMES[5]}={cell!r} has a magnitude of 2**1023 or more, "
+            "which training refuses"
+        )
+
+    def test_csv_largest_magnitude_below_2_1023_loads(self):
+        top = float(np.nextafter(2.0**1023, 0.0))
+        table = assemble_corpus(self.sessions, self.tracks)
+        table.x[1, 5], table.x[2, 6] = top, -top
+        buf = io.StringIO()
+        table.write_csv(buf)
+        back = FeatureTable.read_csv(io.StringIO(buf.getvalue()))
+        assert back.x.tobytes() == table.x.tobytes()
 
     def test_csv_read_spans_blocks_exactly_in_bounded_memory(self, tmp_path):
         # many conversion blocks; tracemalloc counts from the read's start
@@ -654,11 +686,12 @@ def reference_first_error(sessions, track_map):
         split = split_session(session)
         if not split.targets:
             continue
+        h = len(split.history)
         for r in split.targets:
-            if not 1 <= r.position - split.h <= 10:
+            if not 1 <= r.position - h <= 10:
                 return IntegrityError, (
-                    f"target position {r.position - split.h} outside [1, 10]; target "
-                    f"row position {r.position} with history length {split.h}"
+                    f"target position {r.position - h} outside [1, 10]; target "
+                    f"row position {r.position} with history length {h}"
                 )
         skipped = [r for r in split.history if r.skip_2]
         listened = [r for r in split.history if not r.skip_2]

@@ -640,17 +640,25 @@ class TestTrain:
             train(x, y, TrainParams(num_boost_round=1))
 
     @pytest.mark.parametrize(
-        "column",
-        [[0.0, 1.0, 2.0, math.inf], [-math.inf, 0.0, 1.0, 2.0], [0.0, 1.0, 1.5e308, 1.7e308],
-         [-(2.0**1023), 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 2.0**1023]],
-        ids=["inf", "-inf", "1.5e308", "-2**1023", "2**1023"],
+        "search, column",
+        [pytest.param(search, column, id=prefix + name)
+         for prefix, search in (("", False), ("best_split-", True))
+         for name, column in {
+             "inf": [0.0, 1.0, 2.0, math.inf], "-inf": [-math.inf, 0.0, 1.0, 2.0],
+             "1.5e308": [0.0, 1.0, 1.5e308, 1.7e308], "-2**1023": [-(2.0**1023), 0.0, 1.0, 2.0],
+             "2**1023": [0.0, 1.0, 2.0, 2.0**1023], "nan": [0.0, 1.0, 2.0, math.nan],
+         }.items()],
     )
-    def test_magnitudes_from_2_1023_rejected(self, column):
+    def test_magnitudes_from_2_1023_rejected(self, search, column):
         # from 2**1023 up, lo + hi can overflow: a threshold of inf, which no
-        # model file may hold
+        # model file may hold; a NaN row has no side of any threshold
         x = np.column_stack([np.zeros(4), column])
         with pytest.raises(IntegrityError, match=r"NaN, inf or a value of magnitude 2\*\*1023"):
-            train(x, np.array([0.0, 1.0, 0.0, 1.0]), TrainParams(num_boost_round=1))
+            if search:  # only the last row positive: a split would set it apart
+                g = np.array([0.5, 0.5, 0.5, -0.5])
+                best_split(x, g, np.full(4, 0.25), TrainParams(min_child_weight=0.0))
+            else:
+                train(x, np.array([0.0, 1.0, 0.0, 1.0]), TrainParams(num_boost_round=1))
 
     @pytest.mark.filterwarnings("error")
     def test_largest_magnitudes_give_a_loadable_model(self, tmp_path):
