@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +36,6 @@ from .datamodel import (
 from .ensemble import (
     CorpusPrediction,
     combine_corpus,
-    target_positions,
     write_scores,
     write_submission,
 )
@@ -179,48 +179,40 @@ def cmd_predict(cfg: RunConfig) -> None:
     )
 
 
-class _SubmissionLayout:
-    """What `write_submission` writes for the sessions of a log.
-
-    `template` is the UTF-8 file with every decision "0" and `at` the
-    offset of each decision in it, sessions in log order. The template is
-    None when an id holds a newline, which would split its line.
-    """
-
-    def __init__(self, ids: list[str], counts: np.ndarray) -> None:
-        self.ids, self.counts = ids, counts
-        self.template = self.at = None
-        if "\n" not in "".join(ids):
-            heads = [f"{sid} ".encode("utf-8") for sid in ids]
-            widths = np.array([len(head) for head in heads])
-            lines = widths + counts + 1
-            bits_start = np.cumsum(lines) - lines + widths
-            self.at = np.repeat(bits_start, counts) + target_positions(counts) - 1
-            self.template = np.frombuffer(
-                b"".join(h + b"0" * n + b"\n" for h, n in zip(heads, counts.tolist())),
-                dtype=np.uint8,
-            )
+def _submission_template(ids: list[str], counts: np.ndarray):
+    """What `write_submission` writes for these sessions with every decision
+    0, as UTF-8 bytes, and each decision's offset: where the file with every
+    decision 1 differs. None when an id holds a newline, which splits a line."""
+    if "\n" in "".join(ids):
+        return None
+    files = []
+    for score in (0.0, 1.0):
+        out = io.StringIO()
+        write_submission(CorpusPrediction(ids, counts, np.full(counts.sum(), score)), out)
+        files.append(np.frombuffer(out.getvalue().encode("utf-8"), dtype=np.uint8))
+    return files[0], np.flatnonzero(files[0] != files[1])
 
 
-def _parse_submission(stream: IO[str], layout: _SubmissionLayout) -> np.ndarray:
+def _parse_submission(stream: IO[str], ids: list[str], counts: np.ndarray, template) -> np.ndarray:
     """A submission's decisions, stacked in session-log order.
 
     A file of exactly the bytes `write_submission` writes for the log is
-    checked whole against `layout`; any other is read line by line, which
-    reports its first bad line.
+    checked whole against `template`, `_submission_template`'s result; any
+    other is read line by line, which reports its first bad line.
     """
     text = stream.read()
-    if layout.template is not None:
+    if template is not None:
+        zeros, at = template
         data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        if data.size == layout.template.size:
-            bits = data[layout.at]
+        if data.size == zeros.size:
+            bits = data[at]
             ones = bits == ord("1")
             # every decision is 0 or 1, and only its 1s differ from the template
             if ((bits | 1) == ord("1")).all() and (
-                np.count_nonzero(data != layout.template) == np.count_nonzero(ones)
+                np.count_nonzero(data != zeros) == np.count_nonzero(ones)
             ):
                 return ones
-    return _submission_lines(text, layout.ids, layout.counts.tolist())
+    return _submission_lines(text, ids, counts.tolist())
 
 
 def _submission_lines(text: str, ids: list[str], counts: list[int]) -> np.ndarray:
@@ -261,11 +253,11 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     log = _load_sessions(cfg)
     _, counts, target = log.split()
     truth = log.column("skip_2")[target] == 1
-    layout = _SubmissionLayout(log.session_ids, counts)
+    template = _submission_template(log.session_ids, counts)
     decisions = []
     for solution in cfg.solutions:
         path = _require(cfg.workdir / _submission_name(solution), "predict")
-        decisions.append(_read(path, _parse_submission, layout))
+        decisions.append(_read(path, _parse_submission, log.session_ids, counts, template))
     rows = solutions_report(counts, truth, decisions, cfg.solutions)
     with open(cfg.workdir / "report.csv", "w", encoding="utf-8") as fh:
         write_report_csv(rows, fh)

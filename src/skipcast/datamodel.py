@@ -116,6 +116,7 @@ SESSION_LOG_LAYOUT = (
 #: The int and bool fields of SESSION_LOG_LAYOUT, in its order: the columns
 #: of SessionLog.values.
 LOG_VALUE_FIELDS = tuple(field for _, field, kind in SESSION_LOG_LAYOUT if kind is not str)
+_LOG_COLUMNS = tuple(column for column, _, _ in SESSION_LOG_LAYOUT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +180,16 @@ class SessionSplit:
     targets: tuple[SessionRow, ...]
 
 
+def stacked(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The layout of groups stacked back to back, group k holding `counts[k]`
+    rows: each group's first row, then each row's group and its 0-based slot
+    in that group. A group may hold no rows."""
+    counts = np.asarray(counts, dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    return first, owner, np.arange(owner.size) - first[owner]
+
+
 @dataclass(frozen=True, eq=False)
 class SessionLog:
     """A session log as columns, its sessions in file order.
@@ -230,8 +241,8 @@ class SessionLog:
         """
         n = np.diff(self.starts)
         h = (n + 1) // 2
-        rank = np.arange(self.starts[-1]) - np.repeat(self.starts[:-1], n)
-        return h, n - h, rank >= np.repeat(h, n)
+        _, owner, slot = stacked(n)
+        return h, n - h, slot >= h[owner]
 
 
 #: (LOG_VALUE_FIELDS field, lowest, highest) of each bounded context column
@@ -309,15 +320,28 @@ def csv_cell(text: str) -> str:
 _ROW_READER_ONLY = '"\r\x1c\x1d\x1e\x1f'
 
 
-def _fast_lines(text: str) -> list[str] | None:
-    """The lines of `text`, header first, or None if only the row reader
-    may read it: it is empty or holds a character of _ROW_READER_ONLY."""
-    if not text or any(c in text for c in _ROW_READER_ONLY):
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the last line's end
-    return lines
+def _parse(stream: IO[str], columns, rows):
+    """The stream's text read by `columns(header, lines)`, the fast reader,
+    or else by `rows(stream)`: when the text is empty, holds a character of
+    _ROW_READER_ONLY, or `columns` returns None."""
+    text = stream.read()
+    if text and not any(c in text for c in _ROW_READER_ONLY):
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the last line's end
+        parsed = columns(lines[0].split(","), lines[1:])
+        if parsed is not None:
+            return parsed
+    return rows(io.StringIO(text))
+
+
+def _column_index(header: list[str], required: Iterable[str], what: str) -> dict[str, int]:
+    """Each column's index, a repeated column's last; a header without a
+    `required` column raises a SchemaError at line 1."""
+    for column in required:
+        if column not in header:
+            raise SchemaError(f"{what} is missing column {column!r}", 1)
+    return {column: i for i, column in enumerate(header)}
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +376,9 @@ def _infer_acoustic_dim(fieldnames: Iterable[str]) -> int:
 
 
 def _track_layout(header: list[str]) -> tuple[dict[str, int], list[str]]:
-    """Each column's index (a repeated column's last) and the vector columns.
-
-    A header without a required column raises a SchemaError at line 1.
-    """
-    for required in _track_header_columns(0):
-        if required not in header:
-            raise SchemaError(f"track feature file is missing column {required!r}", 1)
-    vector_cols = [f"acoustic_vector_{k}" for k in range(_infer_acoustic_dim(header))]
-    return {column: i for i, column in enumerate(header)}, vector_cols
+    """Each column's index (see _column_index) and the vector columns."""
+    at = _column_index(header, _track_header_columns(0), "track feature file")
+    return at, [f"acoustic_vector_{k}" for k in range(_infer_acoustic_dim(header))]
 
 
 def parse_cell(kind: type, value: str, column: str, line_num: int):
@@ -426,13 +444,7 @@ def parse_track_features(stream: IO[str]) -> TrackTable:
     reads a valid file; the row reader reads any other, to report its first
     bad cell (see the module notes).
     """
-    text = stream.read()
-    lines = _fast_lines(text)
-    if lines is not None:
-        tracks = _track_columns(lines[0].split(","), lines[1:])
-        if tracks is not None:
-            return tracks
-    return _track_rows(io.StringIO(text))
+    return _parse(stream, _track_columns, _track_rows)
 
 
 def _track_columns(header: list[str], rows: list[str]) -> TrackTable | None:
@@ -511,18 +523,6 @@ def write_track_csv(tracks: TrackTable, stream: IO[str]) -> None:
 _SPLIT_BLOCK = 4096
 
 
-def _log_layout(header: list[str]) -> dict[str, int]:
-    """Each column's index, a repeated column's last.
-
-    A header without a column of SESSION_LOG_LAYOUT raises a SchemaError at
-    line 1.
-    """
-    for column, _field, _kind in SESSION_LOG_LAYOUT:
-        if column not in header:
-            raise SchemaError(f"session log is missing column {column!r}", 1)
-    return {column: i for i, column in enumerate(header)}
-
-
 def parse_session_log(stream: IO[str]) -> SessionLog:
     """Read a session log into a validated SessionLog.
 
@@ -534,18 +534,23 @@ def parse_session_log(stream: IO[str]) -> SessionLog:
     track file. The fast reader reads a valid log; the row reader reads
     any other, to report its first error (see the module notes).
     """
-    text = stream.read()
-    lines = _fast_lines(text)
-    if lines is not None:
-        log = _log_columns(lines[0].split(","), lines[1:])
-        if log is not None:
-            return log
-    return _log_rows(io.StringIO(text))
+    return _parse(stream, _log_columns, _log_rows)
+
+
+def _session_log(session_ids, first, index, tracks, values) -> SessionLog:
+    """A reader's lists as a SessionLog; `first` holds each session's first row."""
+    return SessionLog(
+        session_ids=session_ids,
+        starts=np.array(first + [len(tracks)]),
+        track_ids=list(index),
+        tracks=np.array(tracks, dtype=np.intp),
+        values=np.asarray(values, dtype=np.int64),
+    )
 
 
 def _log_columns(header: list[str], rows: list[str]) -> SessionLog | None:
     """The fast reader's log, or None to leave the file to the row reader."""
-    at = _log_layout(header)
+    at = _column_index(header, _LOG_COLUMNS, "session log")
     if not rows:
         return None
     flags = operator.itemgetter(*(at[c] for c, _, kind in SESSION_LOG_LAYOUT if kind is bool))
@@ -572,26 +577,20 @@ def _log_columns(header: list[str], rows: list[str]) -> SessionLog | None:
         )
     except ValueError:
         return None
-    log = SessionLog(
-        session_ids=session_ids,
-        starts=np.array(first + [len(rows)]),
-        track_ids=list(index),
-        tracks=np.array(tracks, dtype=np.intp),
-        values=values,
-    )
+    log = _session_log(session_ids, first, index, tracks, values)
     return log if _holds_row_checks(log) else None
 
 
 def _holds_row_checks(log: SessionLog) -> bool:
     """Whether the log passes every check of the row reader, as arrays."""
     n = np.diff(log.starts)
-    rank = np.arange(log.starts[-1]) - np.repeat(log.starts[:-1], n)
+    _, owner, slot = stacked(n)
     skip_1, skip_2, skip_3 = (log.column(f) for f in ("skip_1", "skip_2", "skip_3"))
     return bool(
         len(set(log.session_ids)) == len(log)  # contiguous sessions
         and ((MIN_SESSION_LENGTH <= n) & (n <= MAX_SESSION_LENGTH)).all()
-        and (log.column("position") == rank + 1).all()
-        and (log.column("session_length") == np.repeat(n, n)).all()
+        and (log.column("position") == slot + 1).all()
+        and (log.column("session_length") == n[owner]).all()
         and (skip_1 <= skip_2).all()
         and (skip_2 <= skip_3).all()
         and all(
@@ -606,7 +605,7 @@ def _log_rows(stream: IO[str]) -> SessionLog:
     and each session's layout once its last row is read, at its first line."""
     rows = csv_rows(stream, "session log")
     _, header = next(rows)
-    at = _log_layout(header)
+    at = _column_index(header, _LOG_COLUMNS, "session log")
     sid_at, track_at = at["session_id"], at["track_id"]
     value_cells = [(at[c], c, kind) for c, _, kind in SESSION_LOG_LAYOUT if kind is not str]
     session_ids: list[str] = []
@@ -646,13 +645,7 @@ def _log_rows(stream: IO[str]) -> SessionLog:
     check_layout()
     if not session_ids:
         raise DegenerateSampleError("session log holds no sessions")
-    return SessionLog(
-        session_ids=session_ids,
-        starts=np.array(first + [len(values)]),
-        track_ids=list(index),
-        tracks=np.array(tracks, dtype=np.intp),
-        values=np.array(values, dtype=np.int64),
-    )
+    return _session_log(session_ids, first, index, tracks, values)
 
 
 def write_session_csv(sessions: Iterable[Session], stream: IO[str]) -> None:
@@ -661,7 +654,7 @@ def write_session_csv(sessions: Iterable[Session], stream: IO[str]) -> None:
     Each row is written under its session's id; an id that holds a comma, a
     quote or a line end is quoted.
     """
-    stream.write(",".join(column for column, _, _ in SESSION_LOG_LAYOUT) + "\n")
+    stream.write(",".join(_LOG_COLUMNS) + "\n")
     # the cells after the session id: two ints, the track id, then the rest;
     # %d writes a bool as 1 or 0
     rest = operator.attrgetter(*(field for _, field, _ in SESSION_LOG_LAYOUT[1:]))

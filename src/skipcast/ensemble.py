@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datamodel import MAX_TARGET_POSITIONS, csv_cell
+from .datamodel import MAX_TARGET_POSITIONS, csv_cell, stacked
 from .errors import ConfigError, DimensionError, DomainError
 
 SOLUTION_IDS = tuple(range(1, 13))
@@ -96,13 +96,6 @@ def exponential_weights(
     return raw / raw.sum()
 
 
-def target_positions(counts: np.ndarray) -> np.ndarray:
-    """The 1-based target position of every stacked row of the sessions."""
-    counts = np.asarray(counts, dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) - np.repeat(starts, counts) + 1
-
-
 def combine_corpus(
     solution: int,
     matrix: np.ndarray,
@@ -145,12 +138,11 @@ def combine_corpus(
         raise DimensionError(f"{s0.size} last actions for {counts.size} sessions")
     if solution in SOFT_SOLUTIONS:
         s0 = soften(s0)
-    s0 = np.repeat(s0, counts)
-    pos = target_positions(counts)
-    rows = np.arange(pos.size)
+    _, session, slot = stacked(counts)
+    s0, pos = s0[session], slot + 1
 
     if solution in (1, 2, 3):
-        scores = matrix[rows, pos - 1]
+        scores = matrix[np.arange(pos.size), slot]
         if solution != 1:
             scores = 0.5 * scores + 0.5 * s0
     elif solution in (4, 5):
@@ -170,7 +162,7 @@ def combine_corpus(
         scores = np.where(pos <= 5, early, late)
     elif solution in (8, 11):
         # each row's mean runs over as many models as its session has targets
-        length = np.repeat(counts, counts)
+        length = counts[session]
         row_mean = np.empty(pos.size)
         for n in range(1, MAX_TARGET_POSITIONS + 1):
             at = length == n
@@ -219,25 +211,22 @@ def _bits(decisions: np.ndarray) -> str:
 def write_submission(prediction: CorpusPrediction, stream) -> None:
     """One line per session: the id, a space, then the 0/1 decision string."""
     bits = _bits(prediction.decisions)
-    stops = np.cumsum(prediction.counts).tolist()
-    starts = [0] + stops[:-1]
+    counts = np.asarray(prediction.counts).tolist()
+    first = stacked(counts)[0].tolist()
     stream.write("".join(
-        f"{sid} {bits[a:b]}\n"
-        for sid, a, b in zip(prediction.session_ids, starts, stops)
+        f"{sid} {bits[a:a + n]}\n" for sid, a, n in zip(prediction.session_ids, first, counts)
     ))
 
 
 def write_scores(prediction: CorpusPrediction, stream) -> None:
     """One CSV line per target row: session id, position, score and decision."""
-    counts = np.asarray(prediction.counts).tolist()
-    row_ids = [
-        cell for sid, n in zip(prediction.session_ids, counts) for cell in [csv_cell(sid)] * n
-    ]
+    _, session, slot = stacked(prediction.counts)
+    cells = [csv_cell(sid) for sid in prediction.session_ids]
     stream.write("session_id,target_position,score,decision\n" + "".join(
         f"{sid},{i},{score!r},{bit}\n"
         for sid, i, score, bit in zip(
-            row_ids,
-            target_positions(counts).tolist(),
+            map(cells.__getitem__, session.tolist()),
+            (slot + 1).tolist(),
             prediction.scores.tolist(),
             _bits(prediction.decisions),
         )

@@ -18,6 +18,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .datamodel import stacked
 from .errors import DimensionError
 
 
@@ -37,9 +38,7 @@ def _average_accuracies(hits: np.ndarray, counts: np.ndarray) -> np.ndarray:
     terms in slot order, as the metric's loop does, so every AA is the
     loop's bit for bit; a plain sum would add them pairwise and differ.
     """
-    starts = np.cumsum(counts) - counts
-    session = np.repeat(np.arange(counts.size), counts)
-    slot = np.arange(hits.size) - starts[session]
+    starts, session, slot = stacked(counts)
     seen = np.cumsum(hits)
     correct = seen - (seen[starts] - hits[starts])[session]
     table = np.zeros((counts.size, counts.max()))
@@ -51,7 +50,7 @@ def _corpus_score(hits: np.ndarray, counts: np.ndarray) -> CorpusScore:
     """MAA and FPA from the stacked hit flags of sessions of `counts` slots."""
     return CorpusScore(
         maa=float(np.mean(_average_accuracies(hits, counts))),
-        fpa=float(np.mean(hits[np.cumsum(counts) - counts])),
+        fpa=float(np.mean(hits[stacked(counts)[0]])),
         n_sessions=counts.size,
     )
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -61,6 +61,7 @@ from .datamodel import (
     csv_cell,
     csv_rows,
     parse_cell,
+    stacked,
 )
 from .errors import IntegrityError, RowParseError, SchemaError, UnknownTrackError
 from .gbdt import MAGNITUDE_BOUND
@@ -193,7 +194,8 @@ def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable
     index = dict(zip(tracks.track_ids, range(len(tracks))))
     # each row's place in the track table, -1 for an id the table lacks
     track_of = np.array([index.get(t, -1) for t in log.track_ids], dtype=np.intp)[log.tracks]
-    positions = log.column("position") - np.repeat(n_history, n_history + n_targets)
+    _, owner, _ = stacked(n_history + n_targets)
+    positions = log.column("position") - n_history[owner]
     failed = (track_of < 0) | (target & ((positions < 1) | (positions > MAX_TARGET_POSITIONS)))
     if failed.any():
         session = np.searchsorted(log.starts, np.argmax(failed), side="right") - 1
@@ -207,13 +209,13 @@ def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable
         _fill_features(
             x, tracks, track_of[target], track_of[history], log.column("skip_1")[history],
             skip_2[history], log.values[last][:, _CONTEXT_COLUMNS].astype(np.float64),
-            n_targets, n_history,
+            owner[target], n_history,
         )
     return FeatureTable(
         x=x,
         labels=skip_2[target].astype(np.int64),
         positions=positions[target],
-        session_ids=tuple(chain.from_iterable(map(repeat, log.session_ids, n_targets.tolist()))),
+        session_ids=tuple(map(log.session_ids.__getitem__, owner[target].tolist())),
     )
 
 
@@ -247,18 +249,18 @@ def _fill_features(
     skip_1: np.ndarray,
     skip_2: np.ndarray,
     context: np.ndarray,
-    n_targets: np.ndarray,
+    session: np.ndarray,
     n_history: np.ndarray,
 ) -> None:
     """Write the 63 columns of every target row of the corpus into `x`.
 
-    Tracks are rows of `tracks`; `history_tracks`, `skip_1` and `skip_2`
-    hold every session's history rows back to back, `n_history` of them each.
+    Tracks are rows of `tracks`; target row i belongs to session
+    `session[i]`. `history_tracks`, `skip_1` and `skip_2` hold every
+    session's history rows back to back, `n_history` of them each.
     """
     n_sessions, h_max = len(n_history), int(n_history.max())
-    session = np.repeat(np.arange(n_sessions), n_targets)  # of each target row
-    owner = np.repeat(np.arange(n_sessions), n_history)  # of each history row
-    start = np.cumsum(n_history) - n_history  # each session's first history row
+    # each session's first history row, and each history row's session
+    start, owner, _ = stacked(n_history)
 
     scalars, vectors = tracks.scalars, tracks.vectors
     # what the differences of columns 55-60 are taken of

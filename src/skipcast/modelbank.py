@@ -309,10 +309,10 @@ def sample_sessions(table: FeatureTable, fraction: float, seed: int) -> FeatureT
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
     unique = list(dict.fromkeys(table.session_ids))
-    n_sessions = int(round(fraction * len(unique)))
+    # at least 2, which grid_search needs; a table of 1 comes back whole
+    n_sessions = max(2, int(round(fraction * len(unique))))
     if n_sessions >= len(unique):
         return table
-    n_sessions = max(2, n_sessions)
     rng = np.random.default_rng([seed, 2])
     chosen = set(
         unique[i] for i in rng.choice(len(unique), size=n_sessions, replace=False)

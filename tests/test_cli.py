@@ -5,6 +5,7 @@ directories, with a corpus small enough to keep the whole file fast.
 """
 
 import csv
+import io
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import sys
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skipcast
@@ -27,8 +29,8 @@ from skipcast.config import (
     parse_solutions,
 )
 from skipcast.datamodel import parse_track_features, split_session
-from skipcast.ensemble import SOLUTION_IDS, EnsembleWeights
-from skipcast.errors import ConfigError
+from skipcast.ensemble import SOLUTION_IDS, CorpusPrediction, EnsembleWeights, write_submission
+from skipcast.errors import ConfigError, IntegrityError
 from skipcast.features import FEATURE_COUNT, assemble_corpus
 from skipcast.gbdt import TrainParams
 from skipcast.modelbank import ModelBank
@@ -658,6 +660,17 @@ class TestDataErrors:
             "skipcast: training labels contain a single class; cannot fit a classifier\n"
         )
 
+    def test_tune_sample_on_one_session(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, SMALL_CONF.replace("n_sessions = 25", "n_sessions = 1"))
+        workdir = str(tmp_path / "w")
+        for stage in ("synth", "extract"):
+            assert main([stage, "--config", conf, "--workdir", workdir]) == 0
+        capsys.readouterr()
+        assert main(["tune", "--config", conf, "--workdir", workdir, "--sample", "0.4"]) == 2
+        assert capsys.readouterr().err == (
+            "skipcast: grid search needs at least 2 sessions, got 1\n"
+        )
+
     def test_evaluate_before_predict(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
@@ -751,6 +764,42 @@ class TestColumnReaders:
         conf = write_conf(tmp_path)
         assert main(["evaluate", "--config", conf, "--workdir", str(workdir)]) == 0
         assert (workdir / "report.csv").read_bytes() == (pipeline / "report.csv").read_bytes()
+
+    # a space, a comma, 2-byte UTF-8, a line separator other than "\n", and
+    # 4-byte UTF-8 beside a space
+    ODD_IDS = ["a b", "c,d", "\u00e9", "g\u2028h", "\U0001f3b5 x"]
+    ODD_COUNTS = np.array([3, 1, 10, 2, 5])
+
+    def odd_submission(self):
+        """A submission of the odd ids as `write_submission` writes it, and
+        its decisions as the line reader reads them."""
+        scores = (np.random.default_rng(5).random(self.ODD_COUNTS.sum()) < 0.5) * 1.0
+        out = io.StringIO()
+        write_submission(CorpusPrediction(self.ODD_IDS, self.ODD_COUNTS, scores), out)
+        text = out.getvalue()
+        decisions = cli._submission_lines(text, self.ODD_IDS, self.ODD_COUNTS.tolist())
+        np.testing.assert_array_equal(decisions, scores == 1.0)
+        return text, decisions
+
+    def parse(self, text):
+        template = cli._submission_template(self.ODD_IDS, self.ODD_COUNTS)
+        return cli._parse_submission(io.StringIO(text), self.ODD_IDS, self.ODD_COUNTS, template)
+
+    def test_whole_file_check_reads_odd_ids(self, monkeypatch):
+        text, decisions = self.odd_submission()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the line reader ran on a file write_submission wrote")
+
+        monkeypatch.setattr(cli, "_submission_lines", refuse)
+        np.testing.assert_array_equal(self.parse(text), decisions)
+
+    def test_an_id_byte_changed_goes_to_the_line_reader(self):
+        text, _ = self.odd_submission()
+        # "\u00e8" differs from "\u00e9" in the last of its two UTF-8 bytes
+        with pytest.raises(IntegrityError, match="'\u00e8': not in the session log") as err:
+            self.parse(text.replace("\u00e9", "\u00e8"))
+        assert err.value.line_num == 3
 
     def test_ids_with_a_space_or_a_comma_round_trip(self, pipeline, tmp_path):
         workdir = tmp_path / "w"

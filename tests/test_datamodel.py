@@ -351,6 +351,24 @@ class TestSplitSession:
             assert split.history + split.targets == make_session(n=n).rows
 
 
+class TestStacked:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_per_group_loop(self, seed):
+        counts = np.random.default_rng(seed).integers(0, 6, size=15)
+        counts[[0, 7]] = 0  # empty groups, the first one included
+        first, owner, slot = [], [], []
+        for k, n in enumerate(counts.tolist()):
+            first.append(len(owner))
+            owner += [k] * n
+            slot += range(n)
+        for got, want in zip(datamodel.stacked(counts), (first, owner, slot)):
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_groups(self):
+        assert [a.size for a in datamodel.stacked([])] == [0, 0, 0]
+
+
 class TestSessionLogCsv:
     def roundtrip(self, sessions):
         buf = io.StringIO()

@@ -310,6 +310,15 @@ class TestSampleSessions:
         sampled = sample_sessions(self.five_session_table(), 0.2, seed=3)
         assert len(set(sampled.session_ids)) == 2
 
+    @pytest.mark.parametrize("session_ids", [("a", "a"), ("a", "b")])
+    def test_one_or_two_sessions_come_back_whole(self, session_ids):
+        # fewer than 2 sessions cannot be sampled; grid_search then says so
+        table = FeatureTable(
+            x=np.zeros((2, 2)), labels=np.array([0, 1]), positions=np.array([1, 2]),
+            session_ids=session_ids,
+        )
+        assert sample_sessions(table, 0.4, seed=3) is table
+
     def test_same_seed_same_sample(self):
         table = self.five_session_table()
         a = sample_sessions(table, 0.6, seed=3)

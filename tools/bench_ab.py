@@ -4,9 +4,9 @@
     python3 tools/bench_ab.py --base main --pairs 10 --workloads score --seconds 5
 
 Exports REF with `git archive` into a temporary directory. Each pair then
-runs `bench/run.py --workload <w> --seed 1017 --trace 0` once in that tree
-and once in this checkout, as it stands, swapping which side runs first
-from one pair to the next, and reads each run's
+runs `bench/run.py --workload <w> --seed 1017 --trace 0 --size full` once
+in that tree and once in this checkout, as it stands, swapping which side
+runs first from one pair to the next, and reads each run's
 `.bench_runs/<w>-seed1017-trace0/record.json`.
 
 For each workload and each end-to-end metric of BENCHMARK.json it prints
@@ -61,10 +61,11 @@ def export(ref: str, into: Path) -> None:
     archive.unlink()
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, size: str = "full") -> dict:
+    """The record of one untraced bench run of `workload` in `tree`."""
     subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0", "--size", size],
         cwd=tree, check=True, stdout=subprocess.DEVNULL,
     )
     path = tree / ".bench_runs" / f"{workload}-seed{SEED}-trace0" / "record.json"

@@ -3,16 +3,15 @@
     python3 tools/bench_record.py --pr N
     python3 tools/bench_record.py --pr N --workloads score --size toy --seconds 1 --out DIR
 
-Runs `bench/run.py --workload <w> --seed 1017 --trace 0` for each workload
-(fit, tune and score by default) from the root of this checkout, passing
-`--size` and `--seconds` through. From each run's
-`.bench_runs/<w>-seed1017-trace0/record.json` it keeps the end-to-end
-metrics (medians over the timed passes, as bench/run.py reports them), the
-pass and failure counts, and the output fingerprint, the digest that
-bench/run.py prints. Beside the medians it keeps their spread: the seconds
-of each set-up (`setup_s_each`) and the quartiles of the timed passes'
-walls (`wall_s_quartiles`, inclusive method). The record also holds the
-`src/` line count and the Python and numpy versions of the runs.
+Runs each workload (fit, tune and score by default) once from the root of
+this checkout with `bench_ab.run_once`, passing `--size` and `--seconds`
+through. From each run's record it keeps the end-to-end metrics (medians
+over the timed passes, as bench/run.py reports them), the pass and failure
+counts, and the output fingerprint, the digest that bench/run.py prints.
+Beside the medians it keeps their spread: the seconds of each set-up
+(`setup_s_each`) and the quartiles of the timed passes' walls
+(`wall_s_quartiles`, inclusive method). The record also holds the `src/`
+line count and the Python and numpy versions of the runs.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ import argparse
 import hashlib
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SEED = 1017
-WORKLOADS = ("fit", "tune", "score")
+from bench_ab import ROOT, SEED, WORKLOADS, run_once
 
 
 def parse_args(argv):
@@ -54,22 +50,12 @@ def src_lines() -> int:
     )
 
 
-def run_workload(name: str, size: str, seconds: float) -> dict:
-    subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", name, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0", "--size", size],
-        cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
-    )
-    path = ROOT / ".bench_runs" / f"{name}-seed{SEED}-trace0" / "record.json"
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
     record = {"pr": args.pr, "seed": SEED, "size": args.size, "seconds": args.seconds,
               "src_lines": src_lines(), "workloads": {}}
     for name in args.workloads:
-        run = run_workload(name, args.size, args.seconds)
+        run = run_once(ROOT, name, args.seconds, args.size)
         digests = json.dumps(run["fingerprints"], sort_keys=True).encode()
         record["workloads"][name] = {
             "metrics": {metric: m["value"] for metric, m in run["metrics"].items()},
