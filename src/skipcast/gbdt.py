@@ -89,6 +89,10 @@ class TrainParams:
     colsample: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("num_boost_round", "max_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.num_boost_round < 1:
             raise ConfigError(f"num_boost_round must be >= 1, got {self.num_boost_round}")
         if not 0.0 < self.eta <= 1.0:

@@ -9,6 +9,9 @@ Positions whose training rows are missing or single-class get a constant
 fallback model (zero trees, smoothed-prevalence base score) and a warning;
 bank training never aborts because one position is starved.
 
+A saved bank is ``model_01.json`` .. ``model_10.json`` and a manifest written
+from those models alone; ``load`` refuses a manifest that differs from it.
+
 The fits of ``train_bank`` (one per trainable position) and of
 ``grid_search`` (one per GRID point) run in worker processes, one per CPU
 in this process's affinity mask and at most one per fit; ``taskset -c 0``
@@ -43,9 +46,11 @@ from .errors import (
     SchemaError,
 )
 from .features import FEATURE_COUNT, FeatureTable, feature_schema_hash
-from .gbdt import GBDTModel, TrainParams, _integer, auc, train
+from .gbdt import GBDTModel, TrainParams, auc, train
 
 MANIFEST_NAME = "manifest.json"
+#: The model files of a bank, position 1 first.
+MODEL_NAMES = tuple(f"model_{j:02d}.json" for j in range(1, MAX_TARGET_POSITIONS + 1))
 
 #: The tuned TrainParams fields and their values, slowest-varying first.
 GRID = {
@@ -125,34 +130,37 @@ def partition_by_position(positions: np.ndarray) -> list[np.ndarray]:
 @dataclass(eq=False)
 class ModelBank:
     models: list[GBDTModel]
-    params: TrainParams
-    seed: int
-    fallback_positions: tuple[int, ...]
+
+    @property
+    def fallback_positions(self) -> tuple[int, ...]:
+        """The positions whose model has no trees: the constant fallbacks."""
+        return tuple(j for j, m in enumerate(self.models, start=1) if not m.trees)
 
     def predict_matrix(self, x: np.ndarray) -> np.ndarray:
         """(n_rows, 10) matrix of every position model's probability."""
         x = np.asarray(x, dtype=np.float64)
         return np.column_stack([m.predict_proba(x) for m in self.models])
 
-    def save(self, bank_dir: Path | str) -> None:
-        bank_dir = Path(bank_dir)
-        bank_dir.mkdir(parents=True, exist_ok=True)
-        names = []
-        for j, model in enumerate(self.models, start=1):
-            name = f"model_{j:02d}.json"
-            model.save(bank_dir / name)
-            names.append(name)
-        manifest = {
+    def manifest(self) -> dict:
+        """What `save` writes to manifest.json, every field from the models."""
+        first = self.models[0]
+        return {
             "format": "skipcast-bank",
             "version": 1,
             "feature_schema_hash": feature_schema_hash(),
-            "params": asdict(self.params),
-            "seed": self.seed,
-            "models": names,
+            "params": asdict(first.params),
+            "seed": first.seed - 1,  # train_bank seeds position j with seed + j
+            "models": list(MODEL_NAMES),
             "fallback_positions": list(self.fallback_positions),
         }
+
+    def save(self, bank_dir: Path | str) -> None:
+        bank_dir = Path(bank_dir)
+        bank_dir.mkdir(parents=True, exist_ok=True)
+        for name, model in zip(MODEL_NAMES, self.models):
+            model.save(bank_dir / name)
         (bank_dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            json.dumps(self.manifest(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
 
     @classmethod
@@ -170,37 +178,19 @@ class ModelBank:
                     f"{manifest_path}: bank was trained with a different feature "
                     "schema; re-train it"
                 )
-            names = manifest["models"]
-            if type(names) is not list or len(names) != MAX_TARGET_POSITIONS:
-                raise SchemaError(
-                    f"{manifest_path} must list {MAX_TARGET_POSITIONS} models, "
-                    f"got {names!r}"
-                )
-            seed = _integer(manifest["seed"], f"{manifest_path} seed")
-            fallbacks = tuple(
-                _integer(j, f"{manifest_path} fallback position")
-                for j in manifest["fallback_positions"]
-            )
-            if len(set(fallbacks)) != len(fallbacks) or not all(
-                1 <= j <= MAX_TARGET_POSITIONS for j in fallbacks
-            ):
-                raise SchemaError(
-                    f"{manifest_path} fallback positions {list(fallbacks)} are not "
-                    f"distinct positions in [1, {MAX_TARGET_POSITIONS}]"
-                )
-            models = [GBDTModel.load(bank_dir / name) for name in names]
-            for name, model in zip(names, models):
+            bank = cls([GBDTModel.load(bank_dir / name) for name in MODEL_NAMES])
+            for name, model in zip(MODEL_NAMES, bank.models):
                 if model.n_features != FEATURE_COUNT:
                     raise SchemaError(
                         f"model file {bank_dir / name} expects {model.n_features} "
                         f"features; the bank's feature schema has {FEATURE_COUNT}"
                     )
-            return cls(
-                models=models,
-                params=TrainParams(**manifest["params"]),
-                seed=seed,
-                fallback_positions=fallbacks,
-            )
+            # JSON text, so that true is not 1 and 2.0 is not 2
+            if json.dumps(manifest, sort_keys=True) != json.dumps(
+                bank.manifest(), sort_keys=True
+            ):
+                raise SchemaError(f"{manifest_path} does not match the bank's model files")
+            return bank
         except (
             ConfigError, ValueError, KeyError, TypeError, AttributeError, RecursionError
         ) as exc:
@@ -214,7 +204,6 @@ def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank
     n_features = table.x.shape[1]
     global_pos = int(table.labels.sum())
     models: list[GBDTModel | None] = []  # None until its fit comes back
-    fallbacks: list[int] = []
     jobs: list[tuple[np.ndarray, int]] = []
     for j, rows in enumerate(partition_by_position(table.positions), start=1):
         model_seed = seed + j
@@ -234,17 +223,11 @@ def train_bank(table: FeatureTable, params: TrainParams, seed: int) -> ModelBank
                 params=params, base_score=math.log(p / (1.0 - p)),
                 n_features=n_features, seed=model_seed,
             ))
-            fallbacks.append(j)
         else:
             models.append(None)
             jobs.append((rows, model_seed))
     fitted = iter(_map_fits(_fit_position, jobs, table.x, table.labels, params))
-    return ModelBank(
-        models=[next(fitted) if m is None else m for m in models],
-        params=params,
-        seed=seed,
-        fallback_positions=tuple(fallbacks),
-    )
+    return ModelBank([next(fitted) if m is None else m for m in models])
 
 
 @dataclass(frozen=True)
@@ -292,6 +275,8 @@ class GridReport:
                 }
                 TrainParams(**point)
                 val_auc = parse_cell(float, cells[-2], "val_auc", line_num)
+                if not 0.0 <= val_auc <= 1.0:
+                    raise ValueError(f"val_auc {val_auc!r} is not in [0, 1]")
                 rows.append(GridRow(point, val_auc))
             except (ValueError, ConfigError) as exc:
                 raise RowParseError(str(exc), line_num)
@@ -327,9 +312,7 @@ def sample_sessions(table: FeatureTable, fraction: float, seed: int) -> FeatureT
     )
 
 
-def grid_search(
-    table: FeatureTable, seed: int, num_boost_round: int = 20
-) -> GridReport:
+def grid_search(table: FeatureTable, seed: int, num_boost_round: int) -> GridReport:
     """Sweep every point of GRID on a pooled 80/20 session split.
 
     One model is trained per grid point on all positions pooled together and

@@ -420,7 +420,7 @@ class TestDataErrors:
         "corrupt",
         ["format", "feature 99", "feature -1", "feature 6.7", "n_features 64",
          "eta nan", "lambda_ nan", "gamma nan", "min_child_weight nan", "nested 5000",
-         "max_depth 5000"],
+         "max_depth 5000", "max_depth 6.5"],
     )
     def test_predict_with_corrupt_model_content(
         self, pipeline, tmp_path, capsys, corrupt
@@ -435,8 +435,8 @@ class TestDataErrors:
             payload["params"][corrupt.split()[0]] = float("nan")
         elif corrupt == "n_features 64":
             payload["n_features"] = 64
-        elif corrupt == "max_depth 5000":
-            payload["params"]["max_depth"] = 5000
+        elif corrupt.startswith("max_depth "):
+            payload["params"]["max_depth"] = json.loads(corrupt.split()[1])
         elif corrupt.startswith("feature "):
             feature = json.loads(corrupt.split()[1])
             leaf = {"value": 0.0}
@@ -453,6 +453,19 @@ class TestDataErrors:
         conf = write_conf(tmp_path)
         assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
         assert "model_03.json" in capsys.readouterr().err
+
+    def test_predict_with_manifest_contradicting_models(self, pipeline, tmp_path, capsys):
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "bank" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["seed"] += 1
+        path.write_text(json.dumps(manifest))
+        conf = write_conf(tmp_path)
+        assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} does not match the bank's model files\n"
+        )
 
     @pytest.mark.parametrize("corrupt", ["cut", "best eta 5.0"])
     def test_train_with_cut_grid_report_row(self, pipeline, tmp_path, capsys, corrupt):

@@ -596,11 +596,21 @@ class TestTrainParams:
             {"lambda_": float("nan")},
             {"gamma": float("nan")},
             {"max_depth": 65},
+            {"num_boost_round": 2.5},
+            {"num_boost_round": True},
+            {"num_boost_round": "3"},
+            {"max_depth": 6.5},
+            {"max_depth": False},
+            {"max_depth": np.float64(6.0)},
         ],
     )
     def test_bounds(self, kwargs):
         with pytest.raises(ConfigError):
             TrainParams(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        params = TrainParams(num_boost_round=np.int64(3), max_depth=np.int32(4))
+        assert (params.num_boost_round, params.max_depth) == (3, 4)
 
 
 def separable_data(n=200, seed=0):

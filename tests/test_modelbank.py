@@ -8,7 +8,7 @@ import multiprocessing
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -190,9 +190,7 @@ class TestSaveLoad:
     def test_round_trip(self, bank, tmp_path):
         bank.save(tmp_path / "bank")
         loaded = ModelBank.load(tmp_path / "bank")
-        assert loaded.seed == bank.seed
         assert loaded.fallback_positions == bank.fallback_positions
-        assert loaded.params == bank.params
         for ma, mb in zip(bank.models, loaded.models):
             assert ma.to_dict() == mb.to_dict()
 
@@ -246,6 +244,10 @@ class TestSaveLoad:
             ("fallback_positions", [0]),
             ("fallback_positions", [11]),
             ("fallback_positions", 3),
+            ("fallback_positions", [3]),
+            ("seed", 6),
+            ("version", 2),
+            ("params", {**asdict(SMALL_PARAMS), "eta": 0.2}),
         ],
     )
     def test_manifest_bad_field_rejected(self, bank, tmp_path, key, value):
@@ -406,6 +408,10 @@ class TestGridReport:
         ("5.0,6,1.0,1.0,0.6,0", "eta must be in (0, 1], got 5.0"),
         ("0.1,6,1.0,0.0,0.6,0", "subsample must be in (0, 1], got 0.0"),
         ("0.2,6,1.0,1.0,0.7,1", "a second best marker"),
+        ("0.1,6,1.0,1.0,nan,0", "val_auc nan is not in [0, 1]"),
+        ("0.1,6,1.0,1.0,inf,0", "val_auc inf is not in [0, 1]"),
+        ("0.1,6,1.0,1.0,7.5,0", "val_auc 7.5 is not in [0, 1]"),
+        ("0.1,6,1.0,1.0,-1,0", "val_auc -1.0 is not in [0, 1]"),
     ]
 
     @pytest.mark.parametrize(
@@ -490,9 +496,7 @@ def serial_bank(table, params, seed, fallbacks):
             ))
         else:
             models.append(train(table.x[rows], y, params, seed=seed + j))
-    return ModelBank(
-        models=models, params=params, seed=seed, fallback_positions=fallbacks
-    )
+    return ModelBank(models)
 
 
 class TestWorkerPoolOracle:
