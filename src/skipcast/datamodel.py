@@ -8,7 +8,8 @@ columns named in :data:`SCALAR_FEATURE_NAMES`, and dense vector columns
 ``acoustic_vector_0 .. acoustic_vector_{D-1}``. The header fixes the vector
 dimension D, so every track of a file has the same one, a file of no rows
 included. Unknown extra columns are ignored so files with a wider schema
-still load. It parses into a :class:`TrackTable`, a column store with one
+still load. Every number is finite and below gbdt.MAGNITUDE_BOUND in
+magnitude. It parses into a :class:`TrackTable`, a column store with one
 dimension per table.
 
 Session log: CSV with the columns of :data:`SESSION_LOG_LAYOUT`. Boolean
@@ -53,7 +54,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,10 @@ from .errors import (
     RowParseError,
     SchemaError,
 )
+from .gbdt import MAGNITUDE_BOUND
+
+#: How the readers describe a finite number that training would refuse.
+TOO_LARGE = "has a magnitude of 2**1023 or more, which training refuses"
 
 #: Canonical ordering of the per-track scalar features. Index 0 is
 #: popularity and index 15 is valence; every 16-wide block in the feature
@@ -138,9 +143,8 @@ class TrackTable:
         return len(self.track_ids)
 
 
-@dataclass(frozen=True)
-class SessionRow:
-    """One playback event. Skip flags nest: skip_1 => skip_2 => skip_3."""
+class SessionRow(NamedTuple):
+    """One playback event, immutable. Skip flags nest: skip_1 => skip_2 => skip_3."""
 
     session_id: str
     position: int
@@ -398,9 +402,11 @@ def parse_cell(kind: type, value: str, column: str, line_num: int):
 
 
 def _float_cell(value: str, column: str, line_num: int) -> float:
+    """A track cell as a float, finite and below MAGNITUDE_BOUND in magnitude."""
     number = parse_cell(float, value, column, line_num)
-    if not math.isfinite(number):
-        raise RowParseError(f"{column}={value!r} is not a finite number", line_num)
+    if not abs(number) < MAGNITUDE_BOUND:
+        problem = TOO_LARGE if math.isfinite(number) else "is not a finite number"
+        raise RowParseError(f"{column}={value!r} {problem}", line_num)
     return number
 
 
@@ -467,7 +473,7 @@ def _track_columns(header: list[str], rows: list[str]) -> TrackTable | None:
     duration, popularity = values[:, 0], values[:, 1]
     if not (
         len(set(ids)) == len(ids)
-        and np.isfinite(values).all()
+        and values.max() < MAGNITUDE_BOUND and values.min() > -MAGNITUDE_BOUND  # False for NaN too
         and (duration > 0).all()
         and ((0.0 <= popularity) & (popularity <= 100.0)).all()
     ):
@@ -655,15 +661,14 @@ def write_session_csv(sessions: Iterable[Session], stream: IO[str]) -> None:
     quote or a line end is quoted.
     """
     stream.write(",".join(_LOG_COLUMNS) + "\n")
-    # the cells after the session id: two ints, the track id, then the rest;
-    # %d writes a bool as 1 or 0
-    rest = operator.attrgetter(*(field for _, field, _ in SESSION_LOG_LAYOUT[1:]))
+    # a row's cells after the session id, row[1:]: two ints, the track id,
+    # then the rest; %d writes a bool as 1 or 0
     tail = "".join(",%s" if kind is str else ",%d" for _, _, kind in SESSION_LOG_LAYOUT[1:])
     track_cells: dict[str, str] = {}  # each track id's cell, quoted once
     for session in sessions:
         line = csv_cell(session.session_id).replace("%", "%%") + tail + "\n"
         for row in session.rows:
-            cells = rest(row)
+            cells = row[1:]
             track = track_cells.get(row.track_id)
             if track is None:
                 track = track_cells[row.track_id] = csv_cell(row.track_id)

@@ -55,6 +55,7 @@ from .datamodel import (
     MAX_TARGET_POSITIONS,
     N_SCALAR_FEATURES,
     SCALAR_FEATURE_NAMES,
+    TOO_LARGE,
     Session,
     SessionLog,
     TrackTable,
@@ -149,9 +150,7 @@ class FeatureTable:
             if not all(map(math.isfinite, values)) or max(map(abs, values)) >= MAGNITUDE_BOUND:
                 # the first cell that is NaN, infinite or too large
                 k = next(k for k, v in enumerate(values) if not abs(v) < MAGNITUDE_BOUND)
-                problem = "is not a finite number"
-                if math.isfinite(values[k]):
-                    problem = "has a magnitude of 2**1023 or more, which training refuses"
+                problem = TOO_LARGE if math.isfinite(values[k]) else "is not a finite number"
                 raise RowParseError(f"{FEATURE_NAMES[k]}={cells[k]!r} {problem}", line)
             if labels[-1] not in (0, 1):
                 raise RowParseError(f"label {labels[-1]} is not 0 or 1", line)
@@ -185,7 +184,9 @@ def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable
     this order: every target's position, then the track id of each target,
     each skipped and each listened history row, in order, against the track
     table. The rest is array operations over the whole corpus; they loop
-    only over history slots and group sizes.
+    only over history slots and group sizes. Last, the first target row
+    with a value training refuses (see gbdt.MAGNITUDE_BOUND) raises an
+    IntegrityError naming its session, target position and feature.
     """
     log = sessions if isinstance(sessions, SessionLog) else SessionLog.from_sessions(
         s for s in sessions if s.length > 1
@@ -206,11 +207,22 @@ def assemble_corpus(sessions: SessionLog | Iterable[Session], tracks: TrackTable
     last = log.starts[:-1] + n_history - 1  # each session's last history row
     x = np.zeros((int(n_targets.sum()), FEATURE_COUNT))
     if len(x):
-        _fill_features(
-            x, tracks, track_of[target], track_of[history], log.column("skip_1")[history],
-            skip_2[history], log.values[last][:, _CONTEXT_COLUMNS].astype(np.float64),
-            owner[target], n_history,
-        )
+        # sums and dot products of cells in range can overflow: the check
+        # below names where, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fill_features(
+                x, tracks, track_of[target], track_of[history], log.column("skip_1")[history],
+                skip_2[history], log.values[last][:, _CONTEXT_COLUMNS].astype(np.float64),
+                owner[target], n_history,
+            )
+        if not (x.max() < MAGNITUDE_BOUND and x.min() > -MAGNITUDE_BOUND):  # False for NaN too
+            i, k = divmod(int(np.argmax(~(np.abs(x) < MAGNITUDE_BOUND))), FEATURE_COUNT)
+            raise IntegrityError(
+                f"session {log.session_ids[owner[target][i]]!r} "
+                f"target position {positions[target][i]}: "
+                f"{FEATURE_NAMES[k]} is {float(x[i, k])!r}; training needs a finite value "
+                "of magnitude below 2**1023"
+            )
     return FeatureTable(
         x=x,
         labels=skip_2[target].astype(np.int64),

@@ -93,6 +93,8 @@ class TrainParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # a Python int, which a saved model's JSON can hold
+            object.__setattr__(self, name, int(value))
         if self.num_boost_round < 1:
             raise ConfigError(f"num_boost_round must be >= 1, got {self.num_boost_round}")
         if not 0.0 < self.eta <= 1.0:

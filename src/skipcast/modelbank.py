@@ -10,7 +10,8 @@ fallback model (zero trees, smoothed-prevalence base score) and a warning;
 bank training never aborts because one position is starved.
 
 A saved bank is ``model_01.json`` .. ``model_10.json`` and a manifest written
-from those models alone; ``load`` refuses a manifest that differs from it.
+from those models alone; ``load`` refuses a manifest that differs from it,
+and a model whose params or seed differ from what model 1's imply.
 
 The fits of ``train_bank`` (one per trainable position) and of
 ``grid_search`` (one per GRID point) run in worker processes, one per CPU
@@ -179,11 +180,18 @@ class ModelBank:
                     "schema; re-train it"
                 )
             bank = cls([GBDTModel.load(bank_dir / name) for name in MODEL_NAMES])
-            for name, model in zip(MODEL_NAMES, bank.models):
+            first = bank.models[0]
+            for j, (name, model) in enumerate(zip(MODEL_NAMES, bank.models)):
                 if model.n_features != FEATURE_COUNT:
                     raise SchemaError(
                         f"model file {bank_dir / name} expects {model.n_features} "
                         f"features; the bank's feature schema has {FEATURE_COUNT}"
+                    )
+                # as train_bank writes a bank: the same params, seeds one apart
+                if model.params != first.params or model.seed != first.seed + j:
+                    raise SchemaError(
+                        f"model file {bank_dir / name} does not hold the params of "
+                        f"{MODEL_NAMES[0]} and its seed + {j}"
                     )
             # JSON text, so that true is not 1 and 2.0 is not 2
             if json.dumps(manifest, sort_keys=True) != json.dumps(

@@ -5,7 +5,8 @@ listeners: the probability that a row is a skip_2 follows a logistic model
 in the track's energy (centered at 0.5), the track's tempo z-score over the
 generated corpus, and whether the previous row in the session was skipped.
 The previous-skip term gives sessions the autocorrelation that the
-last-action ensemble strategies exploit.
+last-action ensemble strategies exploit. `track_logits` states the rule's
+per-track part; the generator evaluates the rule once per track.
 
 Given the same config and seed the generator returns identical corpora,
 and the CSVs written from them are byte-identical.
@@ -102,6 +103,22 @@ def _generate_tracks(config: SynthConfig, rng: np.random.Generator) -> TrackTabl
     return TrackTable([f"t{i:06d}" for i in range(n)], duration, year, scalars, vectors)
 
 
+def track_logits(config: SynthConfig, tracks: TrackTable) -> np.ndarray:
+    """Each track's part of a row's skip_2 logit, as float64; a row adds
+    ``skip_prev_weight`` to it if the previous row of its session skipped."""
+    energy = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("energy")]
+    tempos = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("tempo")]
+    tempo_mean = float(tempos.mean())
+    tempo_std = float(tempos.std())
+    if tempo_std == 0.0:
+        tempo_std = 1.0
+    return (
+        config.skip_bias
+        + config.skip_energy_weight * (energy - 0.5)
+        + config.skip_tempo_weight * ((tempos - tempo_mean) / tempo_std)
+    )
+
+
 def generate_synthetic_dataset(
     config: SynthConfig, seed: int
 ) -> tuple[TrackTable, list[Session]]:
@@ -109,20 +126,13 @@ def generate_synthetic_dataset(
     rng = np.random.default_rng(seed)
     tracks = _generate_tracks(config, rng)
     track_ids = tracks.track_ids
-
-    energy = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("energy")]
-    tempos = tracks.scalars[:, SCALAR_FEATURE_NAMES.index("tempo")]
-    tempo_mean = float(tempos.mean())
-    tempo_std = float(tempos.std())
-    if tempo_std == 0.0:
-        tempo_std = 1.0
-    # each track's part of a row's logit: float64 arrays round as Python floats do
-    track_logit = (
-        config.skip_bias
-        + config.skip_energy_weight * (energy - 0.5)
-        + config.skip_tempo_weight * ((tempos - tempo_mean) / tempo_std)
-    ).tolist()
-    prev_weight = config.skip_prev_weight
+    logits = track_logits(config, tracks).tolist()  # float64 rounds as Python floats do
+    w = config.skip_prev_weight
+    # p_skip[s][track]: the skip_2 probability of a row after one whose skip_2 is s
+    p_skip = (
+        [_sigmoid(z + w * 0.0) for z in logits],
+        [_sigmoid(z + w * 1.0) for z in logits],
+    )
 
     sessions: list[Session] = []
     for s in range(config.n_sessions):
@@ -143,14 +153,12 @@ def generate_synthetic_dataset(
         rows = []
         skip_2 = False
         for pos, track, (u2, u1, u3) in zip(range(1, length + 1), chosen, draws):
-            z = track_logit[track] + prev_weight * (1.0 if skip_2 else 0.0)
-            skip_2 = u2 < _sigmoid(z)
-            rows.append(SessionRow(
+            skip_2 = u2 < p_skip[skip_2][track]
+            rows.append(SessionRow._make((
                 sid, pos, length, track_ids[track],
                 skip_2 and u1 < _P_SKIP1_GIVEN_SKIP2, skip_2,
                 skip_2 or u3 < _P_SKIP3_GIVEN_NOT_SKIP2,
                 premium, shuffle, hour, day, month,
-            ))
+            )))
         sessions.append(Session(session_id=sid, rows=tuple(rows)))
     return tracks, sessions
-

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -420,7 +421,7 @@ class TestDataErrors:
         "corrupt",
         ["format", "feature 99", "feature -1", "feature 6.7", "n_features 64",
          "eta nan", "lambda_ nan", "gamma nan", "min_child_weight nan", "nested 5000",
-         "max_depth 5000", "max_depth 6.5"],
+         "max_depth 5000", "max_depth 6.5", "eta 0.05", "seed 99"],
     )
     def test_predict_with_corrupt_model_content(
         self, pipeline, tmp_path, capsys, corrupt
@@ -435,6 +436,10 @@ class TestDataErrors:
             payload["params"][corrupt.split()[0]] = float("nan")
         elif corrupt == "n_features 64":
             payload["n_features"] = 64
+        elif corrupt == "eta 0.05":
+            payload["params"]["eta"] = 0.05
+        elif corrupt == "seed 99":
+            payload["seed"] = 99
         elif corrupt.startswith("max_depth "):
             payload["params"]["max_depth"] = json.loads(corrupt.split()[1])
         elif corrupt.startswith("feature "):
@@ -586,6 +591,48 @@ class TestDataErrors:
             "unknown track_id 'nosuch'\n"
         )
         assert not any(output.exists() for output in outputs)
+
+    def test_predict_with_huge_track_cell(self, pipeline, tmp_path, capsys):
+        # every energy at 1e308: training would refuse the features it gives
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        path = workdir / "tracks.csv"
+        lines = path.read_text().splitlines()
+        column = lines[0].split(",").index("energy")
+        lines[1:] = [_set_cell(column, "1e308")(line) for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        assert main(["predict", "--config", conf, "--workdir", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"skipcast: {path} line 2: energy='1e308' has a magnitude of 2**1023 "
+            "or more, which training refuses\n"
+        )
+
+    @pytest.mark.parametrize("stage", ["extract", "predict"])
+    def test_assembled_value_overflows(self, pipeline, tmp_path, capsys, stage):
+        # each cell is in range, but a dot product of two vectors is not
+        workdir = tmp_path / "w"
+        shutil.copytree(pipeline, workdir)
+        pattern = "features.csv" if stage == "extract" else "*_solution_*"
+        outputs = sorted(workdir.glob(pattern))
+        for output in outputs:
+            output.unlink()
+        path = workdir / "tracks.csv"
+        lines = path.read_text().splitlines()
+        column = lines[0].split(",").index("acoustic_vector_0")
+        lines[1:] = [_set_cell(column, "1e200")(line) for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        conf = write_conf(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
+        assert caught == []
+        assert re.fullmatch(
+            r"skipcast: session 's000000' target position 1: dot_(skipped|listened)_mean "
+            r"is inf; training needs a finite value of magnitude below 2\*\*1023\n",
+            capsys.readouterr().err,
+        )
+        assert outputs and not any(output.exists() for output in outputs)
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_train_with_non_finite_feature_cell(
@@ -869,6 +916,10 @@ LINE_ERRORS = {
     ),
     ("tracks.csv", "extra cell"): (
         3, lambda line: line + ",0", "expected 26 cells, got 27"
+    ),
+    ("tracks.csv", "huge cell"): (
+        3, _set_cell(9, "1.5e308"),
+        "energy='1.5e308' has a magnitude of 2**1023 or more, which training refuses",
     ),
     ("tracks.csv", "bad header"): (
         1,

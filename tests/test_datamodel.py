@@ -1,6 +1,7 @@
 """Record validation, CSV round trips, and the history/target split."""
 
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -499,9 +500,7 @@ class TestSessionLogCsv:
         assert exc_info.value.line_num == 4
 
     def test_layout_lists_session_row_fields_in_order(self):
-        assert [field for _, field, _ in SESSION_LOG_LAYOUT] == [
-            f.name for f in dataclasses.fields(SessionRow)
-        ]
+        assert [field for _, field, _ in SESSION_LOG_LAYOUT] == list(SessionRow._fields)
 
     def test_written_layout(self):
         # the canonical layout, spelled out cell by cell
@@ -526,6 +525,29 @@ class TestSessionLogCsv:
         assert log_columns(parsed) == log_columns(SessionLog.from_sessions(sessions))
         assert set(parsed.track_ids) <= set(parsed_tracks.track_ids)
 
+    @pytest.mark.parametrize("seed, config, digest", [
+        (3, SynthConfig(n_tracks=40, n_sessions=25),
+         "2462541ba37fc9d3a2ebf474ca51350a6ba001e44d965c61ca2de845c9842a74"),
+        (7, SynthConfig(n_tracks=40, n_sessions=25),
+         "5406091d77824f2a5680a93fd042e34adf45d3a524cacd63e3243ffa82f537a8"),
+        (7, SynthConfig(n_tracks=40, n_sessions=25, skip_prev_weight=-3.7),
+         "16003a363a0c8f6115951d7a07384654c01985d4274d17dde7df9972b0b37dcf"),
+    ])
+    def test_synthetic_corpus_bytes_are_pinned(self, seed, config, digest):
+        # a change to the generator's draws, their order or the skip rule
+        # changes these bytes; the digests are of the track file, then the log
+        tracks, sessions = generate_synthetic_dataset(config, seed)
+        buf = io.StringIO()
+        write_track_csv(tracks, buf)
+        write_session_csv(sessions, buf)
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+    def test_rows_are_immutable(self):
+        row = make_row()
+        with pytest.raises(AttributeError):
+            row.skip_2 = True
+        assert row._replace(skip_2=True).skip_2 and not row.skip_2
+
     def test_synthetic_corpus_of_one_track_still_skips(self):
         # one track has no tempo spread, so its tempo z-score must be 0
         _, sessions = generate_synthetic_dataset(SynthConfig(n_tracks=1, n_sessions=20), seed=3)
@@ -536,7 +558,7 @@ class TestSessionLogCsv:
         tracks = make_tracks("a,b", "t0")
         sessions = [make_session(n=2, sid="c,d"), make_session(n=3, sid='say "5%"')]
         sessions[0] = dataclasses.replace(sessions[0], rows=tuple(
-            dataclasses.replace(row, track_id="a,b") for row in sessions[0].rows
+            row._replace(track_id="a,b") for row in sessions[0].rows
         ))
         track_buf, log_buf = io.StringIO(), io.StringIO()
         write_track_csv(tracks, track_buf)
@@ -547,12 +569,13 @@ class TestSessionLogCsv:
 
 
 # Cells that some readers take and others do not: ints with zeros, spaces,
-# signs and underscores, a float, a non-ASCII digit, non-finite numbers, an
+# signs and underscores, a float, a non-ASCII digit, non-finite numbers, a
+# number too large for training, an
 # empty cell, a quoted cell, a comment character, a separator that numpy
 # strips around a number but int() and float() do not, and characters that
 # str.splitlines() would break a line at.
 ODD_CELLS = ["1", "0", "-1", "150", "01", " 1", "+1", "1_0", "1.0", "\u0661", "nan",
-             "inf", "1e400", "", '"1"', "#1", "1\x1c", "1\x85", "1\u2028"]
+             "inf", "1e400", "1e308", "", '"1"', "#1", "1\x1c", "1\x85", "1\u2028"]
 
 
 def _mutations(text, cells):

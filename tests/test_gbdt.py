@@ -611,6 +611,7 @@ class TestTrainParams:
     def test_numpy_integers_accepted(self):
         params = TrainParams(num_boost_round=np.int64(3), max_depth=np.int32(4))
         assert (params.num_boost_round, params.max_depth) == (3, 4)
+        assert type(params.num_boost_round) is int and type(params.max_depth) is int
 
 
 def separable_data(n=200, seed=0):
@@ -821,6 +822,16 @@ class TestSerialization:
         np.testing.assert_array_equal(
             loaded.predict_margin(x), model.predict_margin(x)
         )
+
+    def test_numpy_integer_params_round_trip(self, tmp_path):
+        x, y = separable_data(60, seed=2)
+        params = TrainParams(num_boost_round=np.int64(2), max_depth=np.int64(3))
+        model = train(x, y, params, seed=1)
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = GBDTModel.load(path)
+        assert loaded.params == TrainParams(num_boost_round=2, max_depth=3)
+        assert loaded.to_dict() == model.to_dict()
 
     def test_save_is_byte_stable(self, tmp_path):
         x, y = separable_data(60, seed=2)
