@@ -4,7 +4,7 @@ Stages communicate only through files in the work directory, so any stage
 can be rerun in isolation and a finished run can be inspected file by file:
 
     tracks.csv, sessions.csv      synth
-    features.csv                  extract
+    features.csv                  extract (an export: no stage reads it)
     grid_report.csv               tune
     bank/model_NN.json, manifest  train
     submission_solution_NN.txt    predict (+ scores_solution_NN.csv)
@@ -47,7 +47,7 @@ from .errors import (
     StageError,
 )
 from .evaluation import format_report_text, solutions_report, write_report_csv
-from .features import FeatureTable, assemble_corpus
+from .features import assemble_corpus
 from .modelbank import (
     MANIFEST_NAME,
     GridReport,
@@ -96,13 +96,11 @@ def _load_sessions(cfg: RunConfig):
 
 
 def _load_corpus(cfg: RunConfig):
+    """The session log, and its feature table: the one place that extract,
+    tune, train and predict build features, from the log and the tracks."""
     tracks = _read(_require(cfg.tracks_path(), "synth"), parse_track_features)
-    return tracks, _load_sessions(cfg)
-
-
-def _read_features(cfg: RunConfig) -> FeatureTable:
-    path = _require(cfg.workdir / "features.csv", "extract")
-    return _read(path, FeatureTable.read_csv)
+    log = _load_sessions(cfg)
+    return log, assemble_corpus(log, tracks)
 
 
 def _submission_name(solution: int) -> str:
@@ -121,15 +119,14 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 
 def cmd_extract(cfg: RunConfig) -> None:
-    tracks, log = _load_corpus(cfg)
-    table = assemble_corpus(log, tracks)
+    log, table = _load_corpus(cfg)
     with open(cfg.workdir / "features.csv", "w", encoding="utf-8") as fh:
         table.write_csv(fh)
     print(f"extract: {len(table)} examples from {len(log)} sessions")
 
 
 def cmd_tune(cfg: RunConfig) -> None:
-    table = _read_features(cfg)
+    _, table = _load_corpus(cfg)
     if cfg.sample < 1.0:
         table = sample_sessions(table, cfg.sample, cfg.seed)
     report = grid_search(table, cfg.seed, num_boost_round=cfg.tune_rounds)
@@ -141,7 +138,7 @@ def cmd_tune(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    table = _read_features(cfg)
+    _, table = _load_corpus(cfg)
     params = cfg.params
     grid_path = cfg.workdir / "grid_report.csv"
     if grid_path.exists():
@@ -158,9 +155,9 @@ def cmd_train(cfg: RunConfig) -> None:
 def cmd_predict(cfg: RunConfig) -> None:
     _require(cfg.workdir / "bank" / MANIFEST_NAME, "train")
     bank = ModelBank.load(cfg.workdir / "bank")
-    tracks, log = _load_corpus(cfg)
+    log, table = _load_corpus(cfg)
     # assemble_corpus emits each session's target rows contiguously, in order
-    matrix = bank.predict_matrix(assemble_corpus(log, tracks).x)
+    matrix = bank.predict_matrix(table.x)
     n_history, counts, _ = log.split()
     s0 = log.column("skip_2")[log.starts[:-1] + n_history - 1]  # the last history row's
     for solution in cfg.solutions:

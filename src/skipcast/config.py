@@ -124,7 +124,10 @@ def build_config(values: Mapping[str, str]) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         section = _KEYS[name]
         holder = _DEFAULTS if section is None else getattr(_DEFAULTS, section)
-        changes.setdefault(section, {})[name] = _convert(name, raw, getattr(holder, name))
+        kwargs = changes.setdefault(section, {})
+        if name in kwargs:  # keys are unique, so only the alias repeats one
+            raise ConfigError(f"duplicate key {name!r}: 'lambda' and 'lambda_' are one key")
+        kwargs[name] = _convert(name, raw, getattr(holder, name))
     own = changes.pop(None, {})
     for section, kwargs in changes.items():
         own[section] = replace(getattr(_DEFAULTS, section), **kwargs)

@@ -95,6 +95,14 @@ class TrainParams:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             # a Python int, which a saved model's JSON can hold
             object.__setattr__(self, name, int(value))
+        for name in ("eta", "min_child_weight", "lambda_", "gamma", "subsample", "colsample"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if type(value) not in (int, float):  # a numpy scalar: a float JSON can hold
+                object.__setattr__(self, name, float(value))
         if self.num_boost_round < 1:
             raise ConfigError(f"num_boost_round must be >= 1, got {self.num_boost_round}")
         if not 0.0 < self.eta <= 1.0:

@@ -28,7 +28,7 @@ def test_medians_spread_and_wins():
     assert wall == {
         "metric": "wall_s", "unit": "s", "base": 3.0, "change": 2.5,
         "base_q1": 2.0, "base_q3": 4.0, "wins": 3, "ties": 0, "pairs": 5,
-        "worse": False, "noisy": True,
+        "gain": False, "worse": False, "noisy": True,
     }
     assert (maa["base"], maa["change"], maa["wins"], maa["ties"]) == (0.7, 0.7, 0, 5)
     assert not maa["worse"]
@@ -70,6 +70,34 @@ def test_base_spread_wider_than_the_bound_is_noisy(base_walls, noisy):
     assert row["worse"]  # the two marks are independent
     line = bench_ab.format_rows("fit", [row]).splitlines()[1]
     assert line.endswith("WORSE  NOISY" if noisy else "WORSE")
+
+
+# ten base runs: median 1.045, quartiles 1.0225 and 1.0675, so an IQR of 0.045
+GAIN_BASE = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+@pytest.mark.parametrize(
+    "steps, gain",
+    [
+        ([-0.1] * 9 + [0.1], True),  # 9 wins in 10, median 0.1 better
+        ([-0.1] * 8 + [0.1] * 2, False),  # 8 wins in 10
+        ([-0.01] * 10, False),  # 10 wins, but 0.01 better is inside the IQR
+        ([-0.1] * 9 + [0.0], True),  # a tie is no loss ...
+        ([-0.1] * 8 + [0.0] * 2, False),  # ... and no win
+    ],
+    ids=["9 wins", "8 wins", "inside the IQR", "9 wins and a tie", "8 wins and 2 ties"],
+)
+def test_gain_needs_nine_wins_in_ten_and_a_gap_past_the_iqr(steps, gain):
+    change = [w + step for w, step in zip(GAIN_BASE, steps)]
+    (wall,) = bench_ab.summarize([record(wall_s=w) for w in GAIN_BASE],
+                                 [record(wall_s=w) for w in change], METRICS)
+    assert (wall["base_q3"] - wall["base_q1"]) == pytest.approx(0.045)
+    assert wall["gain"] is gain
+    assert ("GAIN" in bench_ab.format_rows("fit", [wall])) is gain
+    # the same runs of a metric where higher is better
+    (maa,) = bench_ab.summarize([record(maa_s9=-w) for w in GAIN_BASE],
+                                [record(maa_s9=-w) for w in change], METRICS)
+    assert maa["gain"] is gain
 
 
 def test_metric_a_record_lacks_is_left_out():

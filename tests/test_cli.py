@@ -13,7 +13,7 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +29,17 @@ from skipcast.config import (
     parse_kv_text,
     parse_solutions,
 )
-from skipcast.datamodel import parse_track_features, split_session
+from skipcast.datamodel import (
+    parse_track_features,
+    split_session,
+    write_session_csv,
+    write_track_csv,
+)
 from skipcast.ensemble import SOLUTION_IDS, CorpusPrediction, EnsembleWeights, write_submission
 from skipcast.errors import ConfigError, IntegrityError
-from skipcast.features import FEATURE_COUNT, assemble_corpus
+from skipcast.features import FeatureTable, assemble_corpus
 from skipcast.gbdt import TrainParams
-from skipcast.modelbank import ModelBank
+from skipcast.modelbank import ModelBank, grid_search, train_bank
 from skipcast.synthetic import SynthConfig, generate_synthetic_dataset
 from test_ensemble import per_session_combine
 
@@ -189,6 +194,45 @@ class TestPredictOracle:
             assert got == score_lines, solution
             got = (workdir / f"submission_solution_{name}.txt").read_text().splitlines()
             assert got == submission_lines, solution
+
+
+class TestFeaturePathOracle:
+    """tune and train assemble their table from the corpus, and write what
+    the library writes from the table that extract's features.csv holds."""
+
+    def test_bank_and_grid_report_match_the_feature_file(self, tmp_path):
+        conf = write_conf(tmp_path)
+        cfg = load_config(conf, {})
+        tracks, sessions = generate_synthetic_dataset(cfg.synth, cfg.seed)
+        # ids that CSV must quote: each holds a comma and a quote
+        sessions = [replace(s, session_id=f'{s.session_id},"x') for s in sessions]
+        corpus, oracle = tmp_path / "corpus", tmp_path / "oracle"
+        corpus.mkdir()
+        with open(corpus / "tracks.csv", "w", encoding="utf-8") as fh:
+            write_track_csv(tracks, fh)
+        with open(corpus / "sessions.csv", "w", encoding="utf-8") as fh:
+            write_session_csv(sessions, fh)
+        assert ',""x",' in (corpus / "sessions.csv").read_text()
+        shutil.copytree(corpus, oracle)
+
+        # train first, so that it applies no grid report
+        for stage in ("train", "tune"):
+            assert main([stage, "--config", conf, "--workdir", str(corpus)]) == 0
+        assert not (corpus / "features.csv").exists()
+
+        assert main(["extract", "--config", conf, "--workdir", str(oracle)]) == 0
+        with open(oracle / "features.csv", encoding="utf-8") as fh:
+            table = FeatureTable.read_csv(fh)
+        assert set(table.session_ids) == {s.session_id for s in sessions}
+        train_bank(table, cfg.params, cfg.seed).save(oracle / "bank")
+        with open(oracle / "grid_report.csv", "w", encoding="utf-8") as fh:
+            grid_search(table, cfg.seed, num_boost_round=cfg.tune_rounds).write_csv(fh)
+
+        names = sorted(p.relative_to(oracle) for p in oracle.glob("bank/*.json"))
+        assert len(names) == 11
+        assert sorted(p.relative_to(corpus) for p in corpus.glob("bank/*.json")) == names
+        for name in [*names, Path("grid_report.csv")]:
+            assert (corpus / name).read_bytes() == (oracle / name).read_bytes(), name
 
 
 class TestStages:
@@ -391,13 +435,21 @@ class TestDataErrors:
         assert main(["extract", "--workdir", str(tmp_path / "w")]) == 2
         assert "run the synth stage first" in capsys.readouterr().err
 
+    def stage_before_extract(self, tmp_path, capsys, stage):
+        # the stage reads the corpus, not features.csv: it needs synth alone
+        conf = write_conf(tmp_path)
+        workdir = tmp_path / "w"
+        assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
+        assert "run the synth stage first" in capsys.readouterr().err
+        assert main(["synth", "--config", conf, "--workdir", str(workdir)]) == 0
+        assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
+        assert not (workdir / "features.csv").exists()
+
     def test_tune_before_extract(self, tmp_path, capsys):
-        assert main(["tune", "--workdir", str(tmp_path / "w")]) == 2
-        assert "run the extract stage first" in capsys.readouterr().err
+        self.stage_before_extract(tmp_path, capsys, "tune")
 
     def test_train_before_extract(self, tmp_path, capsys):
-        assert main(["train", "--workdir", str(tmp_path / "w")]) == 2
-        assert "run the extract stage first" in capsys.readouterr().err
+        self.stage_before_extract(tmp_path, capsys, "train")
 
     def test_predict_before_train(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
@@ -640,30 +692,27 @@ class TestDataErrors:
     ):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
-        path = workdir / "features.csv"
+        path = workdir / "tracks.csv"
         lines = path.read_text().splitlines()
-        lines[4] = cell + lines[4][lines[4].index(","):]
+        lines[4] = _set_cell(lines[0].split(",").index("popularity"), cell)(lines[4])
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
         assert capsys.readouterr().err == (
-            f"skipcast: {path} line 5: "
-            f"track_popularity={cell!r} is not a finite number\n"
+            f"skipcast: {path} line 5: popularity={cell!r} is not a finite number\n"
         )
 
     def test_train_with_label_outside_0_1(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
-        path = workdir / "features.csv"
+        path = workdir / "sessions.csv"
         lines = path.read_text().splitlines()
-        cells = lines[4].split(",")
-        cells[FEATURE_COUNT] = "7"
-        lines[4] = ",".join(cells)
+        lines[4] = _set_cell(lines[0].split(",").index("skip_2"), "7")(lines[4])
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 2
         assert capsys.readouterr().err == (
-            f"skipcast: {path} line 5: label 7 is not 0 or 1\n"
+            f"skipcast: {path} line 5: column skip_2 must be 0 or 1, got '7'\n"
         )
 
     def test_train_with_zero_hessian_and_lambda_0(self, tmp_path, capsys):
@@ -692,27 +741,35 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("stage", ["train", "tune"])
     def test_target_position_outside_1_10(self, pipeline, tmp_path, capsys, stage):
+        # 22 rows would give the first session a target position 11; the
+        # log reader refuses a session of more than 20 rows at its first line
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
-        path = workdir / "features.csv"
+        path = workdir / "sessions.csv"
         lines = path.read_text().splitlines()
-        lines[4] = lines[4].rsplit(",", 1)[0] + ",11"
-        path.write_text("\n".join(lines) + "\n")
+        header = lines[0].split(",")
+        position, length = header.index("session_position"), header.index("session_length")
+        n = int(lines[1].split(",")[length])
+        first = [lines[1 + k] if k < n else lines[n] for k in range(22)]
+        first = [
+            _set_cell(length, "22")(_set_cell(position, str(k + 1))(line))
+            for k, line in enumerate(first)
+        ]
+        path.write_text("\n".join(lines[:1] + first + lines[1 + n:]) + "\n")
         conf = write_conf(tmp_path)
         assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
         assert capsys.readouterr().err == (
-            f"skipcast: {path} line 5: target position 11 outside [1, 10]\n"
+            f"skipcast: {path} line 2: session 's000000': length 22 outside [2, 20]\n"
         )
 
     def test_tune_on_single_class_table(self, pipeline, tmp_path, capsys):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
-        path = workdir / "features.csv"
+        path = workdir / "sessions.csv"
         lines = path.read_text().splitlines()
-        for i in range(1, len(lines)):
-            cells = lines[i].split(",")
-            cells[FEATURE_COUNT] = "0"
-            lines[i] = ",".join(cells)
+        header = lines[0].split(",")
+        for column in ("skip_1", "skip_2"):
+            lines[1:] = map(_set_cell(header.index(column), "0"), lines[1:])
         path.write_text("\n".join(lines) + "\n")
         conf = write_conf(tmp_path)
         assert main(["tune", "--config", conf, "--workdir", str(workdir)]) == 2
@@ -901,7 +958,6 @@ def _set_cell(index, value):
 DATA_FILES = {
     "tracks.csv": ("extract", "track feature file is empty"),
     "sessions.csv": ("evaluate", "session log is empty"),
-    "features.csv": ("train", "feature matrix file is empty"),
     "grid_report.csv": ("train", "grid report file is empty"),
     "submission_solution_09.txt": (
         "evaluate",
@@ -939,25 +995,6 @@ LINE_ERRORS = {
         1,
         lambda line: line.replace("month", "mon"),
         "session log is missing column 'month'",
-    ),
-    ("features.csv", "bad cell"): (
-        5, _set_cell(0, "abc"), "cannot parse track_popularity='abc' as a number"
-    ),
-    ("features.csv", "huge cell"): (
-        5, _set_cell(0, "1.5e308"),
-        "track_popularity='1.5e308' has a magnitude of 2**1023 or more, which training refuses",
-    ),
-    ("features.csv", "bad label"): (
-        5, _set_cell(FEATURE_COUNT, "x"), "cannot parse label='x' as an integer"
-    ),
-    ("features.csv", "bad position"): (
-        5, _set_cell(-1, "1.5"), "cannot parse target_position='1.5' as an integer"
-    ),
-    ("features.csv", "bad header"): (
-        1,
-        _set_cell(0, "popularity"),
-        "feature matrix header does not match the canonical schema; "
-        "expected 66 columns starting with 'track_popularity'",
     ),
     ("grid_report.csv", "bad cell"): (
         4, _set_cell(0, "abc"), "cannot parse eta='abc' as a number"
@@ -1093,6 +1130,15 @@ class TestConfigParsing:
     def test_kv_text_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key"):
             parse_kv_text("a = 1\na = 2\n")
+
+    @pytest.mark.parametrize("text", ["lambda = 1.0\nlambda_ = 3.0\n",
+                                      "lambda_ = 3.0\nlambda = 1.0\n"],
+                             ids=["lambda first", "lambda_ first"])
+    def test_alias_and_key_both_given(self, tmp_path, text):
+        conf = tmp_path / "c.conf"
+        conf.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^duplicate key 'lambda_': 'lambda' and "):
+            load_config(conf, {})
 
     def test_kv_value_may_contain_equals(self):
         assert parse_kv_text("a = b=c\n") == {"a": "b=c"}

@@ -25,6 +25,7 @@ from skipcast.errors import (
 from skipcast.features import (
     FEATURE_COUNT,
     FEATURE_NAMES,
+    MATRIX_COLUMNS,
     FeatureTable,
     assemble_corpus,
     feature_schema_hash,
@@ -560,6 +561,28 @@ class TestCorpusAssembly:
     def test_csv_header_is_checked(self):
         with pytest.raises(SchemaError):
             FeatureTable.read_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+    def test_csv_empty_stream(self):
+        with pytest.raises(SchemaError, match="^feature matrix file is empty$"):
+            FeatureTable.read_csv(io.StringIO(""))
+
+    @pytest.mark.parametrize(
+        "column, cell, kind",
+        [(0, "abc", "a number"), (FEATURE_COUNT, "x", "an integer"),
+         (FEATURE_COUNT + 2, "1.5", "an integer")],
+        ids=["feature", "label", "position"],
+    )
+    def test_csv_cell_that_does_not_parse_reports_line(self, column, cell, kind):
+        buf = io.StringIO()
+        assemble_corpus(self.sessions, self.tracks).write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        cells = lines[4].split(",")
+        cells[column] = cell
+        lines[4] = ",".join(cells)
+        with pytest.raises(RowParseError) as exc_info:
+            FeatureTable.read_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert exc_info.value.line_num == 5
+        assert str(exc_info.value) == f"cannot parse {MATRIX_COLUMNS[column]}={cell!r} as {kind}"
 
     def test_schema_hash_is_stable(self):
         assert feature_schema_hash() == feature_schema_hash()

@@ -602,6 +602,13 @@ class TestTrainParams:
             {"max_depth": 6.5},
             {"max_depth": False},
             {"max_depth": np.float64(6.0)},
+            {"eta": True},
+            {"eta": "0.1"},
+            {"min_child_weight": np.True_},
+            {"lambda_": None},
+            {"gamma": True},
+            {"subsample": 0.5j},
+            {"colsample": np.True_},
         ],
     )
     def test_bounds(self, kwargs):
@@ -612,6 +619,19 @@ class TestTrainParams:
         params = TrainParams(num_boost_round=np.int64(3), max_depth=np.int32(4))
         assert (params.num_boost_round, params.max_depth) == (3, 4)
         assert type(params.num_boost_round) is int and type(params.max_depth) is int
+
+    def test_real_fields_store_numpy_scalars_as_floats(self):
+        names = ("eta", "min_child_weight", "lambda_", "gamma", "subsample", "colsample")
+        params = TrainParams(**dict(zip(names, (np.float32(0.5), np.int64(2), np.float64(1.5),
+                                                np.int8(0), np.float16(0.5), np.uint8(1)))))
+        got = [getattr(params, name) for name in names]
+        assert got == [0.5, 2.0, 1.5, 0.0, 0.5, 1.0]
+        assert all(type(value) is float for value in got)
+        # Python numbers are kept as given, so a saved model's bytes are too
+        params = TrainParams(eta=1, lambda_=2, gamma=0.25)
+        assert [(type(v), v) for v in (params.eta, params.lambda_, params.gamma)] == [
+            (int, 1), (int, 2), (float, 0.25)
+        ]
 
 
 def separable_data(n=200, seed=0):
@@ -832,6 +852,19 @@ class TestSerialization:
         loaded = GBDTModel.load(path)
         assert loaded.params == TrainParams(num_boost_round=2, max_depth=3)
         assert loaded.to_dict() == model.to_dict()
+
+    def test_numpy_float_params_round_trip(self, tmp_path):
+        x, y = separable_data(60, seed=2)
+        params = TrainParams(num_boost_round=2, max_depth=3, eta=np.float32(0.1),
+                             lambda_=np.float64(2.0), subsample=np.int64(1))
+        model = train(x, y, params, seed=1)
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = GBDTModel.load(path)
+        assert loaded.params == params
+        assert loaded.params.eta == float(np.float32(0.1))
+        assert loaded.to_dict() == model.to_dict()
+        np.testing.assert_array_equal(loaded.predict_margin(x), model.predict_margin(x))
 
     def test_save_is_byte_stable(self, tmp_path):
         x, y = separable_data(60, seed=2)

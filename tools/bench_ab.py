@@ -11,10 +11,13 @@ runs first from one pair to the next, and reads each run's
 
 For each workload and each end-to-end metric of BENCHMARK.json it prints
 the median of the base's runs and of the change's, the base's quartile
-spread, how many pairs the change won (and tied), `WORSE` where the
-change's median is worse than the base's by more than the metric's bound,
-and `NOISY` where the base's own quartiles lie further apart than that
-bound, so that a single run of either side may cross it on noise alone.
+spread, how many pairs the change won (and tied), `GAIN` where the change
+won at least 9 of every 10 pairs (a tie is no win) and its median is
+better than the base's by more than the base's quartile spread, `WORSE`
+where the change's median is worse than the base's by more than the
+metric's bound, and `NOISY` where the base's own quartiles lie further
+apart than that bound, so that a single run of either side may cross it
+on noise alone.
 """
 
 from __future__ import annotations
@@ -96,6 +99,7 @@ def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list
         else:
             q1 = q3 = b_values[0]
         loss = (c_med - b_med) if lower else (b_med - c_med)
+        wins = sum((c < b) if lower else (c > b) for b, c in pairs)
         rows.append({
             "metric": name,
             "unit": metric["unit"],
@@ -103,9 +107,10 @@ def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list
             "change": c_med,
             "base_q1": q1,
             "base_q3": q3,
-            "wins": sum((c < b) if lower else (c > b) for b, c in pairs),
+            "wins": wins,
             "ties": sum(c == b for b, c in pairs),
             "pairs": len(pairs),
+            "gain": 10 * wins >= 9 * len(pairs) and -loss > q3 - q1,
             "worse": loss > metric["bound"] * abs(b_med),
             "noisy": q3 - q1 > metric["bound"] * abs(b_med),
         })
@@ -115,7 +120,7 @@ def summarize(base: list[dict], change: list[dict], metrics: list[dict]) -> list
 def format_rows(workload: str, rows: list[dict]) -> str:
     lines = [f"{workload}:"]
     for r in rows:
-        mark = "  WORSE" * r["worse"] + "  NOISY" * r["noisy"]
+        mark = "  GAIN" * r["gain"] + "  WORSE" * r["worse"] + "  NOISY" * r["noisy"]
         lines.append(
             f"  {r['metric']:<15} base {r['base']:.4g} (IQR {r['base_q1']:.4g}-"
             f"{r['base_q3']:.4g})  change {r['change']:.4g} {r['unit']}  "
