@@ -4,7 +4,8 @@ Stages communicate only through files in the work directory, so any stage
 can be rerun in isolation and a finished run can be inspected file by file:
 
     tracks.csv, sessions.csv      synth
-    features.csv                  extract (an export: no stage reads it)
+    features.csv                  extract (an export: no stage reads it,
+                                  and run-all skips it)
     grid_report.csv               tune
     bank/model_NN.json, manifest  train
     submission_solution_NN.txt    predict (+ scores_solution_NN.csv)
@@ -161,10 +162,8 @@ def cmd_predict(cfg: RunConfig) -> None:
     n_history, counts, _ = log.split()
     s0 = log.column("skip_2")[log.starts[:-1] + n_history - 1]  # the last history row's
     for solution in cfg.solutions:
-        prediction = CorpusPrediction(
-            log.session_ids, counts,
-            combine_corpus(solution, matrix, counts, s0, cfg.weights),
-        )
+        scores = combine_corpus(solution, matrix, counts, s0)
+        prediction = CorpusPrediction(log.session_ids, counts, scores)
         with open(cfg.workdir / _submission_name(solution), "w", encoding="utf-8") as fh:
             write_submission(prediction, fh)
         scores_name = f"scores_solution_{solution:02d}.csv"
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, _fn, help_text in _STAGES:
         sub.add_parser(name, parents=[common], help=help_text)
-    sub.add_parser("run-all", parents=[common], help="run every stage in order")
+    sub.add_parser("run-all", parents=[common], help="run every stage but extract, in order")
     return parser
 
 
@@ -314,8 +313,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         cfg.workdir.mkdir(parents=True, exist_ok=True)
-        if args.command == "run-all":
-            stages = [fn for _name, fn, _help in _STAGES]
+        if args.command == "run-all":  # every stage but extract, whose export no stage reads
+            stages = [fn for name, fn, _help in _STAGES if name != "extract"]
         else:
             stages = [fn for name, fn, _help in _STAGES if name == args.command]
         for stage in stages:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
-from .ensemble import SOLUTION_IDS, EnsembleWeights
+from .ensemble import SOLUTION_IDS
 from .errors import ConfigError
 from .gbdt import TrainParams
 from .synthetic import SynthConfig
@@ -25,7 +25,7 @@ from .synthetic import SynthConfig
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """The run options. Its config keys are its fields other than the three
+    """The run options. Its config keys are its fields other than the two
     sections, and the fields of those sections."""
 
     workdir: Path = Path("work")
@@ -38,7 +38,6 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     # desk-scale round count; the library default of 200 suits overnight runs
     params: TrainParams = field(default_factory=lambda: TrainParams(num_boost_round=60))
-    weights: EnsembleWeights = field(default_factory=EnsembleWeights)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.sample <= 1.0:

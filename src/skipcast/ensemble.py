@@ -8,6 +8,9 @@ Strategies 2/4/6/7/8/9/10/11/12 blend in the hard last action (1 if the
 final history track was skipped, else 0); strategies 3 and 5 soften it to
 0.6/0.4. Strategies 8 and 11 are sequential: each score feeds the next
 through the continuous previous score, never the binarized decision.
+Strategies 9, 10 and 12 weight the models by their distance from the
+target, through fixed constants: `linear_offset` (9 and 10), `exp_base`
+(12), `alpha_scale` (9 and 12) and `fixed_prior` (10).
 
 `combine_corpus` scores a whole corpus at once from its stacked matrix;
 `combine` is the same call for one session.
@@ -15,48 +18,24 @@ through the continuous previous score, never the binarized decision.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .datamodel import MAX_TARGET_POSITIONS, csv_cell, stacked
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 
 SOLUTION_IDS = tuple(range(1, 13))
 SOFT_SOLUTIONS = frozenset({3, 5})
-#: the least exp_base whose weight at distance 9, exp_base ** -9, is a finite float
-MIN_EXP_BASE = 5.616633020792315e-35
-
-
-@dataclass(frozen=True)
-class EnsembleWeights:
-    """Tunable constants for the distance-weighted strategies 9, 10 and 12."""
-
-    linear_offset: float = 11.0
-    alpha_scale: float = 0.5
-    fixed_prior: float = 0.2
-    exp_base: float = 2.0
-
-    def __post_init__(self) -> None:
-        # the bounds under which strategies 9, 10 and 12 blend convexly
-        if not 9.0 <= self.linear_offset < math.inf:
-            raise ConfigError(f"linear_offset must be finite and >= 9, got {self.linear_offset}")
-        if not 0.0 <= self.alpha_scale <= 1.0:
-            raise ConfigError(f"alpha_scale must be in [0, 1], got {self.alpha_scale}")
-        if not 0.0 <= self.fixed_prior <= 1.0:
-            raise ConfigError(f"fixed_prior must be in [0, 1], got {self.fixed_prior}")
-        if not 0.0 < self.exp_base < math.inf:
-            raise ConfigError(f"exp_base must be finite and > 0, got {self.exp_base}")
-        if self.exp_base < MIN_EXP_BASE:
-            raise ConfigError(
-                f"exp_base must be >= {MIN_EXP_BASE!r} (exp_base ** -9 is not "
-                f"finite below), got {self.exp_base}"
-            )
-
-
-DEFAULT_WEIGHTS = EnsembleWeights()
+#: strategies 9 and 10: model j's raw weight for target i is linear_offset - |i - j|
+linear_offset = 11.0
+#: strategies 9 and 12: target i's last-action weight is alpha_scale * (11 - i) / 10
+alpha_scale = 0.5
+#: strategy 10: every target's last-action weight
+fixed_prior = 0.2
+#: strategy 12: model j's raw weight for target i is exp_base ** -|i - j|
+exp_base = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,18 +60,17 @@ def soften(s0_hard):
     return np.where(np.asarray(s0_hard) >= 0.5, 0.6, 0.4)
 
 
-def linear_weights(i: int, weights: EnsembleWeights = DEFAULT_WEIGHTS) -> np.ndarray:
+def linear_weights(i: int) -> np.ndarray:
     """Model weights for target position i, decaying linearly with distance."""
     j = np.arange(1, MAX_TARGET_POSITIONS + 1, dtype=np.float64)
-    raw = weights.linear_offset - np.abs(i - j)
+    raw = linear_offset - np.abs(i - j)
     return raw / raw.sum()
 
 
-def exponential_weights(
-    i: int, weights: EnsembleWeights = DEFAULT_WEIGHTS
-) -> np.ndarray:
+def exponential_weights(i: int) -> np.ndarray:
+    """Model weights for target position i, decaying exponentially with distance."""
     j = np.arange(1, MAX_TARGET_POSITIONS + 1, dtype=np.float64)
-    raw = weights.exp_base ** (-np.abs(i - j))
+    raw = exp_base ** (-np.abs(i - j))
     return raw / raw.sum()
 
 
@@ -101,7 +79,6 @@ def combine_corpus(
     matrix: np.ndarray,
     counts: Sequence[int],
     s0_hard: Sequence[float],
-    weights: EnsembleWeights = DEFAULT_WEIGHTS,
 ) -> np.ndarray:
     """Continuous scores of every target row of a corpus under one strategy.
 
@@ -175,27 +152,22 @@ def combine_corpus(
             scores[at] = (1.0 - mix) * row_mean[at] + mix * scores[at - 1]
     else:  # 9, 10 and 12
         kernel = exponential_weights if solution == 12 else linear_weights
-        table = np.stack([kernel(i, weights) for i in range(1, MAX_TARGET_POSITIONS + 1)])
+        table = np.stack([kernel(i) for i in range(1, MAX_TARGET_POSITIONS + 1)])
         # a stacked (1, 10) @ (10, 1) product is each row's own dot product,
         # bit-identical to `w @ row`; einsum or (W * M).sum(1) is not
         blended = np.matmul(table[pos - 1][:, None, :], matrix[:, :, None])[:, 0, 0]
         if solution == 10:
-            alpha = weights.fixed_prior
+            alpha = fixed_prior
         else:
-            alpha = weights.alpha_scale * (MAX_TARGET_POSITIONS + 1 - pos) / 10.0
+            alpha = alpha_scale * (MAX_TARGET_POSITIONS + 1 - pos) / 10.0
         scores = alpha * s0 + (1.0 - alpha) * blended
     return np.clip(scores, 0.0, 1.0)
 
 
-def combine(
-    solution: int,
-    matrix: np.ndarray,
-    s0_hard: float,
-    weights: EnsembleWeights = DEFAULT_WEIGHTS,
-) -> np.ndarray:
+def combine(solution: int, matrix: np.ndarray, s0_hard: float) -> np.ndarray:
     """Continuous scores for one session: `combine_corpus` of that session."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    return combine_corpus(solution, matrix, matrix.shape[:1], [s0_hard], weights)
+    return combine_corpus(solution, matrix, matrix.shape[:1], [s0_hard])
 
 
 def binarize(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:

@@ -77,7 +77,9 @@ def _map_fits(fit, jobs: list, *shared) -> list:
 
     `fit` is a module-level function that reads `shared` from `_shared`.
     There is one worker per CPU this process may run on, at most one per
-    job. Results, and the error of the first failing job, come in job order.
+    job. Jobs go to the workers in chunks of about a quarter of each one's
+    share, and a chunk stops at its first failure, so results, and the error
+    of the first failing job, come in job order.
     Workers start by `fork` on Linux, where a forked worker inherits the
     imported numpy and skipcast; `forkserver` and `spawn` workers import
     them afresh in every pool, which made small tunes slower than serial.
@@ -92,13 +94,14 @@ def _map_fits(fit, jobs: list, *shared) -> list:
     context = multiprocessing.get_context(
         "fork" if sys.platform == "linux" else None
     )
+    workers = min(len(jobs), cpus)
     with ProcessPoolExecutor(
-        max_workers=min(len(jobs), cpus),
+        max_workers=workers,
         mp_context=context,
         initializer=_share,
         initargs=shared,
     ) as pool:
-        return list(pool.map(fit, jobs))
+        return list(pool.map(fit, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
 def _fit_position(job: tuple[np.ndarray, int]) -> GBDTModel:

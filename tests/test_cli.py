@@ -4,6 +4,7 @@ Everything runs in-process through main() against throwaway work
 directories, with a corpus small enough to keep the whole file fast.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -35,7 +36,7 @@ from skipcast.datamodel import (
     write_session_csv,
     write_track_csv,
 )
-from skipcast.ensemble import SOLUTION_IDS, CorpusPrediction, EnsembleWeights, write_submission
+from skipcast.ensemble import SOLUTION_IDS, CorpusPrediction, write_submission
 from skipcast.errors import ConfigError, IntegrityError
 from skipcast.features import FeatureTable, assemble_corpus
 from skipcast.gbdt import TrainParams
@@ -60,13 +61,20 @@ def write_conf(tmp_path, body=SMALL_CONF):
     return str(path)
 
 
+def fallback_warning():
+    """Expects the warning of a train on SMALL_CONF's corpus, whose position
+    10 has too few rows, or one class only, for a tree."""
+    return pytest.warns(RuntimeWarning, match="constant fallback")
+
+
 def run_all(tmp_path, workdir_name="work", seed=None):
     conf = write_conf(tmp_path)
     workdir = tmp_path / workdir_name
     args = ["run-all", "--config", conf, "--workdir", str(workdir)]
     if seed is not None:
         args += ["--seed", str(seed)]
-    assert main(args) == 0
+    with fallback_warning():
+        assert main(args) == 0
     return workdir
 
 
@@ -79,7 +87,6 @@ def pipeline(tmp_path_factory):
 ARTIFACTS = [
     "tracks.csv",
     "sessions.csv",
-    "features.csv",
     "grid_report.csv",
     "bank/manifest.json",
     "submission_solution_01.txt",
@@ -97,6 +104,7 @@ class TestRunAll:
             assert (pipeline / name).exists(), name
         for j in range(1, 11):
             assert (pipeline / "bank" / f"model_{j:02d}.json").exists()
+        assert not (pipeline / "features.csv").exists()  # run-all skips extract
 
     def test_grid_report_covers_full_grid(self, pipeline):
         lines = (pipeline / "grid_report.csv").read_text().splitlines()
@@ -148,10 +156,6 @@ n_sessions = 60
 num_boost_round = 3
 max_depth = 3
 solutions = all
-linear_offset = 12.5
-alpha_scale = 0.6
-fixed_prior = 0.3
-exp_base = 3.0
 """
 
 
@@ -182,7 +186,7 @@ class TestPredictOracle:
             score_lines = ["session_id,target_position,score,decision"]
             submission_lines = []
             for s, m, s0 in zip(sessions, matrices, priors):
-                scores = per_session_combine(solution, m, s0, cfg.weights)
+                scores = per_session_combine(solution, m, s0)
                 score_lines += [
                     f"{s.session_id},{i},{repr(float(score))},{int(score >= 0.5)}"
                     for i, score in enumerate(scores, start=1)
@@ -216,15 +220,17 @@ class TestFeaturePathOracle:
         shutil.copytree(corpus, oracle)
 
         # train first, so that it applies no grid report
-        for stage in ("train", "tune"):
-            assert main([stage, "--config", conf, "--workdir", str(corpus)]) == 0
+        with fallback_warning():
+            for stage in ("train", "tune"):
+                assert main([stage, "--config", conf, "--workdir", str(corpus)]) == 0
         assert not (corpus / "features.csv").exists()
 
         assert main(["extract", "--config", conf, "--workdir", str(oracle)]) == 0
         with open(oracle / "features.csv", encoding="utf-8") as fh:
             table = FeatureTable.read_csv(fh)
         assert set(table.session_ids) == {s.session_id for s in sessions}
-        train_bank(table, cfg.params, cfg.seed).save(oracle / "bank")
+        with fallback_warning():
+            train_bank(table, cfg.params, cfg.seed).save(oracle / "bank")
         with open(oracle / "grid_report.csv", "w", encoding="utf-8") as fh:
             grid_search(table, cfg.seed, num_boost_round=cfg.tune_rounds).write_csv(fh)
 
@@ -295,7 +301,8 @@ class TestStages:
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
         conf = write_conf(tmp_path)
-        assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 0
+        with fallback_warning():
+            assert main(["train", "--config", conf, "--workdir", str(workdir)]) == 0
         assert "applying tuned parameters" in capsys.readouterr().out
 
 
@@ -379,7 +386,6 @@ class TestUsageErrors:
                 "2 <= min <= max <= 20, got [9, 8]",
             ),
             ("acoustic_dim = 0\n", "acoustic_dim must be >= 1"),
-            ("exp_base = 0\n", "exp_base must be finite and > 0, got 0.0"),
             ("n_sessions = 0\n", "n_sessions must be >= 1"),
             ("skip_bias = nan\n", "skip_bias must be finite, got nan"),
             ("skip_energy_weight = inf\n", "skip_energy_weight must be finite, got inf"),
@@ -387,7 +393,7 @@ class TestUsageErrors:
             ("skip_prev_weight = nan\n", "skip_prev_weight must be finite, got nan"),
         ],
         ids=[
-            "n_tracks 0", "min 1", "max 21", "min > max", "acoustic_dim 0", "exp_base 0",
+            "n_tracks 0", "min 1", "max 21", "min > max", "acoustic_dim 0",
             "n_sessions 0", "skip_bias nan", "skip_energy_weight inf",
             "skip_tempo_weight -inf", "skip_prev_weight nan",
         ],
@@ -442,7 +448,8 @@ class TestDataErrors:
         assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 2
         assert "run the synth stage first" in capsys.readouterr().err
         assert main(["synth", "--config", conf, "--workdir", str(workdir)]) == 0
-        assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
+        with fallback_warning() if stage == "train" else contextlib.nullcontext():
+            assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
         assert not (workdir / "features.csv").exists()
 
     def test_tune_before_extract(self, tmp_path, capsys):
@@ -622,11 +629,7 @@ class TestDataErrors:
     def test_unknown_track_id(self, pipeline, tmp_path, capsys, stage, half):
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
-        pattern = "features.csv" if stage == "extract" else "*_solution_*"
-        outputs = sorted(workdir.glob(pattern))
-        assert outputs
-        for output in outputs:
-            output.unlink()
+        outputs = _stage_outputs(workdir, stage)
         path = workdir / "sessions.csv"
         lines = path.read_text().splitlines()
         header = lines[0].split(",")
@@ -665,10 +668,7 @@ class TestDataErrors:
         # each cell is in range, but a dot product of two vectors is not
         workdir = tmp_path / "w"
         shutil.copytree(pipeline, workdir)
-        pattern = "features.csv" if stage == "extract" else "*_solution_*"
-        outputs = sorted(workdir.glob(pattern))
-        for output in outputs:
-            output.unlink()
+        outputs = _stage_outputs(workdir, stage)
         path = workdir / "tracks.csv"
         lines = path.read_text().splitlines()
         column = lines[0].split(",").index("acoustic_vector_0")
@@ -929,8 +929,9 @@ class TestColumnReaders:
             text = re.sub(f"^s{k:06d},", f'"{sid}",', text, flags=re.M)
         log.write_text(text)
         conf = write_conf(tmp_path)
-        for stage in ("extract", "train", "predict", "evaluate"):
-            assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
+        with fallback_warning():
+            for stage in ("extract", "train", "predict", "evaluate"):
+                assert main([stage, "--config", conf, "--workdir", str(workdir)]) == 0
         # only the ids changed, so the decisions and their scores did not
         assert (workdir / "report.csv").read_bytes() == (pipeline / "report.csv").read_bytes()
         before = (pipeline / "submission_solution_01.txt").read_text().split("\n")
@@ -943,6 +944,19 @@ class TestColumnReaders:
             assert len({len(row) for row in rows}) == 1, name
             column = rows[0].index("session_id")
             assert {row[column] for row in rows} >= set(ids), name
+
+
+def _stage_outputs(workdir, stage):
+    """The files `stage` writes in `workdir`, each removed first: the
+    feature export for extract, which run-all skips, else the predictions."""
+    if stage == "extract":
+        outputs = [workdir / "features.csv"]
+    else:
+        outputs = sorted(workdir.glob("*_solution_*"))
+    assert outputs
+    for output in outputs:
+        output.unlink(missing_ok=True)
+    return outputs
 
 
 def _set_cell(index, value):
@@ -1075,10 +1089,9 @@ class TestFlagPrecedence:
 ROUTED_SECTIONS = {
     "synth": SynthConfig,
     "params": TrainParams,
-    "weights": EnsembleWeights,
 }
 
-# a valid non-default value for every field of RunConfig and its three sections
+# a valid non-default value for every field of RunConfig and its two sections
 ROUTED_VALUES = {
     "workdir": Path("elsewhere"),
     "seed": 11,
@@ -1104,10 +1117,6 @@ ROUTED_VALUES = {
     "gamma": 0.5,
     "subsample": 0.75,
     "colsample": 0.5,
-    "linear_offset": 9.0,
-    "alpha_scale": 0.25,
-    "fixed_prior": 0.3,
-    "exp_base": 3.0,
 }
 
 
@@ -1149,7 +1158,6 @@ class TestConfigParsing:
                 "n_sessions": "77",
                 "eta": "0.25",
                 "lambda": "2.5",
-                "fixed_prior": "0.3",
                 "seed": "11",
                 "workdir": "elsewhere",
             }
@@ -1157,7 +1165,6 @@ class TestConfigParsing:
         assert cfg.synth.n_sessions == 77
         assert cfg.params.eta == 0.25
         assert cfg.params.lambda_ == 2.5
-        assert cfg.weights.fixed_prior == 0.3
         assert cfg.seed == 11
         assert cfg.workdir == Path("elsewhere")
 
@@ -1193,15 +1200,24 @@ class TestConfigParsing:
                 else:
                     assert got == want, f"{sec}.{f.name}"
 
-    @pytest.mark.parametrize("key", ["synth", "params", "weights", "tracks_path"])
+    @pytest.mark.parametrize("key", ["synth", "params", "tracks_path"])
     def test_sections_and_methods_are_not_keys(self, key):
         with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
             build_config({key: "1"})
 
+    @pytest.mark.parametrize(
+        "key", ["linear_offset", "alpha_scale", "fixed_prior", "exp_base", "weights"]
+    )
+    def test_strategy_constants_are_not_keys(self, tmp_path, capsys, key):
+        # strategies 9, 10 and 12 blend through fixed constants, not config
+        conf = write_conf(tmp_path, SMALL_CONF + f"{key} = 0.5\n")
+        assert main(["synth", "--config", conf, "--workdir", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == f"skipcast: unknown config key {key!r}\n"
+        assert not (tmp_path / "w").exists()
+
     def test_built_config_cannot_change(self):
         cfg = build_config({"n_tracks": "40"})
-        for obj, name in [(cfg, "seed"), (cfg.synth, "n_tracks"), (cfg.params, "eta"),
-                          (cfg.weights, "exp_base")]:
+        for obj, name in [(cfg, "seed"), (cfg.synth, "n_tracks"), (cfg.params, "eta")]:
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, name, 0)
 

@@ -5,7 +5,6 @@ its formula, plus hand-worked examples with known outputs.
 """
 
 import io
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,11 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skipcast.ensemble import (
-    DEFAULT_WEIGHTS,
-    MIN_EXP_BASE,
     SOLUTION_IDS,
     CorpusPrediction,
-    EnsembleWeights,
     binarize,
     combine,
     combine_corpus,
@@ -27,10 +23,10 @@ from skipcast.ensemble import (
     write_scores,
     write_submission,
 )
-from skipcast.errors import ConfigError, DimensionError, DomainError
+from skipcast.errors import DimensionError, DomainError
 
 
-def ref_scores(solution, m, s0_hard, weights=DEFAULT_WEIGHTS):
+def ref_scores(solution, m, s0_hard):
     """Scalar re-derivation of every strategy, kept free of numpy on purpose."""
     n = len(m)
     if solution in (3, 5):
@@ -63,21 +59,21 @@ def ref_scores(solution, m, s0_hard, weights=DEFAULT_WEIGHTS):
             s = prev
         else:
             if solution == 12:
-                raw = [weights.exp_base ** -abs(i - j) for j in range(1, 11)]
+                raw = [2.0 ** -abs(i - j) for j in range(1, 11)]
             else:
-                raw = [weights.linear_offset - abs(i - j) for j in range(1, 11)]
+                raw = [11.0 - abs(i - j) for j in range(1, 11)]
             total = sum(raw)
             blended = sum(r / total * row[j] for j, r in enumerate(raw))
             if solution == 10:
-                alpha = weights.fixed_prior
+                alpha = 0.2
             else:
-                alpha = weights.alpha_scale * (11 - i) / 10.0
+                alpha = 0.5 * (11 - i) / 10.0
             s = alpha * s0 + (1.0 - alpha) * blended
         out.append(min(1.0, max(0.0, s)))
     return out
 
 
-def per_session_combine(solution, matrix, s0_hard, weights=DEFAULT_WEIGHTS):
+def per_session_combine(solution, matrix, s0_hard):
     """The per-session strategy code as it stood before corpus scoring.
 
     Kept here verbatim as the bit-exact oracle: every sum, mean and dot
@@ -118,22 +114,22 @@ def per_session_combine(solution, matrix, s0_hard, weights=DEFAULT_WEIGHTS):
         scores = np.empty(n)
         for i in range(1, n + 1):
             if solution == 12:
-                raw = weights.exp_base ** (-np.abs(i - j))
+                raw = 2.0 ** (-np.abs(i - j))
             else:
-                raw = weights.linear_offset - np.abs(i - j)
+                raw = 11.0 - np.abs(i - j)
             w = raw / raw.sum()
             blended = float(w @ matrix[i - 1])
             if solution == 10:
-                alpha = weights.fixed_prior
+                alpha = 0.2
             else:
-                alpha = weights.alpha_scale * (11 - i) / 10.0
+                alpha = 0.5 * (11 - i) / 10.0
             scores[i - 1] = alpha * s0 + (1.0 - alpha) * blended
     return np.clip(scores, 0.0, 1.0)
 
 
 @st.composite
 def corpora(draw):
-    """Sessions of 1..10 targets, both last actions, default or drawn weights."""
+    """Sessions of 1..10 targets and both last actions."""
     counts = draw(st.lists(st.integers(1, 10), min_size=1, max_size=8))
     s0s = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(counts),
                         max_size=len(counts)))
@@ -141,17 +137,7 @@ def corpora(draw):
     matrix = rng.random((sum(counts), 10))
     if draw(st.booleans()):
         matrix = np.round(matrix, 1)  # exact ties and the 0.5 boundary
-    weights = draw(st.one_of(
-        st.just(DEFAULT_WEIGHTS),
-        st.builds(
-            EnsembleWeights,
-            linear_offset=st.floats(9.5, 40.0),
-            alpha_scale=st.floats(0.0, 1.0),
-            fixed_prior=st.floats(0.0, 1.0),
-            exp_base=st.floats(1.01, 8.0),
-        ),
-    ))
-    return counts, s0s, matrix, weights
+    return counts, s0s, matrix
 
 
 class TestCorpusOracle:
@@ -163,16 +149,16 @@ class TestCorpusOracle:
     @settings(max_examples=150, deadline=None)
     @given(corpus=corpora())
     @example(corpus=(list(range(1, 11)), [0.0, 1.0] * 5,
-                     np.random.default_rng(5).random((55, 10)), DEFAULT_WEIGHTS))
+                     np.random.default_rng(5).random((55, 10))))
     def test_every_strategy_matches_per_session_copy(self, corpus):
-        counts, s0s, matrix, weights = corpus
+        counts, s0s, matrix = corpus
         stops = np.cumsum(counts)
         for solution in SOLUTION_IDS:
             want = np.concatenate([
-                per_session_combine(solution, matrix[stop - n:stop], s0, weights)
+                per_session_combine(solution, matrix[stop - n:stop], s0)
                 for stop, n, s0 in zip(stops, counts, s0s)
             ])
-            got = combine_corpus(solution, matrix, counts, s0s, weights)
+            got = combine_corpus(solution, matrix, counts, s0s)
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), solution
 
@@ -286,11 +272,6 @@ class TestHandExamples:
             combine(12, m, 1.0), combine(9, m, 1.0), atol=1e-15
         )
 
-    def test_custom_weights_are_honored(self):
-        weights = EnsembleWeights(fixed_prior=0.5)
-        m = np.zeros((1, 10))
-        assert combine(10, m, 1.0, weights)[0] == pytest.approx(0.5, abs=1e-15)
-
     def test_single_target_collapses_strategies(self):
         # with one target, Q_1 and the row mean both equal M[1][1]
         m = np.full((1, 10), 0.9)
@@ -383,49 +364,6 @@ class TestValidation:
     def test_corpus_session_without_targets(self):
         with pytest.raises(DimensionError, match="got 0"):
             combine_corpus(1, np.full((4, 10), 0.5), [4, 0], [0.0, 1.0])
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"linear_offset": 8.99},
-            {"linear_offset": float("inf")},
-            {"linear_offset": float("nan")},
-            {"alpha_scale": -0.01},
-            {"alpha_scale": 1.01},
-            {"alpha_scale": float("nan")},
-            {"fixed_prior": -0.01},
-            {"fixed_prior": 1.01},
-            {"fixed_prior": float("nan")},
-            {"exp_base": 0.0},
-            {"exp_base": float("inf")},
-            {"exp_base": float("nan")},
-            {"exp_base": 1e-35},
-        ],
-    )
-    def test_weights_outside_their_bounds_are_rejected(self, kwargs):
-        with pytest.raises(ConfigError, match=next(iter(kwargs))):
-            EnsembleWeights(**kwargs)
-
-    @pytest.mark.filterwarnings("error")
-    def test_weights_at_their_bounds_blend_convexly(self):
-        m = np.random.default_rng(0).uniform(0.0, 1.0, (10, 10))
-        for weights in (
-            EnsembleWeights(linear_offset=9.0, alpha_scale=0.0, fixed_prior=0.0, exp_base=1e-3),
-            EnsembleWeights(alpha_scale=1.0, fixed_prior=1.0, exp_base=1e3),
-            EnsembleWeights(exp_base=1e-34),
-            EnsembleWeights(exp_base=MIN_EXP_BASE),
-        ):
-            for solution in (9, 10, 12):
-                scores = combine_corpus(solution, m, [10], [1.0], weights)
-                assert np.isfinite(scores).all(), solution
-
-    def test_min_exp_base_is_the_least_with_a_finite_far_weight(self):
-        assert math.isfinite(MIN_EXP_BASE ** -9)
-        below = float(np.nextafter(MIN_EXP_BASE, 0.0))
-        with pytest.raises(OverflowError):
-            below ** -9
-        with pytest.raises(ConfigError, match=r"^exp_base must be >= 5\.616633020792315e-35 "):
-            EnsembleWeights(exp_base=below)
 
 
 class TestLastAction:

@@ -499,6 +499,15 @@ def serial_bank(table, params, seed, fallbacks):
     return ModelBank(models)
 
 
+def offset_or_fail(job):
+    """A `_map_fits` job: `job` plus the shared offset, or an error for a
+    job in the shared failing set."""
+    offset, failing = modelbank._shared
+    if job in failing:
+        raise ValueError(f"job {job}")
+    return offset + job
+
+
 class TestWorkerPoolOracle:
     """Output is byte-identical to serial fits on any number of CPUs."""
 
@@ -555,3 +564,24 @@ class TestWorkerPoolOracle:
             match=r"^training labels contain a single class; cannot fit a classifier$",
         ):
             grid_search(table, seed=1, num_boost_round=1)
+
+    @pytest.mark.parametrize("n_jobs", [10, 54], ids=["bank", "grid"])
+    def test_jobs_go_to_workers_in_chunks(self, cpus, monkeypatch, n_jobs):
+        chunksizes = []
+
+        class RecordingPool(modelbank.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                chunksizes.append(kwargs.get("chunksize", 1))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(modelbank, "ProcessPoolExecutor", RecordingPool)
+        jobs = list(range(n_jobs))
+        assert modelbank._map_fits(offset_or_fail, jobs, 100, set()) == [100 + j for j in jobs]
+        # about a quarter of each worker's share, and at least one job
+        want = {(1, 10): 2, (1, 54): 13, (3, 10): 1, (3, 54): 4}[cpus, n_jobs]
+        assert chunksizes == [want]
+
+    @pytest.mark.parametrize("failing", [{21, 22, 40}, {40, 21}, {53}, {0, 1, 2}])
+    def test_first_failing_job_raises_across_chunks(self, cpus, failing):
+        with pytest.raises(ValueError, match=f"^job {min(failing)}$"):
+            modelbank._map_fits(offset_or_fail, list(range(54)), 100, failing)
